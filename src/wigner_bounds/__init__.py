@@ -26,7 +26,7 @@ from .regions import (
     region_from_dict,
     region_to_dict,
 )
-from .specfun import QuadratureRule, gauss_legendre, hermite_poly, laguerre_poly, oscillator_fn
+from .specfun import laguerre_poly, oscillator_fn
 from .spectra import (
     SpectrumResult,
     annulus_eigenvalue,
@@ -34,6 +34,7 @@ from .spectra import (
     crossing_radius,
     disk_eigenvalue,
     disk_envelope,
+    disk_spectrum,
     extremal_eigenvalues,
 )
 from .states import (
@@ -72,7 +73,6 @@ __all__ = [
     "Identities",
     "KernelMatrix",
     "PiecewiseLinear",
-    "QuadratureRule",
     "Region",
     "RegionUnion",
     "SpectrumResult",
@@ -90,9 +90,8 @@ __all__ = [
     "default_window",
     "disk_eigenvalue",
     "disk_envelope",
+    "disk_spectrum",
     "extremal_eigenvalues",
-    "gauss_legendre",
-    "hermite_poly",
     "indicator",
     "integral_identities",
     "kernel_eval",

@@ -29,8 +29,8 @@ from .regions import Annulus, Disk, Ellipse, Region, area, load_region, reduce_e
 from .spectra import (
     SpectrumResult,
     annulus_envelope,
-    disk_eigenvalue,
     disk_envelope,
+    disk_spectrum,
     extremal_eigenvalues,
 )
 from .states import Ensemble, WavefunctionGrid, coherent_state, normalize, oscillator_state, read_state_csv
@@ -138,15 +138,15 @@ def cmd_curves(args) -> int:
         raise ValueError("need 0 <= a-min < a-max and steps >= 2")
     if args.n_max < 0:
         raise ValueError("n-max must be nonnegative")
+    grid = np.linspace(args.a_min, args.a_max, args.steps)
+    table = disk_spectrum(grid, args.n_max)
     header = ["a"]
     header += ["lambda%d" % n for n in range(args.n_max + 1)]
     header += ["lambda_min", "lambda_max", "n_min"]
     print("\t".join(header))
-    grid = np.linspace(args.a_min, args.a_max, args.steps)
-    for a in grid:
+    for a, curves in zip(grid, table):
         env = disk_envelope(float(a))
-        row = [a] + [disk_eigenvalue(n, float(a)) for n in range(args.n_max + 1)]
-        row += [env.lambda_min, env.lambda_max]
+        row = [a, *curves, env.lambda_min, env.lambda_max]
         cells = ["%.17g" % v for v in row] + ["%d" % env.n_min]
         print("\t".join(cells))
     return 0

@@ -1,114 +1,17 @@
 """Special functions shared by the rest of the package.
 
-Physicists' Hermite polynomials, Laguerre polynomials, normalized
-harmonic-oscillator eigenfunctions and Gauss-Legendre quadrature.  All
-evaluation runs through three-term recurrences so no factorials or
+Laguerre polynomials and normalized harmonic-oscillator eigenfunctions.
+All evaluation runs through three-term recurrences so no factorials or
 binomial tables are formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_legendre",
-    "hermite_poly",
     "laguerre_poly",
     "oscillator_fn",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Quadrature nodes and weights on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
-            raise ValueError("nodes must lie strictly inside (-1, 1)")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if abs(weights.sum() - 2.0) > 1e-12:
-            raise ValueError("weights must sum to 2")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.nodes.size
-
-    def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights transplanted to the interval [a, b]."""
-        half = 0.5 * (b - a)
-        return a + half * (self.nodes + 1.0), half * self.weights
-
-
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
-    pm = np.ones_like(x)
-    pc = x.copy()
-    for k in range(1, n):
-        pm, pc = pc, ((2 * k + 1) * x * pc - k * pm) / (k + 1)
-    dp = n * (x * pc - pm) / (x * x - 1.0)
-    return pc, dp
-
-
-@lru_cache(maxsize=None)
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with n nodes, exact for polynomials of degree 2n-1.
-
-    Nodes are the roots of P_n, found by Newton iteration on the Legendre
-    recurrence from the cosine initial guess; weights are
-    2 / ((1 - x^2) P_n'(x)^2).
-    """
-    if n < 1:
-        raise ValueError("rule needs at least one node")
-    if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
-    i = np.arange(1, n + 1)
-    x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_pair(n, x)
-        step = p / dp
-        x -= step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    else:
-        raise RuntimeError("Newton iteration for Legendre roots stalled")
-    _, dp = _legendre_pair(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # cosine seeds run right to left
-    return QuadratureRule(x[::-1].copy(), w[::-1].copy())
-
-
-def hermite_poly(n: int, x):
-    """Physicists' Hermite polynomial H_n(x).
-
-    Evaluated by H_{k+1} = 2 x H_k - 2 k H_{k-1}.  Magnitudes overflow
-    float64 when n and |x| are both large; n <= 200 with |x| <= 20 is safe
-    for the normalized oscillator_fn below, while raw H_n values already
-    overflow well inside that box.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    hm = np.ones_like(x)
-    if n == 0:
-        return hm if hm.ndim else float(hm)
-    hc = 2.0 * x
-    for k in range(1, n):
-        hm, hc = hc, 2.0 * x * hc - 2.0 * k * hm
-    return hc if hc.ndim else float(hc)
 
 
 def laguerre_poly(n: int, x):

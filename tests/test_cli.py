@@ -76,6 +76,18 @@ def test_bounds_malformed_region(tmp_path, capsys):
     assert "malformed region" in capsys.readouterr().err
 
 
+def test_bounds_exact_scan_range(tmp_path, capsys):
+    """A large disk saturates at [1, 1]; past the sweep's radius limit, or
+    with a negative scan cutoff, the exact route refuses with exit 2."""
+    assert main(["bounds", disk_json(tmp_path, 15.0), "--nmax", "40"]) == 0
+    assert capsys.readouterr().out == "lambda_min=1 lambda_max=1 method=exact\n"
+    assert main(["bounds", disk_json(tmp_path, 27.0)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "radius" in captured.err
+    assert main(["bounds", disk_json(tmp_path), "--nmax", "-1"]) == 2
+    assert "cutoff must be nonnegative" in capsys.readouterr().err
+
+
 def test_bounds_window_flags(tmp_path, capsys):
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "-7", "7"]) == 0
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--grid-count", "601"]) == 0

@@ -1,58 +1,13 @@
-"""Recurrence-based special functions against scipy and numpy oracles."""
+"""Recurrence-based special functions against scipy oracles and frozen values."""
 import numpy as np
 import pytest
 from scipy import special
 
-from wigner_bounds import QuadratureRule, gauss_legendre, hermite_poly, laguerre_poly, oscillator_fn
+from wigner_bounds import laguerre_poly, oscillator_fn
 
 # oscillator_fn(4, 1.3) from a 50-digit evaluation of the normalized
 # recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
 H4_AT_1P3 = -0.385655452466583154198312
-
-
-def test_gauss_legendre_matches_numpy():
-    for n in (1, 2, 3, 8, 32, 64, 97):
-        rule = gauss_legendre(n)
-        x, w = np.polynomial.legendre.leggauss(n)
-        assert np.allclose(rule.nodes, x, atol=1e-14, rtol=0)
-        assert np.allclose(rule.weights, w, atol=1e-14, rtol=0)
-
-
-def test_gauss_legendre_polynomial_exactness():
-    """An n-node rule integrates monomials up to degree 2n-1 exactly."""
-    rule = gauss_legendre(7)
-    for k in range(14):
-        exact = 0.0 if k % 2 else 2.0 / (k + 1)
-        got = float(np.dot(rule.weights, rule.nodes**k))
-        assert abs(got - exact) < 1e-14
-
-
-def test_mapped_interval_integral():
-    u, w = gauss_legendre(20).mapped(0.0, 2.0)
-    assert abs(np.dot(w, np.exp(u)) - (np.e**2 - 1.0)) < 1e-13
-
-
-def test_gauss_legendre_rejects_empty_rule():
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
-
-
-def test_quadrature_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, 0.9]))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.5, -0.5]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
-
-
-def test_hermite_against_scipy():
-    rng = np.random.default_rng(20260814)
-    xs = rng.uniform(-3.0, 3.0, size=40)
-    for n in range(31):
-        want = special.eval_hermite(n, xs)
-        got = hermite_poly(n, xs)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def test_laguerre_against_scipy():
@@ -88,13 +43,12 @@ def test_oscillator_large_n_does_not_overflow():
 
 
 def test_scalar_in_scalar_out():
-    assert isinstance(hermite_poly(3, 0.5), float)
     assert isinstance(laguerre_poly(3, 0.5), float)
     assert isinstance(oscillator_fn(3, 0.5), float)
-    assert hermite_poly(2, np.array([0.0, 1.0])).shape == (2,)
+    assert laguerre_poly(2, np.array([0.0, 1.0])).shape == (2,)
 
 
 def test_negative_degree_rejected():
-    for fn in (hermite_poly, laguerre_poly, oscillator_fn):
+    for fn in (laguerre_poly, oscillator_fn):
         with pytest.raises(ValueError):
             fn(-1, 0.3)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import eval_laguerre
 
 from wigner_bounds import (
     Disk,
@@ -14,8 +16,10 @@ from wigner_bounds import (
     crossing_radius,
     disk_eigenvalue,
     disk_envelope,
+    disk_spectrum,
     extremal_eigenvalues,
 )
+from wigner_bounds.spectra import DISK_RADIUS_LIMIT
 
 # greatest root of lambda_3(a) = lambda_4(a), frozen from a dense scan
 # of the quadrature curves refined by bisection
@@ -52,8 +56,55 @@ def test_disk_eigenvalue_saturates_for_large_disk():
     # lambda_n -> 1 once the disk swallows the state: radius past the
     # classical turning point sqrt(2n+1) plus four units of tail
     for n in range(21):
-        a = math.sqrt(2 * n + 1) + 4.0
-        assert abs(disk_eigenvalue(n, a) - 1.0) < 1e-10
+        for a in (math.sqrt(2 * n + 1) + 4.0, 12.0, 15.0, 20.0):
+            assert abs(disk_eigenvalue(n, a) - 1.0) < 1e-10
+
+
+def quadrature_eigenvalue(n, a):
+    """(-1)^n Integral_0^{a^2} L_n(2u) e^{-u} du by an (n+32)-node
+    Gauss-Legendre rule: an oracle independent of the Laguerre sweep."""
+    x, w = leggauss(n + 32)
+    u = 0.5 * a * a * (x + 1.0)
+    return (-1) ** n * 0.5 * a * a * float(np.dot(w, eval_laguerre(n, 2.0 * u) * np.exp(-u)))
+
+
+def test_disk_spectrum_matches_quadrature():
+    # leggauss nodes and weights for ~670 points cap this oracle at about
+    # 1.2e-12 for a = 8, n = 635 against an exact-arithmetic reference,
+    # where the sweep itself is off by 6e-16
+    for a in (0.5, 2.0, 5.0, 8.0):
+        n_top = max(50, math.ceil(10.0 * a * a))
+        spec = disk_spectrum(a, n_top)
+        assert spec.shape == (n_top + 1,)
+        for n in range(n_top + 1):
+            assert abs(spec[n] - quadrature_eigenvalue(n, a)) < 3e-12
+
+
+def test_disk_spectrum_array_radii():
+    radii = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+    spec = disk_spectrum(radii, 40)
+    assert spec.shape == (5, 41)
+    for k, a in enumerate(radii):
+        assert np.array_equal(spec[k], disk_spectrum(float(a), 40))
+    assert np.array_equal(disk_spectrum(0.0, 30), np.zeros(31))
+
+
+def test_disk_spectrum_refuses_out_of_range():
+    assert disk_spectrum(DISK_RADIUS_LIMIT, 10).shape == (11,)
+    with pytest.raises(ValueError):
+        disk_spectrum(DISK_RADIUS_LIMIT + 0.5, 10)
+    with pytest.raises(ValueError):
+        disk_spectrum(np.array([1.0, 27.0]), 10)
+    with pytest.raises(ValueError):
+        disk_spectrum(1.0, -1)
+    with pytest.raises(ValueError):
+        disk_spectrum(-0.5, 3)
+    with pytest.raises(ValueError):
+        disk_envelope(30.0)
+    with pytest.raises(ValueError):
+        annulus_envelope(1.0, 0.5)
+    with pytest.raises(ValueError):
+        annulus_envelope(-0.1, 1.0)
 
 
 def test_annulus_eigenvalue_is_disk_difference():
@@ -97,6 +148,12 @@ def test_crossing_radii():
     assert abs(crossing_radius(1) - 1.0) < 1e-9
     assert abs(crossing_radius(2) - math.sqrt((3 + math.sqrt(3)) / 2)) < 1e-9
     assert abs(crossing_radius(3) - A3_CROSSING) < 1e-8
+    # past n = 5 both curves round to 1 well inside the scan; that tail
+    # must not pass for a crossing
+    radii = [crossing_radius(n) for n in range(1, 11)]
+    assert all(r1 < r2 < r1 + 1.0 for r1, r2 in zip(radii, radii[1:]))
+    for n, r in enumerate(radii, start=1):
+        assert abs(disk_eigenvalue(n + 1, r) - disk_eigenvalue(n, r)) < 1e-9
     with pytest.raises(ValueError):
         crossing_radius(0)
 
