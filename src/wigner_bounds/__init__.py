@@ -2,8 +2,9 @@
 
 The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
-computes those eigenvalues exactly for disks, ellipses and annuli, and
-by kernel discretization for general regions; it also evaluates Wigner
+computes those eigenvalues exactly for disks, ellipses and annuli, in
+the number basis for any other bounded region, and by kernel
+discretization for unbounded ones; it also evaluates Wigner
 functions from sampled wavefunctions and checks measured
 quasiprobability grids against the bounds.
 """
@@ -22,6 +23,7 @@ from .regions import (
     bounding_box,
     indicator,
     load_region,
+    quadrature,
     reduce_ellipse,
     region_from_dict,
     region_to_dict,
@@ -32,10 +34,12 @@ from .spectra import (
     annulus_eigenvalue,
     annulus_envelope,
     crossing_radius,
+    disk_curves,
     disk_eigenvalue,
     disk_envelope,
     disk_spectrum,
     extremal_eigenvalues,
+    fock_extremes,
 )
 from .states import (
     Ensemble,
@@ -88,10 +92,12 @@ __all__ = [
     "coherent_state",
     "crossing_radius",
     "default_window",
+    "disk_curves",
     "disk_eigenvalue",
     "disk_envelope",
     "disk_spectrum",
     "extremal_eigenvalues",
+    "fock_extremes",
     "indicator",
     "integral_identities",
     "kernel_eval",
@@ -103,6 +109,7 @@ __all__ = [
     "oscillator_fn",
     "oscillator_state",
     "pointwise_bound_report",
+    "quadrature",
     "quasiprobability",
     "read_state_csv",
     "write_state_csv",

@@ -29,9 +29,10 @@ from .regions import Annulus, Disk, Ellipse, Region, area, load_region, reduce_e
 from .spectra import (
     SpectrumResult,
     annulus_envelope,
+    disk_curves,
     disk_envelope,
-    disk_spectrum,
     extremal_eigenvalues,
+    fock_extremes,
 )
 from .states import Ensemble, WavefunctionGrid, coherent_state, normalize, oscillator_state, read_state_csv
 from .wigner import mixed_wigner, quasiprobability, read_wigner_csv, wigner_transform, write_wigner_csv
@@ -90,12 +91,9 @@ def _exact_route(s: Region, n_max: int | None) -> SpectrumResult | None:
 
 
 def _numeric_route(s: Region, window, grid_count) -> SpectrumResult:
-    if isinstance(s, Ellipse):
-        # the discretized route has no direct ellipse kernel either
-        radius, _ = reduce_ellipse(s)
-        s = Disk(center=(0.0, 0.0), radius=radius)
+    # the Fock route unless a flag names a Nystrom grid
     if window is None and grid_count is None:
-        return extremal_eigenvalues(assemble(s))
+        return fock_extremes(s)
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         if not lo < hi:
@@ -127,7 +125,9 @@ def cmd_bounds(args) -> int:
         _fmt(res.lambda_max),
         res.method,
     )
-    if res.method == "nystrom":
+    if res.method == "fock":
+        line += " basis=%d error=%s" % (res.basis_size, _fmt(res.error_estimate))
+    elif res.method == "nystrom":
         line += " residual=%s" % _fmt(res.residual)
     print(line)
     return 0
@@ -139,13 +139,12 @@ def cmd_curves(args) -> int:
     if args.n_max < 0:
         raise ValueError("n-max must be nonnegative")
     grid = np.linspace(args.a_min, args.a_max, args.steps)
-    table = disk_spectrum(grid, args.n_max)
+    table, envelopes = disk_curves(grid, args.n_max)
     header = ["a"]
     header += ["lambda%d" % n for n in range(args.n_max + 1)]
     header += ["lambda_min", "lambda_max", "n_min"]
     print("\t".join(header))
-    for a, curves in zip(grid, table):
-        env = disk_envelope(float(a))
+    for a, curves, env in zip(grid, table, envelopes):
         row = [a, *curves, env.lambda_min, env.lambda_max]
         cells = ["%.17g" % v for v in row] + ["%d" % env.n_min]
         print("\t".join(cells))

@@ -12,9 +12,15 @@ closed form that one Laguerre recurrence sweeps for every n at once
 negative scallops between consecutive odd-indexed curves as a grows,
 so the sharp bounds on the disk integral of any Wigner function come
 from scanning these curves.  Annulus eigenvalues are differences of
-disk eigenvalues at the two radii with a shared eigenbasis.  For
-regions without a closed form the discretized kernel from
-kernels.assemble is diagonalized directly.
+disk eigenvalues at the two radii with a shared eigenbasis.
+
+Any other bounded region takes the Fock route (fock_extremes): the
+kernel's matrix in the number basis, <m|K_S|n> = integral over S of the
+cross-Wigner function W_mn, is integrated with a rule exact in the
+region's geometry, and the extremes of its leading blocks converge
+from inside by Cauchy interlacing.  Unbounded regions, or an explicit
+position grid, use the discretized kernel from kernels.assemble
+(extremal_eigenvalues).
 """
 from __future__ import annotations
 
@@ -23,34 +29,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelMatrix
+from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix
+from .regions import Region, bounding_box, quadrature
+from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
 
 __all__ = [
     "DISK_RADIUS_LIMIT",
+    "FOCK_MAX_BASIS",
+    "FOCK_TOL",
     "SpectrumResult",
     "annulus_eigenvalue",
     "annulus_envelope",
     "crossing_radius",
+    "disk_curves",
     "disk_eigenvalue",
     "disk_envelope",
     "disk_spectrum",
     "extremal_eigenvalues",
+    "fock_extremes",
 ]
 
 # past this radius e^{-a^2} leaves the normal float range and the sweep
 # loses digits (2e-15 at a = 26, 1e-8 at a = 27, order one at a = 27.5)
 DISK_RADIUS_LIMIT = 26.0
 
+# the Fock route stops once the extremes of two leading blocks FOCK_STEP
+# states apart differ by less than FOCK_TOL; a matrix whose blocks have
+# not settled is rebuilt FOCK_GROWTH times larger, up to FOCK_MAX_BASIS
+FOCK_TOL = 1e-10
+FOCK_STEP = 8
+FOCK_MAX_BASIS = 400
+FOCK_GROWTH = 1.5
+# quadrature nodes per unit length per unit of sqrt(2N + 1), the largest
+# phase-plane wavenumber of the basis over two
+FOCK_DENSITY = 0.75
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Extreme eigenvalues of a region kernel.
 
-    method is "exact" (closed-form eigenvalue curves) or "nystrom"
-    (discretized kernel).  n_min/n_max index the eigenvalue curves on
-    the exact route; residual and the eigenvector grids belong to the
-    discretized route.
+    method is "exact" (closed-form eigenvalue curves), "fock" (number
+    basis matrix) or "nystrom" (discretized kernel).  n_min/n_max index
+    the eigenvalue curves on the exact route.  The Fock route reports
+    its basis_size and, as error_estimate, the last change of the
+    extremes as the basis grew; the Nystrom route reports the residual.
+    Both attach the extreme eigenvectors as position grids.
     """
 
     lambda_min: float
@@ -61,11 +86,13 @@ class SpectrumResult:
     residual: float | None = None
     psi_min: WavefunctionGrid | None = None
     psi_max: WavefunctionGrid | None = None
+    basis_size: int | None = None
+    error_estimate: float | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.method not in ("exact", "nystrom"):
-            raise ValueError("method must be 'exact' or 'nystrom'")
+        if self.method not in ("exact", "fock", "nystrom"):
+            raise ValueError("method must be 'exact', 'fock' or 'nystrom'")
         if not self.lambda_min <= self.lambda_max:
             raise ValueError("lambda_min exceeds lambda_max")
         object.__setattr__(self, "warnings", tuple(self.warnings))
@@ -156,6 +183,19 @@ def disk_envelope(a: float, n_max: int | None = None) -> SpectrumResult:
     return _envelope(disk_spectrum(a, _cutoff(a) if n_max is None else n_max))
 
 
+def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
+    """lambda_0..lambda_{n_top} and the sharp bounds for each radius, from one sweep.
+
+    Row i of the table holds the curves at radii[i]; its bounds scan the
+    same sweep up to that radius's own default cutoff, so they equal
+    disk_envelope(radii[i]).
+    """
+    radii = np.asarray(radii, dtype=float)
+    tops = [_cutoff(a) for a in radii]
+    table = disk_spectrum(radii, max([n_top, *tops]))
+    return table[:, : n_top + 1], [_envelope(row[: top + 1]) for row, top in zip(table, tops)]
+
+
 def annulus_envelope(
     r_inner: float, r_outer: float, n_max: int | None = None
 ) -> SpectrumResult:
@@ -231,3 +271,71 @@ def extremal_eigenvalues(km: KernelMatrix) -> SpectrumResult:
         psi_max=WavefunctionGrid(km.x0, km.dx, vmax * scale),
         warnings=km.warnings,
     )
+
+
+def _fock_vectors(vecs: np.ndarray, center) -> list[WavefunctionGrid]:
+    # column c holds the coefficients on the displaced number states
+    # D(q0, p0)|n>, whose wavefunctions are e^{i p0 (x - q0)} h_n(x - q0)
+    # up to one common phase; the grid spans every basis function
+    half = math.sqrt(2.0 * vecs.shape[0] + 1.0) + 4.0
+    count = int(round(2.0 * half * DEFAULT_POINTS_PER_UNIT)) + 1
+    dx = 2.0 * half / (count - 1)
+    xs = np.linspace(-half, half, count)
+    phase = np.exp(1j * center[1] * xs)
+    basis = oscillator_basis(vecs.shape[0] - 1, xs)
+    return [
+        WavefunctionGrid(center[0] - half, dx, phase * (vecs[:, c] @ basis))
+        for c in range(vecs.shape[1])
+    ]
+
+
+def fock_extremes(s: Region) -> SpectrumResult:
+    """Extreme eigenvalues of a bounded region's kernel in the number basis.
+
+    The basis is centred on the region's bounding-box centre (q0, p0),
+    whose half-diagonal is the reach r.  M_mn = integral over S of
+    W_mn(q - q0, p - p0) is built once for N = (r + 8)^2 / 2 states
+    (regions.quadrature, specfun.cross_wigner_matrix); by Cauchy
+    interlacing the extremes of its leading blocks move outward as the
+    block grows.  Blocks are read from (r + 4)^2 / 2 states, where the
+    basis first covers the region, in steps of FOCK_STEP until both
+    extremes change by less than FOCK_TOL; that change is the
+    error_estimate.  If they have not settled by N, M is rebuilt
+    FOCK_GROWTH times larger and the reading goes on from N, up to
+    FOCK_MAX_BASIS states; past that a RuntimeError is raised rather
+    than an unconverged bound returned.
+    """
+    qmin, qmax, pmin, pmax = bounding_box(s)
+    if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
+        raise ValueError("unbounded region needs an explicit window: the Fock route needs a bounded one")
+    center = (0.5 * (qmin + qmax), 0.5 * (pmin + pmax))
+    reach = 0.5 * math.hypot(qmax - qmin, pmax - pmin)
+    size = min(FOCK_MAX_BASIS, math.ceil((reach + 4.0) ** 2 / 2.0))
+    top = min(FOCK_MAX_BASIS, math.ceil((reach + 8.0) ** 2 / 2.0))
+    while True:
+        density = FOCK_DENSITY * math.sqrt(2.0 * top + 1.0)
+        q, p, w = quadrature(s, density)
+        m = cross_wigner_matrix(top - 1, q - center[0], p - center[1], w)
+        prev = np.linalg.eigvalsh(m[:size, :size])
+        while size < top:
+            size = min(size + FOCK_STEP, top)
+            vals = np.linalg.eigvalsh(m[:size, :size])
+            change = max(abs(vals[0] - prev[0]), abs(vals[-1] - prev[-1]))
+            prev = vals
+            if change < FOCK_TOL:
+                vals, vecs = np.linalg.eigh(m[:size, :size])
+                psi_min, psi_max = _fock_vectors(vecs[:, [0, -1]], center)
+                return SpectrumResult(
+                    lambda_min=float(vals[0]),
+                    lambda_max=float(vals[-1]),
+                    method="fock",
+                    psi_min=psi_min,
+                    psi_max=psi_max,
+                    basis_size=size,
+                    error_estimate=float(change),
+                )
+        if top >= FOCK_MAX_BASIS:
+            raise RuntimeError(
+                "Fock basis did not settle to %g within %d states" % (FOCK_TOL, FOCK_MAX_BASIS)
+            )
+        top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))

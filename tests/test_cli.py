@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wigner_bounds import disk_eigenvalue, read_wigner_csv
+from wigner_bounds import disk_eigenvalue, disk_envelope, read_wigner_csv
 from wigner_bounds.cli import main
 
 
@@ -49,10 +49,10 @@ def test_bounds_ellipse_matches_disk_verbatim(tmp_path, capsys):
 def test_bounds_numeric_route(tmp_path, capsys):
     assert main(["bounds", disk_json(tmp_path), "--numeric"]) == 0
     out = capsys.readouterr().out
-    assert "method=nystrom" in out and "residual=" in out
+    assert "method=fock" in out and "basis=" in out and "error=" in out
     fields = dict(kv.split("=") for kv in out.split())
-    assert abs(float(fields["lambda_min"]) - (1 - 3 / math.e)) < 1e-4
-    assert abs(float(fields["lambda_max"]) - (1 - math.exp(-1))) < 1e-4
+    assert abs(float(fields["lambda_min"]) - (1 - 3 / math.e)) < 1e-9
+    assert abs(float(fields["lambda_max"]) - (1 - math.exp(-1))) < 1e-9
 
 
 def test_bounds_graph_region(tmp_path, capsys):
@@ -76,6 +76,57 @@ def test_bounds_malformed_region(tmp_path, capsys):
     assert "malformed region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"type": "disk", "radius": 1e400}', "disk center and radius must be finite"),
+        (
+            '{"type": "ellipse", "semi_major": Infinity, "semi_minor": 1}',
+            "ellipse center, semi-axes and angle must be finite",
+        ),
+        ('{"type": "disk", "center": [NaN, 0], "radius": 1}', "disk center and radius must be finite"),
+        (
+            '{"type": "graph", "b": -1, "c": 1, "f1": [[-1, 0], [0, NaN], [1, 0]],'
+            ' "f2": [[-1, 0], [0, 1], [1, 0]]}',
+            "knot positions and values must be finite",
+        ),
+    ],
+    ids=["infinite-radius", "infinite-semi-major", "nan-center", "nan-graph-knot"],
+)
+def test_bounds_rejects_non_finite_region(tmp_path, capsys, text, message):
+    """JSON admits 1e400, Infinity and NaN; each is refused with exit 2."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["bounds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_union_with_ellipse_part(tmp_path, capsys):
+    """An ellipse inside a union has no Nystrom kernel; the Fock route
+    takes it, for bounds and check alike, inside the area bound."""
+    union = write_region(
+        tmp_path, "union.json",
+        {"type": "union", "parts": [
+            {"type": "ellipse", "center": [-1.2, 0.0], "semi_major": 0.9,
+             "semi_minor": 0.4, "angle": 0.5},
+            {"type": "disk", "center": [1.0, 0.3], "radius": 0.6},
+        ]},
+    )
+    cap = (0.9 * 0.4 + 0.6**2)
+    assert main(["bounds", union]) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["method"] == "fock"
+    assert -cap <= float(fields["lambda_min"]) < 0 < float(fields["lambda_max"]) <= cap
+    out = str(tmp_path / "w0.csv")
+    assert main(["wigner", "oscillator:0", "--out", out]) == 0
+    assert main(["check", out, union]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "within"
+    assert report["lambda_min"] == float(fields["lambda_min"])
+    assert abs(report["area_bound"] - cap) < 1e-9
+
+
 def test_bounds_exact_scan_range(tmp_path, capsys):
     """A large disk saturates at [1, 1]; past the sweep's radius limit, or
     with a negative scan cutoff, the exact route refuses with exit 2."""
@@ -89,8 +140,11 @@ def test_bounds_exact_scan_range(tmp_path, capsys):
 
 
 def test_bounds_window_flags(tmp_path, capsys):
+    """A grid flag names a Nystrom grid, so it takes that route."""
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "-7", "7"]) == 0
+    assert "method=nystrom" in capsys.readouterr().out
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--grid-count", "601"]) == 0
+    assert "method=nystrom" in capsys.readouterr().out
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "7", "-7"]) == 2
     capsys.readouterr()
 
@@ -107,6 +161,19 @@ def test_curves_output(capsys):
         # same code path means parsed values match the library exactly
         assert abs(float(cells[1]) - disk_eigenvalue(0, a)) < 1e-12
         assert abs(float(cells[5]) - disk_eigenvalue(0, a)) < 1e-12
+
+
+def test_curves_envelopes_match_per_row_envelopes(capsys):
+    """The envelope columns come from one sweep but equal, bit for bit,
+    a separate disk_envelope at each row's radius."""
+    for argv in ([], ["--a-max", "5", "--n-max", "8", "--steps", "51"]):
+        assert main(["curves", *argv]) == 0
+        rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()[1:]]
+        for cells in rows:
+            env = disk_envelope(float(cells[0]))
+            assert float(cells[-3]) == env.lambda_min
+            assert float(cells[-2]) == env.lambda_max
+            assert int(cells[-1]) == env.n_min
 
 
 def test_curves_continuity_across_first_crossing(capsys):

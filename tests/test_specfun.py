@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from wigner_bounds import laguerre_poly, oscillator_fn
+from wigner_bounds import laguerre_poly, number_state_wigner, oscillator_fn
+from wigner_bounds.specfun import cross_wigner_matrix, oscillator_basis
 
 # oscillator_fn(4, 1.3) from a 50-digit evaluation of the normalized
 # recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
@@ -52,3 +53,37 @@ def test_negative_degree_rejected():
     for fn in (laguerre_poly, oscillator_fn):
         with pytest.raises(ValueError):
             fn(-1, 0.3)
+
+
+def test_oscillator_basis_rows_are_oscillator_fn():
+    xs = np.linspace(-9.0, 9.0, 181)
+    basis = oscillator_basis(60, xs)
+    assert basis.shape == (61, 181)
+    for n in (0, 1, 7, 60):
+        assert np.array_equal(basis[n], oscillator_fn(n, xs))
+    # orthonormal on a fine grid
+    fine = np.linspace(-14.0, 14.0, 2801)
+    b = oscillator_basis(40, fine)
+    gram = b @ b.T * (fine[1] - fine[0])
+    assert np.max(np.abs(gram - np.eye(41))) < 1e-12
+
+
+def test_cross_wigner_matrix_against_definition():
+    """W_mn(q, p) = (1/pi) int h_m(q+x) h_n(q-x) e^{2ipx} dx, summed with
+    weights; the diagonal is the number-state Wigner function."""
+    xs = np.linspace(-12.0, 12.0, 4801)
+    dx = xs[1] - xs[0]
+    pts = np.array([(0.3, -0.7), (1.2, 0.4), (-2.0, 1.5), (0.0, 0.0)])
+    weights = np.array([0.5, -1.0, 2.0, 0.25])
+    got = cross_wigner_matrix(12, pts[:, 0], pts[:, 1], weights)
+    want = np.zeros((13, 13), dtype=complex)
+    for (q, p), wt in zip(pts, weights):
+        left = oscillator_basis(12, q + xs)
+        right = oscillator_basis(12, q - xs) * np.exp(2j * p * xs)
+        want += wt * (left @ right.T) * dx / np.pi
+    assert np.max(np.abs(got - want)) < 1e-13
+    diag = sum(wt * np.array([number_state_wigner(n, q, p) for n in range(13)])
+               for (q, p), wt in zip(pts, weights))
+    assert np.max(np.abs(np.diag(got) - diag)) < 1e-14
+    with pytest.raises(ValueError):
+        cross_wigner_matrix(3, [0.0, 1.0], [0.0], [1.0])
