@@ -252,6 +252,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.margin) and args.margin >= 0.0):
+        raise ValueError("--margin must be a finite nonnegative number, got %r" % args.margin)
     w = read_wigner_csv(args.wigner_csv)
     s = load_region(args.region)
     q_value = quasiprobability(w, s, uncovered_tol=0.0)

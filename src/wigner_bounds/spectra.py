@@ -74,7 +74,10 @@ class SpectrumResult:
     basis matrix) or "nystrom" (discretized kernel).  n_min/n_max index
     the eigenvalue curves on the exact route.  The Fock route reports
     its basis_size and, as error_estimate, the last change of the
-    extremes as the basis grew; the Nystrom route reports the residual.
+    extremes as the basis grew; that change is a convergence signal, not
+    a bound on the error, which can be larger (1.2e-10 against an
+    estimate of 7.7e-11 on two radius-0.7 disks at (+-1.8, 0)).  The
+    Nystrom route reports the residual.
     Both attach the extreme eigenvectors as position grids.
     """
 

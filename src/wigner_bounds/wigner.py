@@ -6,9 +6,15 @@ The transform of a sampled wavefunction,
 
 is evaluated as a Riemann sum over offsets x on the wavefunction's own
 grid, with linear interpolation of psi at q +- x and the integrand
-zeroed where either point leaves the sampled support.  That truncation
-is symmetric in x, so the sum is real up to rounding; the imaginary
-residue is checked and discarded.
+zeroed where either point leaves the sampled support.  The offsets and
+that truncation are symmetric in x, so the integrand
+f(x) = psi*(q+x) psi(q-x) obeys f(-x) = conj f(x) bit for bit, and the
+sum is taken over x >= 0 alone:
+
+    W = (dx/pi) [f(0) + 2 sum_{x>0} (Re f cos 2px - Im f sin 2px)],
+
+two real matrix products against cos and sin tables, real by
+construction.
 
 Also here: the closed-form number-state Wigner functions, the two
 integral identities (total mass 1, purity 1/(2 pi)), the region
@@ -96,22 +102,27 @@ def wigner_transform(psi: WavefunctionGrid, qs, ps) -> WignerGrid:
     if np.any(qs < lo) or np.any(qs > hi):
         raise ValueError("q outside wavefunction support")
 
-    offs = dx * np.arange(-(len(psi) - 1), len(psi))
+    offs = dx * np.arange(len(psi))
     re, im = psi.values.real, psi.values.imag
-    f = np.empty((qs.size, offs.size), dtype=complex)
+    fr = np.empty((qs.size, offs.size))
+    fi = np.empty((qs.size, offs.size))
     for i, q in enumerate(qs):
         xp = q + offs
         xm = q - offs
         inside = (xp >= lo) & (xp <= hi) & (xm >= lo) & (xm <= hi)
         vp = np.interp(xp, xs, re) + 1j * np.interp(xp, xs, im)
         vm = np.interp(xm, xs, re) + 1j * np.interp(xm, xs, im)
-        f[i] = np.where(inside, np.conj(vp) * vm, 0.0)
-    phases = np.exp(2j * np.outer(offs, ps))
-    w = (dx / np.pi) * (f @ phases)
-    residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if residue > 1e-8:
-        raise ValueError("asymmetric sampling: imaginary residue %.3g" % residue)
-    return WignerGrid(qs.copy(), ps.copy(), w.real.copy())
+        f = np.where(inside, np.conj(vp) * vm, 0.0)
+        fr[i] = f.real
+        fi[i] = f.imag
+    # the x < 0 half of the sum is the conjugate of the x > 0 half
+    fr[:, 1:] *= 2.0
+    fi[:, 1:] *= 2.0
+    arg = 2.0 * np.outer(offs, ps)
+    w = fr @ np.cos(arg)
+    w -= fi @ np.sin(arg)
+    w *= dx / np.pi
+    return WignerGrid(qs.copy(), ps.copy(), w)
 
 
 def number_state_wigner(n: int, q, p):
@@ -194,16 +205,22 @@ def pointwise_bound_report(w: WignerGrid, allowance: float = 0.0) -> BoundReport
 
 
 def write_wigner_csv(w: WignerGrid, path) -> None:
-    """Row-major CSV q,p,w with full float precision (round-trips exactly)."""
+    """Row-major CSV q,p,w with full float precision (round-trips exactly).
+
+    Each line is "%.17g,%.17g,%.17g" of q, p, w.  The p cells are
+    formatted once into a row template; each q row fills in its q and
+    its w cells and is written in one call.
+    """
+    template = "".join("{q},%.17g,%%.17g\n" % p for p in w.ps.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("q,p,w\n")
-        for i, q in enumerate(w.qs):
-            for j, p in enumerate(w.ps):
-                fh.write("%.17g,%.17g,%.17g\n" % (q, p, w.w[i, j]))
+        for q, row in zip(w.qs.tolist(), w.w):
+            fh.write(template.replace("{q}", "%.17g" % q) % tuple(row.tolist()))
 
 
 def read_wigner_csv(path) -> WignerGrid:
-    """Inverse of write_wigner_csv; enforces the uniform row-major layout."""
+    """Inverse of write_wigner_csv; enforces the uniform row-major layout
+    and finite cells."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != ["q", "p", "w"]:
@@ -211,6 +228,13 @@ def read_wigner_csv(path) -> WignerGrid:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[0] < 4 or data.shape[1] != 3:
         raise ValueError("Wigner CSV needs at least a 2x2 grid of q,p,w rows")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            "Wigner CSV data row %d is not finite: %s"
+            % (k + 1, ",".join(repr(float(v)) for v in data[k]))
+        )
     qcol, pcol, wcol = data.T
     np_count = int(np.argmax(qcol != qcol[0])) if np.any(qcol != qcol[0]) else 0
     if np_count < 2 or data.shape[0] % np_count:

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, file round trips."""
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wigner_bounds
 from wigner_bounds import disk_eigenvalue, disk_envelope, read_wigner_csv
 from wigner_bounds.cli import main
 
@@ -241,6 +243,39 @@ def test_check_margin_flag_can_absorb_violation(tmp_path, capsys):
     assert report["margin"] == pytest.approx(0.05 + 2 * 0.05 * 0.05)
 
 
+@pytest.mark.parametrize("margin", ["-1", "nan", "inf", "-inf"])
+def test_check_rejects_bad_margin(tmp_path, capsys, margin):
+    """oscillator:1 is the unit disk's lambda_min eigenstate; a negative
+    margin would call it below_min, a NaN one would make the verdict
+    meaningless.  Both, and an infinite one, are usage errors."""
+    out = str(tmp_path / "w1.csv")
+    assert main(["wigner", "oscillator:1", "--out", out]) == 0
+    assert main(["check", out, disk_json(tmp_path), "--margin=" + margin]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--margin must be a finite nonnegative number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "column, bad",
+    [(2, "nan"), (2, "inf"), (0, "nan")],
+    ids=["nan-w", "inf-w", "nan-q"],
+)
+def test_check_rejects_non_finite_cells(tmp_path, capsys, column, bad):
+    out = str(tmp_path / "w0.csv")
+    assert main(["wigner", "oscillator:0", "--out", out]) == 0
+    lines = open(out).read().splitlines()
+    cells = lines[1000].split(",")
+    cells[column] = bad
+    lines[1000] = ",".join(cells)
+    broken = tmp_path / "w0_broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(broken), disk_json(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data row 1000 is not finite" in captured.err
+
+
 def test_check_uncovered_region(tmp_path, capsys):
     out = str(tmp_path / "w0.csv")
     assert main(["wigner", "oscillator:0", "--out", out]) == 0
@@ -298,11 +333,15 @@ def test_entry_points_run(tmp_path):
     An installer turns the `[project.scripts]` entry into a small wrapper
     on PATH. A source checkout has no such file, so the declared entry is
     checked by writing that wrapper here; an installed script, if found on
-    PATH, is run as well.
+    PATH, is run as well.  Both children import the package from where
+    this process did, so a bare `pytest` in a checkout runs them too.
     """
+    src = str(Path(wigner_bounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     ret = subprocess.run(
         [sys.executable, "-m", "wigner_bounds", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert ret.returncode == 0, ret.stderr
     assert re.search(r"^ +bounds ", ret.stdout, re.M), ret.stderr
@@ -321,7 +360,7 @@ def test_entry_points_run(tmp_path):
         "    sys.exit(%s())\n" % (module, func, func)
     )
     ret = subprocess.run(
-        [sys.executable, str(script), "--help"], capture_output=True, text=True,
+        [sys.executable, str(script), "--help"], capture_output=True, text=True, env=env,
     )
     assert ret.returncode == 0, ret.stderr
     assert ret.stdout.startswith("usage: wigner-bounds "), ret.stderr

@@ -9,6 +9,7 @@ from wigner_bounds import (
     Disk,
     Ensemble,
     RegionUnion,
+    WavefunctionGrid,
     WignerGrid,
     coherent_state,
     integral_identities,
@@ -62,6 +63,44 @@ def test_transform_coherent_state():
     i, j = np.unravel_index(np.argmax(np.abs(w.w)), w.w.shape)
     assert abs(qs[i] - 2.0) <= w.dq
     assert abs(ps[j] - 0.0) <= w.dp
+
+
+def full_range_wigner(psi, qs, ps):
+    """The sum over every offset -(n-1) dx .. (n-1) dx as one complex
+    matrix product, the reference for the half-range real sum."""
+    xs, dx = psi.xs, psi.dx
+    lo, hi = xs[0] - 1e-9 * dx, xs[-1] + 1e-9 * dx
+    offs = dx * np.arange(-(len(psi) - 1), len(psi))
+    f = np.empty((qs.size, offs.size), dtype=complex)
+    for i, q in enumerate(qs):
+        xp, xm = q + offs, q - offs
+        inside = (xp >= lo) & (xp <= hi) & (xm >= lo) & (xm <= hi)
+        vp = np.interp(xp, xs, psi.values.real) + 1j * np.interp(xp, xs, psi.values.imag)
+        vm = np.interp(xm, xs, psi.values.real) + 1j * np.interp(xm, xs, psi.values.imag)
+        f[i] = np.where(inside, np.conj(vp) * vm, 0.0)
+    return (dx / np.pi) * (f @ np.exp(2j * np.outer(offs, ps)))
+
+
+def test_transform_matches_full_range_sum():
+    """A complex, asymmetric state, q off the state grid and a
+    non-square, off-centre p range: the half-range sum equals the full
+    complex sum, whose imaginary part is zero up to rounding."""
+    xs = -6.0 + 0.02 * np.arange(601)
+    vals = np.exp(-((xs - 0.7) ** 2) / 1.3 + 1j * (1.1 * xs + 0.3 * xs**2)) * (1 + 0.2 * xs)
+    psi = WavefunctionGrid(xs[0], 0.02, vals / np.sqrt(np.sum(np.abs(vals) ** 2) * 0.02))
+    qs = -3.1 + 0.0537 * np.arange(97)
+    ps = -0.4 + 0.083 * np.arange(61)
+    ref = full_range_wigner(psi, qs, ps)
+    assert np.max(np.abs(ref.imag)) < 1e-13
+    got = wigner_transform(psi, qs, ps)
+    assert got.w.shape == (97, 61)
+    assert np.max(np.abs(got.w - ref.real)) < 1e-13
+
+    other = oscillator_state(1, xs[0], 0.02, 601)
+    ens = Ensemble(np.array([0.3, 0.7]), (psi, other))
+    mixed = mixed_wigner(ens, qs, ps)
+    want = 0.3 * ref.real + 0.7 * full_range_wigner(other, qs, ps).real
+    assert np.max(np.abs(mixed.w - want)) < 1e-13
 
 
 def test_integral_identities():
@@ -140,13 +179,38 @@ def test_pointwise_bound_report():
 
 
 def test_csv_round_trip(tmp_path):
+    """The file is the per-cell "%.17g,%.17g,%.17g" layout byte for byte,
+    and reads back exactly, signed zero and subnormals included."""
     w = wigner_transform(oscillator_state(1), small_axes(0.5, 2.0), small_axes(0.25, 1.0))
-    path = tmp_path / "w.csv"
-    write_wigner_csv(w, path)
-    back = read_wigner_csv(path)
-    assert np.array_equal(back.qs, w.qs)
-    assert np.array_equal(back.ps, w.ps)
-    assert np.array_equal(back.w, w.w)
+    values = np.linspace(-0.3, 0.3, 9 * 5).reshape(9, 5)
+    values[1, :] = [-0.0, 5e-324, 1e-300, 1e300, -1e300]
+    skewed = WignerGrid(small_axes(0.5, 2.0) + 0.1, np.array([-0.75, 0.0, 0.75, 1.5, 2.25]), values)
+    for k, grid in enumerate((w, skewed)):
+        path = tmp_path / ("w%d.csv" % k)
+        write_wigner_csv(grid, path)
+        want = "q,p,w\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (q, p, grid.w[i, j])
+            for i, q in enumerate(grid.qs)
+            for j, p in enumerate(grid.ps)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+        back = read_wigner_csv(path)
+        assert np.array_equal(back.qs, grid.qs)
+        assert np.array_equal(back.ps, grid.ps)
+        assert np.array_equal(back.w, grid.w)
+        assert np.array_equal(np.signbit(back.w), np.signbit(grid.w))
+
+
+@pytest.mark.parametrize(
+    "row, bad",
+    [("0,1,nan", "nan"), ("0,1,inf", "inf"), ("0,1,-inf", "-inf"), ("nan,1,0.1", "nan")],
+    ids=["nan-w", "inf-w", "minus-inf-w", "nan-q"],
+)
+def test_csv_rejects_non_finite_cells(tmp_path, row, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text("q,p,w\n0,0,0.1\n%s\n1,0,0.1\n1,1,0.1\n" % row)
+    with pytest.raises(ValueError, match=r"data row 2 is not finite: .*%s" % bad):
+        read_wigner_csv(path)
 
 
 def test_csv_errors(tmp_path):
