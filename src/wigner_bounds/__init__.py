@@ -4,9 +4,9 @@ The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
 computes those eigenvalues exactly for disks, ellipses and annuli, in
 the number basis for any other bounded region, and by kernel
-discretization for unbounded ones; it also evaluates Wigner
-functions from sampled wavefunctions and checks measured
-quasiprobability grids against the bounds.
+discretization for unbounded ones, with bounds() picking the route; it
+also evaluates Wigner functions from sampled wavefunctions and checks
+measured quasiprobability grids against the bounds.
 """
 from .kernels import KernelMatrix, apply_kernel, assemble, default_window, kernel_eval
 from .regions import (
@@ -33,6 +33,7 @@ from .spectra import (
     SpectrumResult,
     annulus_eigenvalue,
     annulus_envelope,
+    bounds,
     crossing_radius,
     disk_curves,
     disk_eigenvalue,
@@ -89,6 +90,7 @@ __all__ = [
     "area",
     "assemble",
     "bounding_box",
+    "bounds",
     "coherent_state",
     "crossing_radius",
     "default_window",

@@ -10,6 +10,9 @@ Four subcommands:
     check   CSV REGION.json   test a measured quasiprobability grid
                               against the region's bounds
 
+Each subcommand parses its flags, calls the library and prints; route
+choice for bounds and check lives in spectra.bounds.
+
 Exit codes: 0 success (check: within bounds), 1 bound violation,
 2 usage or data error.  Report numbers carry 9 significant digits;
 grid and curve data files carry full precision so they round-trip.
@@ -20,25 +23,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DEFAULT_POINTS_PER_UNIT, assemble, default_window
-from .regions import Annulus, Disk, Ellipse, Region, area, load_region, reduce_ellipse
-from .spectra import (
-    SpectrumResult,
-    annulus_envelope,
-    disk_curves,
-    disk_envelope,
-    extremal_eigenvalues,
-    fock_extremes,
-)
-from .states import Ensemble, WavefunctionGrid, coherent_state, normalize, oscillator_state, read_state_csv
+from .regions import area, load_region
+from .spectra import bounds, disk_curves
+from .states import Ensemble, coherent_state, normalize, oscillator_state, read_state_csv
 from .wigner import mixed_wigner, quasiprobability, read_wigner_csv, wigner_transform, write_wigner_csv
 
 __all__ = [
-    "CheckReport",
     "cmd_bounds",
     "cmd_check",
     "cmd_curves",
@@ -54,70 +47,8 @@ def _fmt(x: float) -> str:
     return "%.9g" % float(x)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Verdict of a measured quasiprobability value against the bounds."""
-
-    q_value: float
-    lambda_min: float
-    lambda_max: float
-    area_bound: float
-    verdict: str
-    margin: float
-
-    def __post_init__(self):
-        ok = {
-            "within": self.lambda_min - self.margin
-            <= self.q_value
-            <= self.lambda_max + self.margin,
-            "below_min": self.q_value < self.lambda_min - self.margin,
-            "above_max": self.q_value > self.lambda_max + self.margin,
-        }
-        if self.verdict not in ok:
-            raise ValueError("verdict must be within, below_min or above_max")
-        if not ok[self.verdict]:
-            raise ValueError("verdict inconsistent with q_value and margin")
-
-
-def _exact_route(s: Region, n_max: int | None) -> SpectrumResult | None:
-    if isinstance(s, Disk):
-        return disk_envelope(s.radius, n_max)
-    if isinstance(s, Ellipse):
-        radius, _ = reduce_ellipse(s)
-        return disk_envelope(radius, n_max)
-    if isinstance(s, Annulus):
-        return annulus_envelope(s.r_inner, s.r_outer, n_max)
-    return None
-
-
-def _numeric_route(s: Region, window, grid_count) -> SpectrumResult:
-    # the Fock route unless a flag names a Nystrom grid
-    if window is None and grid_count is None:
-        return fock_extremes(s)
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise ValueError("window must be LO HI with LO < HI")
-    else:
-        x0, dx, count = default_window(s)
-        lo, hi = x0, x0 + dx * (count - 1)
-    n = grid_count if grid_count is not None else int(
-        round((hi - lo) * DEFAULT_POINTS_PER_UNIT)
-    ) + 1
-    if n < 2:
-        raise ValueError("grid count must be at least 2")
-    return extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
-
-
 def cmd_bounds(args) -> int:
-    s = load_region(args.region)
-    res = None
-    if not args.numeric:
-        res = _exact_route(s, args.nmax)
-    if res is None:
-        if args.exact:
-            raise ValueError("no exact route for this region shape; drop --exact")
-        res = _numeric_route(s, args.window, args.grid_count)
+    res = bounds(load_region(args.region), args.method, args.nmax, args.window, args.grid_count)
     for note in res.warnings:
         print("warning: %s" % note, file=sys.stderr)
     line = "lambda_min=%s lambda_max=%s method=%s" % (
@@ -206,13 +137,11 @@ def _build_state(spec: str, qlo: float, qhi: float):
     else:
         terms = [(1.0, _split_state(spec))]
 
-    grid = None
-    for _, (kind, params) in terms:
-        if kind == "csv":
-            ref = read_state_csv(params)
-            grid = (ref.x0, ref.dx, len(ref))
-            break
-    if grid is None:
+    loaded = [read_state_csv(params) if kind == "csv" else None for _, (kind, params) in terms]
+    ref = next((psi for psi in loaded if psi is not None), None)
+    if ref is not None:
+        grid = (ref.x0, ref.dx, len(ref))
+    else:
         half = max(8.0, abs(qlo), abs(qhi))
         for _, (kind, params) in terms:
             half = max(half, _half_width(kind, params))
@@ -220,20 +149,21 @@ def _build_state(spec: str, qlo: float, qhi: float):
         grid = (-STATE_DX * (count // 2), STATE_DX, count)
 
     members = []
-    for _, (kind, params) in terms:
+    for (_, (kind, params)), psi in zip(terms, loaded):
         if kind == "oscillator":
             members.append(oscillator_state(params, *grid))
         elif kind == "coherent":
             members.append(coherent_state(params[0], params[1], *grid))
         else:
-            members.append(normalize(read_state_csv(params)))
+            members.append(normalize(psi))
     if len(members) == 1:
         return members[0]
     return Ensemble(np.array([w for w, _ in terms]), tuple(members))
 
 
 def _phase_axis(lo: float, hi: float, step: float, label: str) -> np.ndarray:
-    if step <= 0 or not lo < hi:
+    # NaN fails every comparison; an infinite bound makes the span infinite
+    if not (0 < step < math.inf and lo < hi and math.isfinite((hi - lo) / step)):
         raise ValueError("%s grid needs min < max and a positive step" % label)
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
@@ -257,9 +187,9 @@ def cmd_check(args) -> int:
     w = read_wigner_csv(args.wigner_csv)
     s = load_region(args.region)
     q_value = quasiprobability(w, s, uncovered_tol=0.0)
-    res = _exact_route(s, None)
-    if res is None:
-        res = _numeric_route(s, None, None)
+    if math.isnan(q_value):
+        raise ValueError("grid mass over the region is NaN: the grid values overflow")
+    res = bounds(s)
     for note in res.warnings:
         print("warning: %s" % note, file=sys.stderr)
     margin = 2.0 * w.dq * w.dp + args.margin
@@ -269,26 +199,15 @@ def cmd_check(args) -> int:
         verdict = "above_max"
     else:
         verdict = "within"
-    report = CheckReport(
-        q_value=q_value,
-        lambda_min=res.lambda_min,
-        lambda_max=res.lambda_max,
-        area_bound=area(s) / math.pi,
-        verdict=verdict,
-        margin=margin,
-    )
-    print(
-        json.dumps(
-            {
-                "q_value": float(_fmt(report.q_value)),
-                "lambda_min": float(_fmt(report.lambda_min)),
-                "lambda_max": float(_fmt(report.lambda_max)),
-                "area_bound": float(_fmt(report.area_bound)),
-                "verdict": report.verdict,
-                "margin": float(_fmt(report.margin)),
-            }
-        )
-    )
+    report = {
+        "q_value": float(_fmt(q_value)),
+        "lambda_min": float(_fmt(res.lambda_min)),
+        "lambda_max": float(_fmt(res.lambda_max)),
+        "area_bound": float(_fmt(area(s) / math.pi)),
+        "verdict": verdict,
+        "margin": float(_fmt(margin)),
+    }
+    print(json.dumps(report))
     return 0 if verdict == "within" else 1
 
 
@@ -305,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), help="grid window for the discretized kernel")
     b.add_argument("--nmax", type=int, help="eigenvalue scan cutoff on the exact route")
     route = b.add_mutually_exclusive_group()
-    route.add_argument("--exact", action="store_true", help="require the closed-form route")
-    route.add_argument("--numeric", action="store_true", help="force the discretized route")
-    b.set_defaults(func=cmd_bounds)
+    route.add_argument("--exact", dest="method", action="store_const", const="exact", help="require the closed-form route")
+    route.add_argument("--numeric", dest="method", action="store_const", const="numeric", help="force the discretized route")
+    b.set_defaults(func=cmd_bounds, method="auto")
 
     c = sub.add_parser("curves", help="disk eigenvalue curves as TSV on stdout")
     c.add_argument("--a-min", type=float, default=0.0)

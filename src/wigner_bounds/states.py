@@ -156,8 +156,8 @@ def write_state_csv(psi: WavefunctionGrid, path) -> None:
 def read_state_csv(path) -> WavefunctionGrid:
     """Read a wavefunction from CSV with header x,re,im.
 
-    The x column must be uniformly spaced to within 1e-9 relative to its
-    mean step.
+    Every cell must be finite, and the x column uniformly spaced to
+    within 1e-9 relative to its mean step.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -166,6 +166,13 @@ def read_state_csv(path) -> WavefunctionGrid:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[0] < 2 or data.shape[1] != 3:
         raise ValueError("state CSV needs at least two x,re,im rows")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            "state CSV data row %d is not finite: %s"
+            % (k + 1, ",".join(repr(float(v)) for v in data[k]))
+        )
     xs = data[:, 0]
     dx = (xs[-1] - xs[0]) / (xs.size - 1)
     if dx <= 0 or np.max(np.abs(np.diff(xs) - dx)) > 1e-9 * dx:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wigner_bounds
-from wigner_bounds import disk_eigenvalue, disk_envelope, read_wigner_csv
+from wigner_bounds import disk_eigenvalue, disk_envelope, read_state_csv, read_wigner_csv
 from wigner_bounds.cli import main
 
 
@@ -149,6 +149,21 @@ def test_bounds_window_flags(tmp_path, capsys):
     assert "method=nystrom" in capsys.readouterr().out
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "7", "-7"]) == 2
     capsys.readouterr()
+    strip = write_region(
+        tmp_path, "strip.json",
+        {"type": "graph", "b": "-inf", "c": "+inf",
+         "f1": [[-20.0, -0.5], [20.0, -0.5]], "f2": [[-20.0, 0.5], [20.0, 0.5]]},
+    )
+    for argv in (
+        [strip, "--window", "-6", "inf"],
+        [strip, "--window", "nan", "6"],
+        [disk_json(tmp_path), "--numeric", "--window", "-6", "inf"],
+        [disk_json(tmp_path), "--window", "7", "-7"],
+    ):
+        assert main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: window must be finite LO HI with LO < HI\n"
 
 
 def test_curves_output(capsys):
@@ -276,6 +291,21 @@ def test_check_rejects_non_finite_cells(tmp_path, capsys, column, bad):
     assert "data row 1000 is not finite" in captured.err
 
 
+def test_check_rejects_overflowing_grid(tmp_path, capsys):
+    """Finite cells of +-1e308 can sum to inf - inf; a NaN mass would
+    compare as within, so it is refused."""
+    rows = ["q,p,w"]
+    for i, q in enumerate(np.linspace(-1.0, 1.0, 21)):
+        for j, p in enumerate(np.linspace(-1.0, 1.0, 21)):
+            rows.append("%.17g,%.17g,%s" % (q, p, "1e308" if (21 * i + j) % 2 else "-1e308"))
+    grid = tmp_path / "huge.csv"
+    grid.write_text("\n".join(rows) + "\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", str(grid), disk_json(tmp_path, radius=0.5)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid mass over the region is NaN" in captured.err
+
+
 def test_check_uncovered_region(tmp_path, capsys):
     out = str(tmp_path / "w0.csv")
     assert main(["wigner", "oscillator:0", "--out", out]) == 0
@@ -325,6 +355,58 @@ def test_wigner_bad_specs(tmp_path, capsys):
         assert main(["wigner", spec, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "bad state spec" in err
+
+
+@pytest.mark.parametrize(
+    "flag, axis",
+    [("--q-max=inf", "q"), ("--q-min=-inf", "q"), ("--dq=nan", "q"), ("--dq=inf", "q"),
+     ("--p-max=inf", "p"), ("--dp=nan", "p")],
+)
+def test_wigner_rejects_non_finite_axes(tmp_path, capsys, flag, axis):
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "oscillator:0", flag, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: %s grid needs min < max and a positive step\n" % axis
+
+
+def write_gaussian_state(path, bad_row=None):
+    xs = -8.0 + 0.01 * np.arange(1601)
+    vals = np.pi**-0.25 * np.exp(-0.5 * xs**2)
+    if bad_row is not None:
+        vals[bad_row - 1] = np.nan
+    with open(path, "w") as fh:
+        fh.write("x,re,im\n")
+        for x, v in zip(xs, vals):
+            fh.write("%.17g,%.17g,0\n" % (x, v))
+    return str(path)
+
+
+def test_wigner_rejects_non_finite_state(tmp_path, capsys):
+    """One nan sample used to give an all-NaN grid with exit 0."""
+    state = write_gaussian_state(tmp_path / "st.csv", bad_row=901)
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "csv:" + state, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "state CSV data row 901 is not finite" in captured.err
+
+
+def test_wigner_reads_each_csv_member_once(tmp_path, monkeypatch):
+    import wigner_bounds.cli as cli
+
+    first = write_gaussian_state(tmp_path / "a.csv")
+    second = write_gaussian_state(tmp_path / "b.csv")
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_state_csv(path)
+
+    monkeypatch.setattr(cli, "read_state_csv", counting_read)
+    spec = "mix:0.5 csv:%s + 0.5 csv:%s" % (first, second)
+    assert main(["wigner", spec, "--dq", "0.2", "--dp", "0.2", "--out", str(tmp_path / "w.csv")]) == 0
+    assert reads == [first, second]
 
 
 def test_entry_points_run(tmp_path):

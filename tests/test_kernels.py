@@ -171,8 +171,8 @@ def test_assemble_disk_spectrum_many_modes():
 
 def test_kernel_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        KernelMatrix(0.0, 0.1, np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
-    km = KernelMatrix(0.0, 0.5, np.eye(3), "unit")
+        KernelMatrix(0.0, 0.1, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    km = KernelMatrix(0.0, 0.5, np.eye(3))
     assert len(km) == 3
     assert np.allclose(km.xs, [0.0, 0.5, 1.0])
 

@@ -13,12 +13,18 @@ from wigner_bounds import (
     annulus_eigenvalue,
     annulus_envelope,
     assemble,
+    bounds,
     crossing_radius,
+    default_window,
     disk_eigenvalue,
     disk_envelope,
     disk_spectrum,
     extremal_eigenvalues,
+    fock_extremes,
+    reduce_ellipse,
+    region_from_dict,
 )
+from wigner_bounds.kernels import DEFAULT_POINTS_PER_UNIT
 from wigner_bounds.spectra import DISK_RADIUS_LIMIT
 
 # greatest root of lambda_3(a) = lambda_4(a), frozen from a dense scan
@@ -159,10 +165,10 @@ def test_crossing_radii():
 
 
 def test_extremal_eigenvalues_trivial_matrices():
-    zero = KernelMatrix(0.0, 0.1, np.zeros((4, 4)), "null")
+    zero = KernelMatrix(0.0, 0.1, np.zeros((4, 4)))
     res = extremal_eigenvalues(zero)
     assert (res.lambda_min, res.lambda_max) == (0.0, 0.0)
-    diag = KernelMatrix(0.0, 0.1, np.diag([0.3, -0.1]), "diag")
+    diag = KernelMatrix(0.0, 0.1, np.diag([0.3, -0.1]))
     res = extremal_eigenvalues(diag)
     assert (res.lambda_min, res.lambda_max) == (-0.1, 0.3)
     assert res.method == "nystrom"
@@ -199,3 +205,100 @@ def test_spectrum_result_validation():
         SpectrumResult(lambda_min=1.0, lambda_max=0.0, method="exact")
     with pytest.raises(ValueError):
         SpectrumResult(lambda_min=0.0, lambda_max=1.0, method="magic")
+
+
+# bounds() against the route it picks, called directly.  The conics are
+# off centre, the ellipse rotated; every bounded shape sits inside
+# |q| < 2, so the grid window (-2.5, 2.5) covers it.
+SHAPES = {
+    "disk": {"type": "disk", "center": [0.3, -0.2], "radius": 1.0},
+    "ellipse": {"type": "ellipse", "center": [0.4, -0.3], "semi_major": 1.5,
+                "semi_minor": 0.6, "angle": 0.7},
+    "annulus": {"type": "annulus", "center": [0.2, 0.1], "r_inner": 0.5, "r_outer": 1.2},
+    "graph": {"type": "graph", "b": -1.0, "c": 1.0,
+              "f1": [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]],
+              "f2": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]},
+    "union": {"type": "union", "parts": [
+        {"type": "disk", "center": [-1.2, 0.0], "radius": 0.6},
+        {"type": "disk", "center": [1.0, 0.3], "radius": 0.5}]},
+    "strip": {"type": "graph", "b": "-inf", "c": "+inf",
+              "f1": [[-20.0, -0.5], [20.0, -0.5]], "f2": [[-20.0, 0.5], [20.0, 0.5]]},
+}
+GRIDS = {
+    "no-grid": {},
+    "window": {"window": (-2.5, 2.5)},
+    "count": {"grid_count": 201},
+    "window-count": {"window": (-2.5, 2.5), "grid_count": 151},
+}
+
+
+CLOSED_FORMS = {
+    "disk": lambda s: disk_envelope(s.radius),
+    "ellipse": lambda s: disk_envelope(reduce_ellipse(s)[0]),
+    "annulus": lambda s: annulus_envelope(s.r_inner, s.r_outer),
+}
+
+
+def nystrom(s, window=None, grid_count=None):
+    if window is None:
+        x0, dx, count = default_window(s)
+        window = (x0, x0 + dx * (count - 1))
+    lo, hi = window
+    n = grid_count if grid_count is not None else round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
+    return extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
+
+
+def expected_route(shape, method, grid):
+    """The direct call bounds() must match, or None where it must raise."""
+    if shape in CLOSED_FORMS and method != "numeric":
+        return CLOSED_FORMS[shape]
+    if method == "exact" or (shape == "strip" and "window" not in grid):
+        return None
+    if not grid:
+        return fock_extremes
+    if shape == "ellipse":  # no Nystrom kernel for an ellipse
+        return None
+    return lambda s: nystrom(s, **grid)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("method", ["auto", "exact", "numeric"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bounds_matches_direct_route(shape, method, grid):
+    s = region_from_dict(SHAPES[shape])
+    route = expected_route(shape, method, GRIDS[grid])
+    if route is None:
+        with pytest.raises(ValueError):
+            bounds(s, method, **GRIDS[grid])
+        return
+    got, want = bounds(s, method, **GRIDS[grid]), route(s)
+    for field in ("lambda_min", "lambda_max", "method", "n_min", "n_max", "basis_size",
+                  "residual", "error_estimate", "warnings"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_bounds_refusals():
+    disk = region_from_dict(SHAPES["disk"])
+    graph = region_from_dict(SHAPES["graph"])
+    strip = region_from_dict(SHAPES["strip"])
+    with pytest.raises(ValueError, match="no exact route"):
+        bounds(graph, "exact")
+    with pytest.raises(ValueError, match="method must be"):
+        bounds(disk, "fock")
+    with pytest.raises(ValueError, match="unbounded region"):
+        bounds(strip)
+    # malformed grid flags are refused even where a closed form wins
+    for window in ((-6.0, math.inf), (math.nan, 6.0), (2.0, -2.0)):
+        for region in (strip, disk):
+            with pytest.raises(ValueError, match="window must be finite"):
+                bounds(region, window=window)
+    for method in ("auto", "exact", "numeric"):
+        with pytest.raises(ValueError, match="grid count"):
+            bounds(disk, method, grid_count=1)
+    with pytest.raises(ValueError, match="fewer than 2 grid points"):
+        bounds(disk, "numeric", window=(0.0, 0.001))
+    # the scan cutoff reaches every closed form and no other route
+    for shape in CLOSED_FORMS:
+        capped = bounds(region_from_dict(SHAPES[shape]), n_max=1)
+        assert capped.warnings == ("eigenvalue scan hit its cutoff at n = 1",), shape
+    assert bounds(graph, n_max=1).basis_size == fock_extremes(graph).basis_size

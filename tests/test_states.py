@@ -107,3 +107,17 @@ def test_state_csv_rejects_wrong_header(tmp_path):
     path.write_text("q,re,im\n0,1,0\n0.1,1,0\n")
     with pytest.raises(ValueError):
         read_state_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_state_csv_rejects_non_finite_cells(tmp_path, column, bad):
+    rows = [[-0.2 + 0.1 * k, 0.5, 0.0] for k in range(5)]
+    cells = ["%.17g" % v for v in rows[2]]
+    cells[column] = bad
+    lines = ["%.17g,%.17g,%.17g" % tuple(r) for r in rows]
+    lines[2] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("x,re,im\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="state CSV data row 3 is not finite"):
+        read_state_csv(path)
