@@ -2,11 +2,12 @@
 
 The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
-computes those eigenvalues exactly for disks, ellipses and annuli, in
-the number basis for any other bounded region, and by kernel
-discretization for unbounded ones, with bounds() picking the route; it
-also evaluates Wigner functions from sampled wavefunctions and checks
-measured quasiprobability grids against the bounds.
+computes those eigenvalues exactly for disks, ellipses, annuli and
+bands between parallel lines, in the number basis for any other bounded
+region, and by kernel discretization on a named position grid, with
+bounds() picking the route; it also evaluates Wigner functions from
+sampled wavefunctions and checks measured quasiprobability grids
+against the bounds.
 """
 from .kernels import KernelMatrix, apply_kernel, assemble, default_window, kernel_eval
 from .regions import (

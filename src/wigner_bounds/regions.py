@@ -5,7 +5,8 @@ A region is one of five shapes in the (q, p) plane:
 * ``Graph``: b < q < c between two piecewise-linear boundaries f1 <= f2,
   with b = -inf or c = +inf allowed;
 * ``Disk``, ``Ellipse``, ``Annulus``: the usual conic shapes;
-* ``RegionUnion``: a pairwise-disjoint union of the above.
+* ``RegionUnion``: a pairwise-disjoint union of the above, checked
+  exactly for pairs of disks and annuli and by sampling otherwise.
 
 Boundary points count as outside everywhere (a measure-zero convention
 that keeps indicator complements exact).  ``quadrature`` gives each
@@ -16,6 +17,7 @@ and, downstream, the extremal integrals of Wigner functions.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -171,9 +173,25 @@ class Graph:
             raise ValueError("upper boundary must dominate lower boundary on (b, c)")
 
 
+def _rings_disjoint(s, t) -> bool:
+    # disks are rings with no hole; touching counts as disjoint
+    (in_s, out_s), (in_t, out_t) = _ring_radii(s), _ring_radii(t)
+    d = math.hypot(s.center[0] - t.center[0], s.center[1] - t.center[1])
+    return d >= out_s + out_t or d + out_s <= in_t or d + out_t <= in_s
+
+
+def _ring_radii(s) -> tuple[float, float]:
+    return (0.0, s.radius) if isinstance(s, Disk) else (s.r_inner, s.r_outer)
+
+
 @dataclass(frozen=True, eq=False)
 class RegionUnion:
-    """Pairwise-disjoint union, checked by Monte Carlo sampling when bounded."""
+    """Pairwise-disjoint union.
+
+    Pairs of disks and annuli are decided exactly from their centre
+    distance; pairs involving an ellipse or a graph are checked by Monte
+    Carlo sampling when the union is bounded.
+    """
 
     parts: tuple
 
@@ -182,15 +200,20 @@ class RegionUnion:
         if not parts:
             raise ValueError("union needs at least one part")
         object.__setattr__(self, "parts", parts)
+        sampled = []
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            if all(isinstance(parts[k], (Disk, Annulus)) for k in (i, j)):
+                if not _rings_disjoint(parts[i], parts[j]):
+                    raise ValueError("union parts overlap")
+            else:
+                sampled.append((i, j))
         box = bounding_box(self)
-        if all(math.isfinite(v) for v in box):
+        if sampled and all(math.isfinite(v) for v in box):
             rng = np.random.default_rng(181093)
             qs = rng.uniform(box[0], box[1], _UNION_SAMPLES)
             ps = rng.uniform(box[2], box[3], _UNION_SAMPLES)
-            hits = np.zeros(_UNION_SAMPLES, dtype=int)
-            for part in parts:
-                hits += indicator(part, qs, ps)
-            if np.any(hits > 1):
+            inside = {k: indicator(parts[k], qs, ps) > 0 for k in set(itertools.chain(*sampled))}
+            if any(np.any(inside[i] & inside[j]) for i, j in sampled):
                 raise ValueError("union parts overlap")
 
 

@@ -14,30 +14,36 @@ so the sharp bounds on the disk integral of any Wigner function come
 from scanning these curves.  Annulus eigenvalues are differences of
 disk eigenvalues at the two radii with a shared eigenbasis.
 
+A band between two parallel lines is sheared by (q, p) -> (q, p - s q)
+onto a momentum band, whose kernel is a projection, so its sharp
+bounds are exactly 0 and 1, both attained.
+
 Any other bounded region takes the Fock route (fock_extremes): the
 kernel's matrix in the number basis, <m|K_S|n> = integral over S of the
 cross-Wigner function W_mn, is integrated with a rule exact in the
 region's geometry, and the extremes of its leading blocks converge
-from inside by Cauchy interlacing.  Unbounded regions, or an explicit
-position grid, use the discretized kernel from kernels.assemble
-(extremal_eigenvalues).
+from inside by Cauchy interlacing.  An explicit position grid selects
+the discretized kernel from kernels.assemble (extremal_eigenvalues).
+On an unbounded region that is the only route left (for a band, under
+method="numeric"), and its value is the kernel compressed to the
+window: an inner estimate that moves with the window, not a bound.
 
 bounds(region) is the one entry point that picks among these routes:
 the closed forms for disks, ellipses (reduced to the disk of equal
-area) and annuli; otherwise the Fock route, or the discretized kernel
-once a window or grid count names a position grid.  method="exact"
-refuses regions without a closed form, method="numeric" skips the
-closed forms.
+area), annuli and bands; otherwise the Fock route, or the discretized
+kernel once a window or grid count names a position grid.
+method="exact" refuses regions without a closed form, method="numeric"
+skips the closed forms.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix, assemble, default_window
-from .regions import Annulus, Disk, Ellipse, Region, bounding_box, quadrature, reduce_ellipse
+from .regions import Annulus, Disk, Ellipse, Graph, Region, bounding_box, quadrature, reduce_ellipse
 from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
 
@@ -78,10 +84,11 @@ FOCK_DENSITY = 0.75
 class SpectrumResult:
     """Extreme eigenvalues of a region kernel.
 
-    method is "exact" (closed-form eigenvalue curves), "fock" (number
-    basis matrix) or "nystrom" (discretized kernel).  n_min/n_max index
-    the eigenvalue curves on the exact route.  The Fock route reports
-    its basis_size and, as error_estimate, the last change of the
+    method is "exact" (closed-form eigenvalue curves, or the [0, 1] of
+    a band), "fock" (number basis matrix) or "nystrom" (discretized
+    kernel).  n_min/n_max index the eigenvalue curves of a conic on the
+    exact route; a band has none and leaves them None.  The Fock route
+    reports its basis_size and, as error_estimate, the last change of the
     extremes as the basis grew; that change is a convergence signal, not
     a bound on the error, which can be larger (1.2e-10 against an
     estimate of 7.7e-11 on two radius-0.7 disks at (+-1.8, 0)).  The
@@ -350,6 +357,30 @@ def fock_extremes(s: Region) -> SpectrumResult:
         top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
 
 
+def _band_bounds(s: Region) -> SpectrumResult | None:
+    """Sharp bounds for a band between two parallel lines, or None.
+
+    s is a band when it is a Graph with b = -inf, c = +inf and every
+    segment of f1 and f2 has one slope, to 1e-12 relative to
+    max(1, |slope|); the two lines are read as extended past their
+    outermost knots.  The shear (q, p) -> (q, p - slope q) is canonical
+    and maps the band onto a momentum band, whose kernel is the
+    projection onto that momentum interval, so the bounds are exactly
+    0 and 1, both attained; coincident lines leave an empty region and
+    (0, 0).
+    """
+    if not (isinstance(s, Graph) and s.b == -math.inf and s.c == math.inf):
+        return None
+    slopes = np.concatenate([np.diff(f.values) / np.diff(f.qs) for f in (s.f1, s.f2)])
+    if np.ptp(slopes) > 1e-12 * max(1.0, float(np.max(np.abs(slopes)))):
+        return None
+    # the gap f2 - f1 is constant; read it at the first knot of f1
+    gap = s.f2.values[0] + slopes[0] * (s.f1.qs[0] - s.f2.qs[0]) - s.f1.values[0]
+    if gap < -1e-12:
+        raise ValueError("upper boundary must dominate lower boundary on (b, c)")
+    return SpectrumResult(lambda_min=0.0, lambda_max=1.0 if gap > 1e-12 else 0.0, method="exact")
+
+
 def bounds(
     s: Region,
     method: str = "auto",
@@ -360,15 +391,18 @@ def bounds(
     """Sharp bounds on the integral of any Wigner function over s.
 
     method "auto" takes the closed forms for disks, ellipses and annuli
-    (scanning up to n_max, see disk_envelope) and the Fock route for any
-    other region; "exact" refuses regions without a closed form;
-    "numeric" skips the closed forms.  Where no closed form is taken, a
-    finite window (LO, HI) or a grid_count names a Nystrom grid and
-    selects that route: the window defaults to kernels.default_window,
-    the count to DEFAULT_POINTS_PER_UNIT points per unit.  A closed form
-    wins over both, but a window that is not finite with LO < HI, or a
-    grid_count below 2, is refused whatever the route.  Unbounded
-    regions need a window, and ellipses have no Nystrom kernel.
+    (scanning up to n_max, see disk_envelope) and for bands between
+    parallel lines ([0, 1], with n_min/n_max None), and the Fock
+    route for any other region; "exact" refuses regions without a
+    closed form; "numeric" skips the closed forms.  Where no closed
+    form is taken, a finite window (LO, HI) or a grid_count names a
+    Nystrom grid and selects that route: the window defaults to
+    kernels.default_window, the count to DEFAULT_POINTS_PER_UNIT points
+    per unit.  A closed form wins over both, but a window that is not
+    finite with LO < HI, or a grid_count below 2, is refused whatever
+    the route.  Other unbounded regions need a window, and their
+    Nystrom result carries a warning that it is the kernel compressed
+    to the window, not a bound.  Ellipses have no Nystrom kernel.
     """
     if method not in ("auto", "exact", "numeric"):
         raise ValueError("method must be 'auto', 'exact' or 'numeric', got %r" % (method,))
@@ -385,8 +419,13 @@ def bounds(
             return disk_envelope(reduce_ellipse(s)[0], n_max)
         if isinstance(s, Annulus):
             return annulus_envelope(s.r_inner, s.r_outer, n_max)
+        band = _band_bounds(s)
+        if band is not None:
+            return band
         if method == "exact":
-            raise ValueError("no exact route for this region shape, only for disks, ellipses and annuli")
+            raise ValueError(
+                "no exact route for this region shape, only for disks, ellipses, annuli and bands"
+            )
     if window is None and grid_count is None:
         return fock_extremes(s)
     if window is None:
@@ -395,4 +434,11 @@ def bounds(
     n = grid_count if grid_count is not None else round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
     if n < 2:
         raise ValueError("window %g..%g holds fewer than 2 grid points" % (lo, hi))
-    return extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
+    res = extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
+    if not all(math.isfinite(v) for v in bounding_box(s)):
+        note = (
+            "unbounded region: this is the kernel compressed to the window %g..%g,"
+            " an inner estimate that moves with the window, not a bound" % (lo, hi)
+        )
+        res = replace(res, warnings=res.warnings + (note,))
+    return res

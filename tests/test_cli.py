@@ -166,6 +166,38 @@ def test_bounds_window_flags(tmp_path, capsys):
         assert captured.err == "error: window must be finite LO HI with LO < HI\n"
 
 
+def test_bounds_band_is_exact(tmp_path, capsys):
+    """A band between parallel lines has the closed form [0, 1], which
+    wins over a window as the conic closed forms do; --numeric keeps
+    Nystrom and warns that its value is not a bound."""
+    strip = write_region(
+        tmp_path, "strip.json",
+        {"type": "graph", "b": "-inf", "c": "+inf",
+         "f1": [[-20.0, -0.3], [20.0, -0.3]], "f2": [[-20.0, 0.5], [20.0, 0.5]]},
+    )
+    sheared = write_region(
+        tmp_path, "sheared.json",
+        {"type": "graph", "b": "-inf", "c": "+inf",
+         "f1": [[-4.0, -2.5], [4.0, 1.5]], "f2": [[-4.0, -1.5], [0.0, 0.5], [4.0, 2.5]]},
+    )
+    for argv in ([strip], [strip, "--window", "-6.25", "6.25"], [strip, "--exact"], [sheared]):
+        assert main(["bounds", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "lambda_min=0 lambda_max=1 method=exact\n"
+        assert captured.err == ""
+    assert main(["bounds", strip, "--numeric", "--window", "-3", "3"]) == 0
+    captured = capsys.readouterr()
+    fields = dict(kv.split("=") for kv in captured.out.split())
+    assert fields["method"] == "nystrom"
+    assert -1e-9 <= float(fields["lambda_min"]) < float(fields["lambda_max"]) < 1.0
+    assert captured.err == (
+        "warning: unbounded region: this is the kernel compressed to the window -3..3,"
+        " an inner estimate that moves with the window, not a bound\n"
+    )
+    assert main(["bounds", strip, "--numeric"]) == 2
+    assert "unbounded region" in capsys.readouterr().err
+
+
 def test_curves_output(capsys):
     assert main(["curves", "--a-max", "1.5", "--steps", "16", "--n-max", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

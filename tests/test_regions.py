@@ -97,6 +97,28 @@ def test_union_overlap_rejected():
     RegionUnion((Disk((0.0, 0.0), 1.0), Disk((2.5, 0.0), 1.0)))
 
 
+def test_union_of_rings_is_decided_exactly():
+    """Disk and annulus pairs are decided from the centre distance, so a
+    lens too thin for sampling to hit is refused and touching parts
+    are not."""
+    thin_lens = (Disk((0.0, 0.0), 1.0), Disk((1.9999, 0.0), 1.0))
+    rim_overlap = (Annulus((0.0, 0.0), 2.0, 3.0), Disk((0.5, 0.0), 1.5 + 1e-6))
+    ring_overlap = (Annulus((0.0, 0.0), 2.0, 3.0), Annulus((5.9999, 0.0), 1.0, 3.0))
+    for parts in (thin_lens, rim_overlap, ring_overlap):
+        with pytest.raises(ValueError, match="union parts overlap"):
+            RegionUnion(parts)
+    tangent = (Disk((0.0, 0.0), 1.0), Disk((2.0, 0.0), 1.0))
+    in_hole = (Annulus((0.0, 0.0), 2.0, 3.0), Disk((0.5, 0.0), 1.5))
+    nested_rings = (Annulus((0.0, 0.0), 2.0, 3.0), Annulus((0.25, 0.0), 0.5, 1.75))
+    ring_in_ring = (Annulus((0.0, 0.0), 0.5, 2.0), Annulus((0.0, 0.0), 2.0, 3.0))
+    for parts in (tangent, in_hole, nested_rings, ring_in_ring):
+        RegionUnion(parts)
+        RegionUnion(parts[::-1])
+    # pairs with another shape are still sampled
+    with pytest.raises(ValueError, match="union parts overlap"):
+        RegionUnion((Disk((0.0, 0.0), 1.0), Ellipse((0.0, 0.0), 2.0, 0.5)))
+
+
 def test_graph_validation():
     up = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     dn = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([-1.0, -1.0]))

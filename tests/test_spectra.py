@@ -1,4 +1,5 @@
 """Eigenvalue curves, envelopes, crossings and the discretized solver."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_laguerre
 
 from wigner_bounds import (
+    CanonicalMap,
     Disk,
     KernelMatrix,
     SpectrumResult,
     annulus_eigenvalue,
     annulus_envelope,
+    apply_canonical,
+    area,
     assemble,
     bounds,
     crossing_radius,
@@ -224,6 +228,10 @@ SHAPES = {
     "strip": {"type": "graph", "b": "-inf", "c": "+inf",
               "f1": [[-20.0, -0.5], [20.0, -0.5]], "f2": [[-20.0, 0.5], [20.0, 0.5]]},
 }
+# unbounded above and below, but the upper line bends up at q = +-6
+KINKED = {"type": "graph", "b": "-inf", "c": "+inf",
+          "f1": [[-20.0, -0.5], [20.0, -0.5]],
+          "f2": [[-20.0, 7.5], [-6.0, 0.5], [6.0, 0.5], [20.0, 7.5]]}
 GRIDS = {
     "no-grid": {},
     "window": {"window": (-2.5, 2.5)},
@@ -239,19 +247,31 @@ CLOSED_FORMS = {
 }
 
 
+def unbounded_note(lo, hi):
+    return (
+        "unbounded region: this is the kernel compressed to the window %g..%g,"
+        " an inner estimate that moves with the window, not a bound" % (lo, hi)
+    )
+
+
 def nystrom(s, window=None, grid_count=None):
     if window is None:
         x0, dx, count = default_window(s)
         window = (x0, x0 + dx * (count - 1))
     lo, hi = window
     n = grid_count if grid_count is not None else round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
-    return extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
+    res = extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
+    if math.isinf(area(s)):
+        res = dataclasses.replace(res, warnings=res.warnings + (unbounded_note(lo, hi),))
+    return res
 
 
 def expected_route(shape, method, grid):
     """The direct call bounds() must match, or None where it must raise."""
     if shape in CLOSED_FORMS and method != "numeric":
         return CLOSED_FORMS[shape]
+    if shape == "strip" and method != "numeric":  # a band: [0, 1] in closed form
+        return lambda s: SpectrumResult(lambda_min=0.0, lambda_max=1.0, method="exact")
     if method == "exact" or (shape == "strip" and "window" not in grid):
         return None
     if not grid:
@@ -286,7 +306,7 @@ def test_bounds_refusals():
     with pytest.raises(ValueError, match="method must be"):
         bounds(disk, "fock")
     with pytest.raises(ValueError, match="unbounded region"):
-        bounds(strip)
+        bounds(region_from_dict(KINKED))
     # malformed grid flags are refused even where a closed form wins
     for window in ((-6.0, math.inf), (math.nan, 6.0), (2.0, -2.0)):
         for region in (strip, disk):
@@ -302,3 +322,71 @@ def test_bounds_refusals():
         capped = bounds(region_from_dict(SHAPES[shape]), n_max=1)
         assert capped.warnings == ("eigenvalue scan hit its cutoff at n = 1",), shape
     assert bounds(graph, n_max=1).basis_size == fock_extremes(graph).basis_size
+
+
+def band(f1, f2, b="-inf", c="+inf"):
+    return region_from_dict({"type": "graph", "b": b, "c": c, "f1": f1, "f2": f2})
+
+
+def test_bands_between_parallel_lines_are_exact():
+    """A shear maps any band onto a momentum band, whose kernel is a
+    projection: the bounds are exactly 0 and 1, however the lines are
+    drawn."""
+    exact = (0.0, 1.0, "exact", None, None)
+    horizontal = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5]])
+    sheared = band([[-20.0, -10.3], [20.0, 9.7]], [[-3.0, 1.5], [3.0, 4.5]])
+    collinear = band(
+        [[q, -0.3 * q - 1.0] for q in (-9.0, -1.5, 0.25, 9.0)],
+        [[q, -0.3 * q + 0.2] for q in (-9.0, 2.0, 9.0)],
+    )
+    images = [
+        apply_canonical(horizontal, CanonicalMap(alpha=a, beta=0.0, gamma=g, mu=1.0 / a, nu=n, rho=r))
+        for a, g, n, r in ((1.0, 0.0, 0.5, 0.0), (1.7, -0.4, -2.3, 0.8), (-0.6, 1.1, 0.9, -3.0))
+    ]
+    for s in (horizontal, sheared, collinear, *images):
+        for method in ("auto", "exact"):
+            for grid in GRIDS.values():
+                got = bounds(s, method, **grid)
+                assert (got.lambda_min, got.lambda_max, got.method, got.n_min, got.n_max) == exact
+                assert got.warnings == ()
+    empty = band([[-5.0, 0.5], [5.0, 3.0]], [[-1.0, 1.5], [1.0, 2.0]])
+    got = bounds(empty)
+    assert (got.lambda_min, got.lambda_max, got.method) == (0.0, 0.0, "exact")
+
+
+def test_bands_refuse_reversed_lines():
+    # knots that do not overlap slip past the graph's own check
+    reversed_lines = band([[-9.0, 1.0], [-5.0, 1.0]], [[5.0, -1.0], [9.0, -1.0]])
+    with pytest.raises(ValueError, match="must dominate"):
+        bounds(reversed_lines)
+
+
+def test_not_bands_take_no_closed_form():
+    """A kink, a finite end or non-parallel lines leave the region
+    without a closed form: exact refuses it, a window takes Nystrom."""
+    half = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5]], b=-1.0)
+    converging = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5 + 1e-6]])
+    for s in (region_from_dict(KINKED), half, converging):
+        with pytest.raises(ValueError, match="no exact route"):
+            bounds(s, "exact")
+        got = bounds(s, window=(-3.0, 3.0))
+        assert got.method == "nystrom"
+        assert got.warnings == (unbounded_note(-3.0, 3.0),)
+
+
+def test_band_nystrom_is_an_inner_estimate():
+    """Under --numeric the band takes Nystrom, whose compressed kernel
+    stays inside [0, 1] and climbs toward 1 as the window widens; the
+    warning says it is not a bound.  A kinked band shows the value
+    moving with the window, here below 0."""
+    strip = region_from_dict(SHAPES["strip"])
+    narrow = bounds(strip, "numeric", window=(-3.0, 3.0))
+    wide = bounds(strip, "numeric", window=(-5.0, 5.0))
+    assert narrow.method == wide.method == "nystrom"
+    assert narrow.lambda_min >= -1e-9 and wide.lambda_min >= -1e-9
+    assert 0.5 < narrow.lambda_max < wide.lambda_max < 1.0 + 1e-9
+    assert wide.warnings == (unbounded_note(-5.0, 5.0),)
+    kinked = region_from_dict(KINKED)
+    inner = bounds(kinked, window=(-5.0, 5.0)).lambda_min
+    outer = bounds(kinked, window=(-8.0, 8.0)).lambda_min
+    assert outer < -1e-3 < inner
