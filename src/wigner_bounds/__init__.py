@@ -4,12 +4,12 @@ The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
 computes those eigenvalues exactly for disks, ellipses, annuli and
 bands between parallel lines, in the number basis for any other bounded
-region, and by kernel discretization on a named position grid, with
-bounds() picking the route; it also evaluates Wigner functions from
-sampled wavefunctions and checks measured quasiprobability grids
-against the bounds.
+region, and by kernel discretization on a named window for any other
+unbounded region, with bounds() picking the route from the region
+alone; it also evaluates Wigner functions from sampled wavefunctions
+and checks measured quasiprobability grids against the bounds.
 """
-from .kernels import KernelMatrix, apply_kernel, assemble, default_window, kernel_eval
+from .kernels import KernelMatrix, apply_kernel, assemble, kernel_eval
 from .regions import (
     Annulus,
     CanonicalMap,
@@ -94,7 +94,6 @@ __all__ = [
     "bounds",
     "coherent_state",
     "crossing_radius",
-    "default_window",
     "disk_curves",
     "disk_eigenvalue",
     "disk_envelope",

@@ -48,7 +48,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_bounds(args) -> int:
-    res = bounds(load_region(args.region), args.method, args.nmax, args.window, args.grid_count)
+    res = bounds(load_region(args.region), args.method, args.nmax, args.window)
     for note in res.warnings:
         print("warning: %s" % note, file=sys.stderr)
     line = "lambda_min=%s lambda_max=%s method=%s" % (
@@ -220,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="bounds for a region JSON file")
     b.add_argument("region", help="region JSON file")
-    b.add_argument("--grid-count", type=int, help="number of grid points for the discretized kernel")
-    b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), help="grid window for the discretized kernel")
+    b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), help="Nystrom window for an unbounded region; ignored on bounded ones")
     b.add_argument("--nmax", type=int, help="eigenvalue scan cutoff on the exact route")
     route = b.add_mutually_exclusive_group()
     route.add_argument("--exact", dest="method", action="store_const", const="exact", help="require the closed-form route")

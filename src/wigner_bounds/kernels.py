@@ -18,6 +18,11 @@ annuli are handled exactly.  Annulus kernels are differences of two
 disk kernels and union kernels are sums of part kernels; integrals of
 the Wigner function over the region are inner products against this
 operator, so its extreme eigenvalues are the sharp bounds.
+
+assemble discretizes the kernel on a named position grid (Nystrom,
+error O(h)).  bounds() takes it only for unbounded regions without a
+closed form; for bounded regions it is a verification oracle for the
+number-basis route.
 """
 from __future__ import annotations
 
@@ -32,7 +37,6 @@ from .regions import (
     Graph,
     Region,
     RegionUnion,
-    area,
     bounding_box,
 )
 from .states import WavefunctionGrid
@@ -42,7 +46,6 @@ __all__ = [
     "KernelMatrix",
     "apply_kernel",
     "assemble",
-    "default_window",
     "kernel_eval",
 ]
 
@@ -60,7 +63,6 @@ class KernelMatrix:
     x0: float
     dx: float
     a: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
@@ -72,7 +74,6 @@ class KernelMatrix:
             raise ValueError("matrix must be Hermitian to 1e-12")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "warnings", tuple(self.warnings))
 
     def __len__(self) -> int:
         return self.a.shape[0]
@@ -175,50 +176,15 @@ def apply_kernel(s: Region, psi: WavefunctionGrid) -> WavefunctionGrid:
     return WavefunctionGrid(psi.x0, psi.dx, (k @ psi.values) * psi.dx)
 
 
-def default_window(s: Region) -> tuple[float, float, int]:
-    """(x0, dx, count) for a symmetric window sized to the region.
-
-    Half-width max(6, 2.5 * q-extent) at DEFAULT_POINTS_PER_UNIT points
-    per unit; wide enough that the certified eigenfunctions' tails are
-    negligible for desk-scale regions.
-    """
-    qmin, qmax, _, _ = bounding_box(s)
-    extent = max(abs(qmin), abs(qmax))
-    if not np.isfinite(extent):
-        raise ValueError("unbounded region needs an explicit window")
-    half = max(6.0, 2.5 * extent)
-    count = int(round(2 * half * DEFAULT_POINTS_PER_UNIT)) + 1
-    return -half, 2 * half / (count - 1), count
-
-
-def assemble(
-    s: Region,
-    x0: float | None = None,
-    dx: float | None = None,
-    count: int | None = None,
-) -> KernelMatrix:
+def assemble(s: Region, x0: float, dx: float, count: int) -> KernelMatrix:
     """Nystrom matrix a_ij = dx K(x_i, x_j), symmetrized to (a + a^H)/2.
 
-    Any unspecified grid parameter pulls in the default window.  A trace
-    check against area/(2 pi) flags windows that miss part of a bounded
-    region; the warning is attached to the result, not raised.
+    The grid x0 + dx * arange(count) must cover the q extent of every
+    bounded part of s, as for apply_kernel.
     """
-    if x0 is None or dx is None or count is None:
-        if not (x0 is None and dx is None and count is None):
-            raise ValueError("give all of x0, dx, count or none of them")
-        x0, dx, count = default_window(s)
     if count < 2 or dx <= 0:
         raise ValueError("need dx > 0 and at least two grid points")
     xs = x0 + dx * np.arange(count)
+    _check_q_support(s, x0, xs[-1])
     a = dx * kernel_eval(s, xs[:, None], xs[None, :])
-    a = (a + a.conj().T) / 2.0
-    notes = []
-    ar = area(s)
-    if np.isfinite(ar) and ar > 1e-8:
-        expect = ar / (2.0 * np.pi)
-        got = float(np.real(np.trace(a)))
-        if abs(got - expect) > 0.01 * expect:
-            notes.append(
-                "window too small: trace %.6g vs area/(2pi) %.6g" % (got, expect)
-            )
-    return KernelMatrix(x0=x0, dx=dx, a=a, warnings=tuple(notes))
+    return KernelMatrix(x0=x0, dx=dx, a=(a + a.conj().T) / 2.0)

@@ -6,7 +6,8 @@ A region is one of five shapes in the (q, p) plane:
   with b = -inf or c = +inf allowed;
 * ``Disk``, ``Ellipse``, ``Annulus``: the usual conic shapes;
 * ``RegionUnion``: a pairwise-disjoint union of the above, checked
-  exactly for pairs of disks and annuli and by sampling otherwise.
+  exactly for pairs of disks and annuli and by sampling where the
+  other pairs' boxes meet.
 
 Boundary points count as outside everywhere (a measure-zero convention
 that keeps indicator complements exact).  ``quadrature`` gives each
@@ -189,8 +190,9 @@ class RegionUnion:
     """Pairwise-disjoint union.
 
     Pairs of disks and annuli are decided exactly from their centre
-    distance; pairs involving an ellipse or a graph are checked by Monte
-    Carlo sampling when the union is bounded.
+    distance; any other pair is checked by Monte Carlo sampling in the
+    intersection of the two parts' sample boxes, and skipped where
+    those boxes do not meet.
     """
 
     parts: tuple
@@ -200,20 +202,19 @@ class RegionUnion:
         if not parts:
             raise ValueError("union needs at least one part")
         object.__setattr__(self, "parts", parts)
-        sampled = []
-        for i, j in itertools.combinations(range(len(parts)), 2):
-            if all(isinstance(parts[k], (Disk, Annulus)) for k in (i, j)):
-                if not _rings_disjoint(parts[i], parts[j]):
-                    raise ValueError("union parts overlap")
+        rng = np.random.default_rng(181093)
+        for s, t in itertools.combinations(parts, 2):
+            if isinstance(s, (Disk, Annulus)) and isinstance(t, (Disk, Annulus)):
+                overlap = not _rings_disjoint(s, t)
             else:
-                sampled.append((i, j))
-        box = bounding_box(self)
-        if sampled and all(math.isfinite(v) for v in box):
-            rng = np.random.default_rng(181093)
-            qs = rng.uniform(box[0], box[1], _UNION_SAMPLES)
-            ps = rng.uniform(box[2], box[3], _UNION_SAMPLES)
-            inside = {k: indicator(parts[k], qs, ps) > 0 for k in set(itertools.chain(*sampled))}
-            if any(np.any(inside[i] & inside[j]) for i, j in sampled):
+                (q0, q1, p0, p1), (r0, r1, u0, u1) = _sample_box(s), _sample_box(t)
+                q0, q1, p0, p1 = max(q0, r0), min(q1, r1), max(p0, u0), min(p1, u1)
+                if not (q0 < q1 and p0 < p1):
+                    continue
+                qs = rng.uniform(q0, q1, _UNION_SAMPLES)
+                ps = rng.uniform(p0, p1, _UNION_SAMPLES)
+                overlap = np.any((indicator(s, qs, ps) > 0) & (indicator(t, qs, ps) > 0))
+            if overlap:
                 raise ValueError("union parts overlap")
 
 
@@ -223,6 +224,22 @@ Region = Union[Disk, Ellipse, Annulus, Graph, RegionUnion]
 def _graph_knots(s: Graph) -> np.ndarray:
     qs = np.unique(np.concatenate([s.f1.qs, s.f2.qs, [s.b, s.c]]))
     return qs[(qs >= s.b) & (qs <= s.c)]
+
+
+def _sample_box(s: Region) -> tuple[float, float, float, float]:
+    # bounding_box, with a graph cut to the q range of its knots, the
+    # only q where its boundaries are defined (all of [b, c] if finite)
+    if isinstance(s, RegionUnion):
+        return _hull([_sample_box(part) for part in s.parts])
+    if not isinstance(s, Graph):
+        return bounding_box(s)
+    lo = max(s.b, s.f1.qmin, s.f2.qmin)
+    hi = min(s.c, s.f1.qmax, s.f2.qmax)
+    if not lo < hi:
+        return lo, hi, 0.0, 0.0
+    qs = np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]])
+    qs = qs[(qs >= lo) & (qs <= hi)]
+    return lo, hi, float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
 
 
 def indicator(s: Region, q, p):
@@ -295,14 +312,17 @@ def bounding_box(s: Region) -> tuple[float, float, float, float]:
         qs = _graph_knots(s)
         return s.b, s.c, float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
     if isinstance(s, RegionUnion):
-        boxes = [bounding_box(part) for part in s.parts]
-        return (
-            min(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        return _hull([bounding_box(part) for part in s.parts])
     raise TypeError("not a region: %r" % (s,))
+
+
+def _hull(boxes) -> tuple[float, float, float, float]:
+    return (
+        min(b[0] for b in boxes),
+        max(b[1] for b in boxes),
+        min(b[2] for b in boxes),
+        max(b[3] for b in boxes),
+    )
 
 
 def _gauss(lo: float, hi: float, length: float, density: float):

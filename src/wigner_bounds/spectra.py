@@ -22,16 +22,17 @@ Any other bounded region takes the Fock route (fock_extremes): the
 kernel's matrix in the number basis, <m|K_S|n> = integral over S of the
 cross-Wigner function W_mn, is integrated with a rule exact in the
 region's geometry, and the extremes of its leading blocks converge
-from inside by Cauchy interlacing.  An explicit position grid selects
-the discretized kernel from kernels.assemble (extremal_eigenvalues).
-On an unbounded region that is the only route left (for a band, under
-method="numeric"), and its value is the kernel compressed to the
-window: an inner estimate that moves with the window, not a bound.
+from inside by Cauchy interlacing.  An unbounded region without a
+closed form (a graph that is not a band, or a band under
+method="numeric") takes the discretized kernel from kernels.assemble
+on a named window (extremal_eigenvalues); its value is the kernel
+compressed to the window: an inner estimate that moves with the
+window, not a bound.
 
-bounds(region) is the one entry point that picks among these routes:
-the closed forms for disks, ellipses (reduced to the disk of equal
-area), annuli and bands; otherwise the Fock route, or the discretized
-kernel once a window or grid count names a position grid.
+bounds(region) is the one entry point that picks among these routes
+from the region alone: the closed forms for disks, ellipses (reduced
+to the disk of equal area), annuli and bands; otherwise the Fock route
+for a bounded region and the discretized kernel for an unbounded one.
 method="exact" refuses regions without a closed form, method="numeric"
 skips the closed forms.
 """
@@ -42,8 +43,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix, assemble, default_window
-from .regions import Annulus, Disk, Ellipse, Graph, Region, bounding_box, quadrature, reduce_ellipse
+from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix, assemble
+from .regions import Annulus, Disk, Ellipse, Graph, Region, bounding_box, quadrature
 from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
 
@@ -285,7 +286,6 @@ def extremal_eigenvalues(km: KernelMatrix) -> SpectrumResult:
         residual=res,
         psi_min=WavefunctionGrid(km.x0, km.dx, vmin * scale),
         psi_max=WavefunctionGrid(km.x0, km.dx, vmax * scale),
-        warnings=km.warnings,
     )
 
 
@@ -386,23 +386,20 @@ def bounds(
     method: str = "auto",
     n_max: int | None = None,
     window=None,
-    grid_count: int | None = None,
 ) -> SpectrumResult:
     """Sharp bounds on the integral of any Wigner function over s.
 
     method "auto" takes the closed forms for disks, ellipses and annuli
     (scanning up to n_max, see disk_envelope) and for bands between
     parallel lines ([0, 1], with n_min/n_max None), and the Fock
-    route for any other region; "exact" refuses regions without a
-    closed form; "numeric" skips the closed forms.  Where no closed
-    form is taken, a finite window (LO, HI) or a grid_count names a
-    Nystrom grid and selects that route: the window defaults to
-    kernels.default_window, the count to DEFAULT_POINTS_PER_UNIT points
-    per unit.  A closed form wins over both, but a window that is not
-    finite with LO < HI, or a grid_count below 2, is refused whatever
-    the route.  Other unbounded regions need a window, and their
-    Nystrom result carries a warning that it is the kernel compressed
-    to the window, not a bound.  Ellipses have no Nystrom kernel.
+    route for any other bounded region; "exact" refuses regions without
+    a closed form; "numeric" skips the closed forms.  An unbounded
+    region left without a closed form needs a finite window (LO, HI):
+    it takes the Nystrom route on that window at
+    DEFAULT_POINTS_PER_UNIT points per unit, and the result carries a
+    warning that it is the kernel compressed to the window, not a
+    bound.  A window that is not finite with LO < HI is refused on
+    every region; on a bounded one a valid window is ignored.
     """
     if method not in ("auto", "exact", "numeric"):
         raise ValueError("method must be 'auto', 'exact' or 'numeric', got %r" % (method,))
@@ -410,13 +407,11 @@ def bounds(
         lo, hi = (float(v) for v in window)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("window must be finite LO HI with LO < HI")
-    if grid_count is not None and grid_count < 2:
-        raise ValueError("grid count must be at least 2")
     if method != "numeric":
         if isinstance(s, Disk):
             return disk_envelope(s.radius, n_max)
         if isinstance(s, Ellipse):
-            return disk_envelope(reduce_ellipse(s)[0], n_max)
+            return disk_envelope(math.sqrt(s.semi_major * s.semi_minor), n_max)
         if isinstance(s, Annulus):
             return annulus_envelope(s.r_inner, s.r_outer, n_max)
         band = _band_bounds(s)
@@ -426,19 +421,14 @@ def bounds(
             raise ValueError(
                 "no exact route for this region shape, only for disks, ellipses, annuli and bands"
             )
-    if window is None and grid_count is None:
+    if window is None or all(math.isfinite(v) for v in bounding_box(s)):
         return fock_extremes(s)
-    if window is None:
-        x0, dx, count = default_window(s)
-        lo, hi = x0, x0 + dx * (count - 1)
-    n = grid_count if grid_count is not None else round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
+    n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
     if n < 2:
         raise ValueError("window %g..%g holds fewer than 2 grid points" % (lo, hi))
     res = extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
-    if not all(math.isfinite(v) for v in bounding_box(s)):
-        note = (
-            "unbounded region: this is the kernel compressed to the window %g..%g,"
-            " an inner estimate that moves with the window, not a bound" % (lo, hi)
-        )
-        res = replace(res, warnings=res.warnings + (note,))
-    return res
+    note = (
+        "unbounded region: this is the kernel compressed to the window %g..%g,"
+        " an inner estimate that moves with the window, not a bound" % (lo, hi)
+    )
+    return replace(res, warnings=(note,))

@@ -157,7 +157,7 @@ def ellipse_polyline(m=1201):
 
 def test_A7_ellipse_invariance(tmp_path, capsys):
     env = disk_envelope(1.0)
-    res = extremal_eigenvalues(assemble(ellipse_polyline()))
+    res = extremal_eigenvalues(assemble(ellipse_polyline(), -6.0, 0.01, 1201))
     e_min = abs(res.lambda_min - env.lambda_min)
     e_max = abs(res.lambda_max - env.lambda_max)
 
@@ -210,7 +210,7 @@ def test_A8_area_bound():
     coeffs = rng.normal(size=(50, 10)) + 1j * rng.normal(size=(50, 10))
     worst_q = worst_spec = -math.inf
     for s in random_regions(rng):
-        km = assemble(s)
+        km = assemble(s, -6.25, 0.01, 1251)  # covers every region
         cap = area(s) / math.pi
         xs = km.xs
         basis = np.array([oscillator_fn(n, xs) for n in range(10)])
@@ -231,7 +231,7 @@ def test_A9_annulus_routes():
         for r1, r2 in ((0.5, 1.0), (1.0, 2.0))
     )
     env = annulus_envelope(0.5, 1.0)
-    res = extremal_eigenvalues(assemble(Annulus((0.0, 0.0), 0.5, 1.0)))
+    res = extremal_eigenvalues(assemble(Annulus((0.0, 0.0), 0.5, 1.0), -6.0, 0.01, 1201))
     e_min = abs(res.lambda_min - env.lambda_min)
     e_max = abs(res.lambda_max - env.lambda_max)
     report("A9", exact and e_min < 1e-4 and e_max < 1e-4,

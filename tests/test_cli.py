@@ -142,11 +142,24 @@ def test_bounds_exact_scan_range(tmp_path, capsys):
 
 
 def test_bounds_window_flags(tmp_path, capsys):
-    """A grid flag names a Nystrom grid, so it takes that route."""
+    """A window does not change the route of a bounded region, and
+    --grid-count is no longer a flag."""
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "-7", "7"]) == 0
-    assert "method=nystrom" in capsys.readouterr().out
-    assert main(["bounds", disk_json(tmp_path), "--numeric", "--grid-count", "601"]) == 0
-    assert "method=nystrom" in capsys.readouterr().out
+    assert "method=fock" in capsys.readouterr().out
+    tent = write_region(
+        tmp_path, "tent.json",
+        {"type": "graph", "b": -1.0, "c": 1.0,
+         "f1": [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]],
+         "f2": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]},
+    )
+    assert main(["bounds", tent]) == 0
+    line = capsys.readouterr().out
+    assert main(["bounds", tent, "--window", "-3", "3"]) == 0
+    assert capsys.readouterr().out == line
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", disk_json(tmp_path), "--numeric", "--grid-count", "601"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-count" in capsys.readouterr().err
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "7", "-7"]) == 2
     capsys.readouterr()
     strip = write_region(

@@ -16,7 +16,6 @@ from wigner_bounds import (
     apply_kernel,
     assemble,
     coherent_state,
-    default_window,
     disk_eigenvalue,
     kernel_eval,
     oscillator_state,
@@ -134,19 +133,19 @@ def test_apply_kernel_needs_support():
 
 
 def test_assemble_trace_matches_area():
-    km = assemble(Disk((0.0, 0.0), 1.0))
+    km = assemble(Disk((0.0, 0.0), 1.0), -6.0, 0.01, 1201)
     want = math.pi / (2 * math.pi)
     assert abs(np.real(np.trace(km.a)) - want) < 0.005 * want
-    assert km.warnings == ()
 
 
 def test_assemble_window_warning():
-    km = assemble(Disk((0.0, 0.0), 1.0), -0.5, 0.01, 101)
-    assert any("window too small" in w for w in km.warnings)
+    """A grid that misses part of a bounded region's q extent is refused."""
+    with pytest.raises(ValueError, match="support not covered"):
+        assemble(Disk((0.0, 0.0), 1.0), -0.5, 0.01, 101)
 
 
 def test_assemble_needs_all_grid_args():
-    with pytest.raises(ValueError, match="all of x0, dx, count"):
+    with pytest.raises(TypeError, match="dx"):
         assemble(Disk((0.0, 0.0), 1.0), x0=-6.0)
 
 
@@ -175,19 +174,3 @@ def test_kernel_matrix_validation():
     km = KernelMatrix(0.0, 0.5, np.eye(3))
     assert len(km) == 3
     assert np.allclose(km.xs, [0.0, 0.5, 1.0])
-
-
-def test_default_window():
-    x0, dx, count = default_window(Disk((0.0, 0.0), 1.0))
-    assert (x0, count) == (-6.0, 1201)
-    assert abs(dx - 0.01) < 1e-15
-    x0, _, _ = default_window(Disk((4.0, 0.0), 1.0))
-    assert x0 == -12.5
-    unbounded = Graph(
-        b=-math.inf,
-        c=math.inf,
-        f1=PiecewiseLinear(np.array([-1.0, 1.0]), np.array([-1.0, -1.0])),
-        f2=PiecewiseLinear(np.array([-1.0, 1.0]), np.array([1.0, 1.0])),
-    )
-    with pytest.raises(ValueError, match="unbounded region"):
-        default_window(unbounded)

@@ -1,19 +1,22 @@
-"""The README's library quick tour runs and names only real functions."""
+"""The README's library quick tour runs and names only real functions,
+and its command line section names only real flags."""
+import argparse
 import re
 from pathlib import Path
 
 import wigner_bounds
+from wigner_bounds.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def quick_tour() -> str:
+def section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    return text.split("## Library quick tour", 1)[1].split("\n## ", 1)[0]
+    return text.split("## " + title, 1)[1].split("\n## ", 1)[0]
 
 
 def test_quick_tour_code_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", quick_tour(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", section("Library quick tour"), re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
@@ -21,8 +24,18 @@ def test_quick_tour_code_runs(capsys):
 
 
 def test_quick_tour_prose_names_exist():
-    prose = re.sub(r"```.*?```", "", quick_tour(), flags=re.S)
+    prose = re.sub(r"```.*?```", "", section("Library quick tour"), flags=re.S)
     names = re.findall(r"`([A-Za-z_]\w*)`", prose)
     assert "load_region" in names
     missing = [n for n in names if not hasattr(wigner_bounds, n)]
     assert not missing, "README names %s, which the package does not export" % missing
+
+
+def test_command_line_flags_exist():
+    ap = build_parser()
+    commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {f for sub in commands.choices.values() for a in sub._actions for f in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section("Command line")))
+    assert "--window" in named
+    missing = sorted(named - flags)
+    assert not missing, "README names %s, which no subcommand takes" % missing

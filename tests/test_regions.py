@@ -119,6 +119,33 @@ def test_union_of_rings_is_decided_exactly():
         RegionUnion((Disk((0.0, 0.0), 1.0), Ellipse((0.0, 0.0), 2.0, 0.5)))
 
 
+def test_union_with_unbounded_part_is_checked():
+    """A pair with an unbounded graph is sampled where its box, cut to
+    the graph's knots, meets the other part's box: a disk inside a band
+    is refused, a disk beside a sloped band whose box it meets is not."""
+    knots = np.array([-20.0, 20.0])
+    strip = Graph(
+        b=-math.inf,
+        c=math.inf,
+        f1=PiecewiseLinear(knots, np.array([-0.5, -0.5])),
+        f2=PiecewiseLinear(knots, np.array([0.5, 0.5])),
+    )
+    band = Graph(
+        b=-math.inf,
+        c=math.inf,
+        f1=PiecewiseLinear(knots, knots - 0.5),
+        f2=PiecewiseLinear(knots, knots + 0.5),
+    )
+    with pytest.raises(ValueError, match="union parts overlap"):
+        RegionUnion((strip, Disk((0.0, 0.0), 1.0)))
+    with pytest.raises(ValueError, match="union parts overlap"):
+        RegionUnion((Disk((5.0, 5.2), 0.5), band))
+    beside = Disk((0.0, 2.0), 1.0)  # 1.06 from the upper line p = q + 0.5
+    assert bounding_box(beside)[2] < 1.5  # its box meets the band's at q = 1
+    union = RegionUnion((band, beside))
+    assert area(union) == math.inf
+
+
 def test_graph_validation():
     up = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     dn = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([-1.0, -1.0]))

@@ -15,11 +15,9 @@ from wigner_bounds import (
     annulus_eigenvalue,
     annulus_envelope,
     apply_canonical,
-    area,
     assemble,
     bounds,
     crossing_radius,
-    default_window,
     disk_eigenvalue,
     disk_envelope,
     disk_spectrum,
@@ -191,7 +189,7 @@ def test_extremal_eigenvectors_normalized():
 
 def test_nystrom_matches_envelope():
     env = disk_envelope(1.5)
-    res = extremal_eigenvalues(assemble(Disk((0.0, 0.0), 1.5)))
+    res = extremal_eigenvalues(assemble(Disk((0.0, 0.0), 1.5), -6.0, 0.01, 1201))
     assert abs(res.lambda_min - env.lambda_min) < 1e-4
     assert abs(res.lambda_max - env.lambda_max) < 1e-4
 
@@ -212,8 +210,8 @@ def test_spectrum_result_validation():
 
 
 # bounds() against the route it picks, called directly.  The conics are
-# off centre, the ellipse rotated; every bounded shape sits inside
-# |q| < 2, so the grid window (-2.5, 2.5) covers it.
+# off centre, the ellipse rotated; every bounded shape ignores the
+# window (-2.5, 2.5), which only the strip under "numeric" uses.
 SHAPES = {
     "disk": {"type": "disk", "center": [0.3, -0.2], "radius": 1.0},
     "ellipse": {"type": "ellipse", "center": [0.4, -0.3], "semi_major": 1.5,
@@ -235,6 +233,9 @@ KINKED = {"type": "graph", "b": "-inf", "c": "+inf",
 GRIDS = {
     "no-grid": {},
     "window": {"window": (-2.5, 2.5)},
+}
+# bounds() no longer takes a grid count, so these calls are refused
+REMOVED_GRIDS = {
     "count": {"grid_count": 201},
     "window-count": {"window": (-2.5, 2.5), "grid_count": 151},
 }
@@ -254,16 +255,11 @@ def unbounded_note(lo, hi):
     )
 
 
-def nystrom(s, window=None, grid_count=None):
-    if window is None:
-        x0, dx, count = default_window(s)
-        window = (x0, x0 + dx * (count - 1))
+def nystrom(s, window):
     lo, hi = window
-    n = grid_count if grid_count is not None else round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
+    n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
     res = extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
-    if math.isinf(area(s)):
-        res = dataclasses.replace(res, warnings=res.warnings + (unbounded_note(lo, hi),))
-    return res
+    return dataclasses.replace(res, warnings=(unbounded_note(lo, hi),))
 
 
 def expected_route(shape, method, grid):
@@ -274,18 +270,20 @@ def expected_route(shape, method, grid):
         return lambda s: SpectrumResult(lambda_min=0.0, lambda_max=1.0, method="exact")
     if method == "exact" or (shape == "strip" and "window" not in grid):
         return None
-    if not grid:
+    if shape != "strip":  # every bounded region takes Fock, window or not
         return fock_extremes
-    if shape == "ellipse":  # no Nystrom kernel for an ellipse
-        return None
     return lambda s: nystrom(s, **grid)
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("grid", [*GRIDS, *REMOVED_GRIDS])
 @pytest.mark.parametrize("method", ["auto", "exact", "numeric"])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_bounds_matches_direct_route(shape, method, grid):
     s = region_from_dict(SHAPES[shape])
+    if grid in REMOVED_GRIDS:
+        with pytest.raises(TypeError, match="grid_count"):
+            bounds(s, method, **REMOVED_GRIDS[grid])
+        return
     route = expected_route(shape, method, GRIDS[grid])
     if route is None:
         with pytest.raises(ValueError):
@@ -307,16 +305,13 @@ def test_bounds_refusals():
         bounds(disk, "fock")
     with pytest.raises(ValueError, match="unbounded region"):
         bounds(region_from_dict(KINKED))
-    # malformed grid flags are refused even where a closed form wins
+    # a malformed window is refused even where a closed form wins
     for window in ((-6.0, math.inf), (math.nan, 6.0), (2.0, -2.0)):
         for region in (strip, disk):
             with pytest.raises(ValueError, match="window must be finite"):
                 bounds(region, window=window)
-    for method in ("auto", "exact", "numeric"):
-        with pytest.raises(ValueError, match="grid count"):
-            bounds(disk, method, grid_count=1)
     with pytest.raises(ValueError, match="fewer than 2 grid points"):
-        bounds(disk, "numeric", window=(0.0, 0.001))
+        bounds(strip, "numeric", window=(0.0, 0.001))
     # the scan cutoff reaches every closed form and no other route
     for shape in CLOSED_FORMS:
         capped = bounds(region_from_dict(SHAPES[shape]), n_max=1)
