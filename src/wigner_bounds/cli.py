@@ -48,7 +48,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_bounds(args) -> int:
-    res = bounds(load_region(args.region), args.method, args.nmax, args.window)
+    res = bounds(load_region(args.region), args.method, args.window)
     for note in res.warnings:
         print("warning: %s" % note, file=sys.stderr)
     line = "lambda_min=%s lambda_max=%s method=%s" % (
@@ -186,7 +186,7 @@ def cmd_check(args) -> int:
         raise ValueError("--margin must be a finite nonnegative number, got %r" % args.margin)
     w = read_wigner_csv(args.wigner_csv)
     s = load_region(args.region)
-    q_value = quasiprobability(w, s, uncovered_tol=0.0)
+    q_value = quasiprobability(w, s)
     if math.isnan(q_value):
         raise ValueError("grid mass over the region is NaN: the grid values overflow")
     res = bounds(s)
@@ -221,10 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="bounds for a region JSON file")
     b.add_argument("region", help="region JSON file")
     b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), help="Nystrom window for an unbounded region; ignored on bounded ones")
-    b.add_argument("--nmax", type=int, help="eigenvalue scan cutoff on the exact route")
-    route = b.add_mutually_exclusive_group()
-    route.add_argument("--exact", dest="method", action="store_const", const="exact", help="require the closed-form route")
-    route.add_argument("--numeric", dest="method", action="store_const", const="numeric", help="force the discretized route")
+    b.add_argument("--numeric", dest="method", action="store_const", const="numeric", help="skip the closed forms: Fock route on bounded regions, Nystrom on unbounded ones")
     b.set_defaults(func=cmd_bounds, method="auto")
 
     c = sub.add_parser("curves", help="disk eigenvalue curves as TSV on stdout")

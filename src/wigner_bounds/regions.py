@@ -142,7 +142,8 @@ class Annulus:
 class Graph:
     """Region b < q < c, f1(q) < p < f2(q).
 
-    For finite b, c the knot tables of both boundaries must span [b, c].
+    For finite b, c the knot tables of both boundaries must span [b, c];
+    in any case they must share a q interval inside (b, c).
     The boundaries need not pinch together at b and c: open strips are
     legitimate regions and their kernels are well defined.
     """
@@ -165,9 +166,12 @@ class Graph:
                 raise ValueError("boundary knots must span [b, c]")
             if math.isfinite(c) and f.qmax < c:
                 raise ValueError("boundary knots must span [b, c]")
+        # the boundaries are defined only where both knot ranges reach
+        lo = max(self.f1.qmin, self.f2.qmin, b)
+        hi = min(self.f1.qmax, self.f2.qmax, c)
+        if not lo < hi:
+            raise ValueError("boundary knot ranges must overlap on (b, c)")
         # piecewise-linear difference attains its minimum at a knot
-        lo = max(self.f1.qmin, self.f2.qmin, b) if math.isfinite(b) else max(self.f1.qmin, self.f2.qmin)
-        hi = min(self.f1.qmax, self.f2.qmax, c) if math.isfinite(c) else min(self.f1.qmax, self.f2.qmax)
         qs = np.unique(np.concatenate([self.f1.qs, self.f2.qs, [lo, hi]]))
         qs = qs[(qs >= lo) & (qs <= hi)]
         if np.any(self.f2.evaluate(qs) < self.f1.evaluate(qs) - 1e-12):
@@ -235,8 +239,6 @@ def _sample_box(s: Region) -> tuple[float, float, float, float]:
         return bounding_box(s)
     lo = max(s.b, s.f1.qmin, s.f2.qmin)
     hi = min(s.c, s.f1.qmax, s.f2.qmax)
-    if not lo < hi:
-        return lo, hi, 0.0, 0.0
     qs = np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]])
     qs = qs[(qs >= lo) & (qs <= hi)]
     return lo, hi, float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))

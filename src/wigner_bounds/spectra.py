@@ -33,8 +33,7 @@ bounds(region) is the one entry point that picks among these routes
 from the region alone: the closed forms for disks, ellipses (reduced
 to the disk of equal area), annuli and bands; otherwise the Fock route
 for a bounded region and the discretized kernel for an unbounded one.
-method="exact" refuses regions without a closed form, method="numeric"
-skips the closed forms.
+method="numeric" skips the closed forms.
 """
 from __future__ import annotations
 
@@ -192,14 +191,14 @@ def _envelope(values: np.ndarray) -> SpectrumResult:
     )
 
 
-def disk_envelope(a: float, n_max: int | None = None) -> SpectrumResult:
+def disk_envelope(a: float) -> SpectrumResult:
     """Sharp bounds for a disk of radius a from the eigenvalue curves.
 
-    Scans n up to n_max, defaulting to max(50, ceil(10 a^2)); the
-    extremes of physical disks sit far below that, and a warning is
-    attached if the scan ends on the cutoff.
+    Scans n up to max(50, ceil(10 a^2)); the extremes of physical disks
+    sit far below that, and a warning is attached if the scan ends on
+    the cutoff.
     """
-    return _envelope(disk_spectrum(a, _cutoff(a) if n_max is None else n_max))
+    return _envelope(disk_spectrum(a, _cutoff(a)))
 
 
 def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
@@ -215,18 +214,16 @@ def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
     return table[:, : n_top + 1], [_envelope(row[: top + 1]) for row, top in zip(table, tops)]
 
 
-def annulus_envelope(
-    r_inner: float, r_outer: float, n_max: int | None = None
-) -> SpectrumResult:
+def annulus_envelope(r_inner: float, r_outer: float) -> SpectrumResult:
     """Sharp bounds for a centered annulus; scans both envelope sides.
 
     Unlike the disk, the largest annulus eigenvalue need not be n = 0,
-    so both extremes come from the same scan over n.
+    so both extremes come from the same scan over n, up to the outer
+    radius's cutoff max(50, ceil(10 r_outer^2)).
     """
     if not 0 <= r_inner < r_outer:
         raise ValueError("need 0 <= r_inner < r_outer")
-    ncut = _cutoff(r_outer) if n_max is None else n_max
-    inner, outer = disk_spectrum((r_inner, r_outer), ncut)
+    inner, outer = disk_spectrum((r_inner, r_outer), _cutoff(r_outer))
     return _envelope(outer - inner)
 
 
@@ -381,46 +378,36 @@ def _band_bounds(s: Region) -> SpectrumResult | None:
     return SpectrumResult(lambda_min=0.0, lambda_max=1.0 if gap > 1e-12 else 0.0, method="exact")
 
 
-def bounds(
-    s: Region,
-    method: str = "auto",
-    n_max: int | None = None,
-    window=None,
-) -> SpectrumResult:
+def bounds(s: Region, method: str = "auto", window=None) -> SpectrumResult:
     """Sharp bounds on the integral of any Wigner function over s.
 
     method "auto" takes the closed forms for disks, ellipses and annuli
-    (scanning up to n_max, see disk_envelope) and for bands between
-    parallel lines ([0, 1], with n_min/n_max None), and the Fock
-    route for any other bounded region; "exact" refuses regions without
-    a closed form; "numeric" skips the closed forms.  An unbounded
-    region left without a closed form needs a finite window (LO, HI):
-    it takes the Nystrom route on that window at
-    DEFAULT_POINTS_PER_UNIT points per unit, and the result carries a
-    warning that it is the kernel compressed to the window, not a
-    bound.  A window that is not finite with LO < HI is refused on
-    every region; on a bounded one a valid window is ignored.
+    (see disk_envelope) and for bands between parallel lines ([0, 1],
+    with n_min/n_max None), and the Fock route for any other bounded
+    region; "numeric" skips the closed forms.  The result's method
+    names the route taken.  An unbounded region left without a closed
+    form needs a finite window (LO, HI): it takes the Nystrom route on
+    that window at DEFAULT_POINTS_PER_UNIT points per unit, and the
+    result carries a warning that it is the kernel compressed to the
+    window, not a bound.  A window that is not finite with LO < HI is
+    refused on every region; on a bounded one a valid window is ignored.
     """
-    if method not in ("auto", "exact", "numeric"):
-        raise ValueError("method must be 'auto', 'exact' or 'numeric', got %r" % (method,))
+    if method not in ("auto", "numeric"):
+        raise ValueError("method must be 'auto' or 'numeric', got %r" % (method,))
     if window is not None:
         lo, hi = (float(v) for v in window)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("window must be finite LO HI with LO < HI")
-    if method != "numeric":
+    if method == "auto":
         if isinstance(s, Disk):
-            return disk_envelope(s.radius, n_max)
+            return disk_envelope(s.radius)
         if isinstance(s, Ellipse):
-            return disk_envelope(math.sqrt(s.semi_major * s.semi_minor), n_max)
+            return disk_envelope(math.sqrt(s.semi_major * s.semi_minor))
         if isinstance(s, Annulus):
-            return annulus_envelope(s.r_inner, s.r_outer, n_max)
+            return annulus_envelope(s.r_inner, s.r_outer)
         band = _band_bounds(s)
         if band is not None:
             return band
-        if method == "exact":
-            raise ValueError(
-                "no exact route for this region shape, only for disks, ellipses, annuli and bands"
-            )
     if window is None or all(math.isfinite(v) for v in bounding_box(s)):
         return fock_extremes(s)
     n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1

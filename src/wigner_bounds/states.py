@@ -153,26 +153,36 @@ def write_state_csv(psi: WavefunctionGrid, path) -> None:
             fh.write("%.17g,%.17g,%.17g\n" % (x, v.real, v.imag))
 
 
+def _read_csv(path, kind: str, columns: str) -> np.ndarray:
+    """The data rows of a numeric CSV whose header is columns, e.g. "x,re,im".
+
+    Every cell must be finite; kind ("state", "Wigner") names the file
+    in the messages.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if [c.strip() for c in header.split(",")] != columns.split(","):
+            raise ValueError("%s CSV must start with header %s" % (kind, columns))
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            "%s CSV data row %d is not finite: %s"
+            % (kind, k + 1, ",".join(repr(float(v)) for v in data[k]))
+        )
+    return data
+
+
 def read_state_csv(path) -> WavefunctionGrid:
     """Read a wavefunction from CSV with header x,re,im.
 
     Every cell must be finite, and the x column uniformly spaced to
     within 1e-9 relative to its mean step.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if [c.strip() for c in header.split(",")] != ["x", "re", "im"]:
-            raise ValueError("state CSV must start with header x,re,im")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    data = _read_csv(path, "state", "x,re,im")
     if data.shape[0] < 2 or data.shape[1] != 3:
         raise ValueError("state CSV needs at least two x,re,im rows")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(
-            "state CSV data row %d is not finite: %s"
-            % (k + 1, ",".join(repr(float(v)) for v in data[k]))
-        )
     xs = data[:, 0]
     dx = (xs[-1] - xs[0]) / (xs.size - 1)
     if dx <= 0 or np.max(np.abs(np.diff(xs) - dx)) > 1e-9 * dx:

@@ -22,8 +22,6 @@ functional Q_S, and a report on the pointwise bounds +-1/pi.
 """
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +29,7 @@ import numpy as np
 
 from .regions import Region, bounding_box, indicator
 from .specfun import laguerre_poly
-from .states import Ensemble, WavefunctionGrid
+from .states import Ensemble, WavefunctionGrid, _read_csv
 
 __all__ = [
     "BoundReport",
@@ -103,15 +101,14 @@ def wigner_transform(psi: WavefunctionGrid, qs, ps) -> WignerGrid:
         raise ValueError("q outside wavefunction support")
 
     offs = dx * np.arange(len(psi))
-    re, im = psi.values.real, psi.values.imag
     fr = np.empty((qs.size, offs.size))
     fi = np.empty((qs.size, offs.size))
     for i, q in enumerate(qs):
         xp = q + offs
         xm = q - offs
         inside = (xp >= lo) & (xp <= hi) & (xm >= lo) & (xm <= hi)
-        vp = np.interp(xp, xs, re) + 1j * np.interp(xp, xs, im)
-        vm = np.interp(xm, xs, re) + 1j * np.interp(xm, xs, im)
+        vp = np.interp(xp, xs, psi.values)
+        vm = np.interp(xm, xs, psi.values)
         f = np.where(inside, np.conj(vp) * vm, 0.0)
         fr[i] = f.real
         fi[i] = f.imag
@@ -160,13 +157,12 @@ def integral_identities(w: WignerGrid) -> Identities:
     )
 
 
-def quasiprobability(w: WignerGrid, s: Region, uncovered_tol: float = math.inf) -> float:
+def quasiprobability(w: WignerGrid, s: Region) -> float:
     """Q_S, the Wigner mass inside s, by the midpoint rule on w's cells.
 
-    Cells are centered on the grid points.  If s sticks out past the
-    covered rectangle by more than uncovered_tol the call fails; by
-    default any overhang is truncated with a warning, which is the
-    whole-plane recipe (pass a huge disk).
+    Cells are centered on the grid points.  s must lie inside the
+    rectangle the cells cover; a region that sticks out past it is
+    refused, not truncated.
     """
     qlo = w.qs[0] - 0.5 * w.dq
     qhi = w.qs[-1] + 0.5 * w.dq
@@ -174,13 +170,8 @@ def quasiprobability(w: WignerGrid, s: Region, uncovered_tol: float = math.inf) 
     phi = w.ps[-1] + 0.5 * w.dp
     bq0, bq1, bp0, bp1 = bounding_box(s)
     overhang = max(qlo - bq0, bq1 - qhi, plo - bp0, bp1 - phi, 0.0)
-    if overhang > uncovered_tol:
-        raise ValueError(
-            "uncovered region: extends %.3g beyond the grid (tolerance %.3g)"
-            % (overhang, uncovered_tol)
-        )
     if overhang > 0.0:
-        warnings.warn("region truncated at the grid edge (overhang %.3g)" % overhang)
+        raise ValueError("uncovered region: extends %.3g beyond the grid" % overhang)
     ind = indicator(s, w.qs[:, None], w.ps[None, :])
     return float(np.sum(w.w * ind) * w.dq * w.dp)
 
@@ -221,20 +212,9 @@ def write_wigner_csv(w: WignerGrid, path) -> None:
 def read_wigner_csv(path) -> WignerGrid:
     """Inverse of write_wigner_csv; enforces the uniform row-major layout
     and finite cells."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if [c.strip() for c in header.split(",")] != ["q", "p", "w"]:
-            raise ValueError("Wigner CSV must start with header q,p,w")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    data = _read_csv(path, "Wigner", "q,p,w")
     if data.shape[0] < 4 or data.shape[1] != 3:
         raise ValueError("Wigner CSV needs at least a 2x2 grid of q,p,w rows")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(
-            "Wigner CSV data row %d is not finite: %s"
-            % (k + 1, ",".join(repr(float(v)) for v in data[k]))
-        )
     qcol, pcol, wcol = data.T
     np_count = int(np.argmax(qcol != qcol[0])) if np.any(qcol != qcol[0]) else 0
     if np_count < 2 or data.shape[0] % np_count:

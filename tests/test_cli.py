@@ -68,7 +68,6 @@ def test_bounds_graph_region(tmp_path, capsys):
     fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
     bound = 2.0 / math.pi
     assert -bound <= float(fields["lambda_min"]) <= float(fields["lambda_max"]) <= bound
-    assert main(["bounds", tent, "--exact"]) == 2
 
 
 def test_bounds_malformed_region(tmp_path, capsys):
@@ -130,15 +129,20 @@ def test_union_with_ellipse_part(tmp_path, capsys):
 
 
 def test_bounds_exact_scan_range(tmp_path, capsys):
-    """A large disk saturates at [1, 1]; past the sweep's radius limit, or
-    with a negative scan cutoff, the exact route refuses with exit 2."""
-    assert main(["bounds", disk_json(tmp_path, 15.0), "--nmax", "40"]) == 0
-    assert capsys.readouterr().out == "lambda_min=1 lambda_max=1 method=exact\n"
+    """The scan always reaches the radius's own cutoff, so a large disk
+    finds its lambda_min deep in the curves (n = 119 at radius 15);
+    past the sweep's radius limit the exact route refuses with exit 2.
+    Neither --nmax nor --exact is an option."""
+    assert main(["bounds", disk_json(tmp_path, 15.0)]) == 0
+    assert capsys.readouterr().out == "lambda_min=-0.271433978 lambda_max=1 method=exact\n"
     assert main(["bounds", disk_json(tmp_path, 27.0)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "radius" in captured.err
-    assert main(["bounds", disk_json(tmp_path), "--nmax", "-1"]) == 2
-    assert "cutoff must be nonnegative" in capsys.readouterr().err
+    for flags in (["--nmax", "5"], ["--exact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", disk_json(tmp_path), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % " ".join(flags) in capsys.readouterr().err
 
 
 def test_bounds_window_flags(tmp_path, capsys):
@@ -193,7 +197,7 @@ def test_bounds_band_is_exact(tmp_path, capsys):
         {"type": "graph", "b": "-inf", "c": "+inf",
          "f1": [[-4.0, -2.5], [4.0, 1.5]], "f2": [[-4.0, -1.5], [0.0, 0.5], [4.0, 2.5]]},
     )
-    for argv in ([strip], [strip, "--window", "-6.25", "6.25"], [strip, "--exact"], [sheared]):
+    for argv in ([strip], [strip, "--window", "-6.25", "6.25"], [sheared]):
         assert main(["bounds", *argv]) == 0
         captured = capsys.readouterr()
         assert captured.out == "lambda_min=0 lambda_max=1 method=exact\n"

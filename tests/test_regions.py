@@ -157,6 +157,24 @@ def test_graph_validation():
         Graph(b=-2.0, c=1.0, f1=dn, f2=up)
 
 
+def test_graph_knot_ranges_must_overlap():
+    """An unbounded graph is defined only where both knot lists reach;
+    with no such q interval it is refused, not left to fail at every
+    evaluation.  Ranges that only touch share no interval either."""
+    def line(q0, q1, v):
+        return PiecewiseLinear(np.array([q0, q1]), np.array([v, v]))
+
+    with pytest.raises(ValueError, match="knot ranges must overlap"):
+        Graph(b=-math.inf, c=math.inf, f1=line(-9.0, -5.0, -1.0), f2=line(5.0, 9.0, 1.0))
+    with pytest.raises(ValueError, match="knot ranges must overlap"):
+        Graph(b=-math.inf, c=math.inf, f1=line(-9.0, 0.0, -1.0), f2=line(0.0, 9.0, 1.0))
+    # an overlap outside (b, c) does not count
+    with pytest.raises(ValueError, match="knot ranges must overlap"):
+        Graph(b=2.0, c=math.inf, f1=line(-9.0, 1.0, -1.0), f2=line(-5.0, 9.0, 1.0))
+    s = Graph(b=-math.inf, c=math.inf, f1=line(-9.0, 1.0, -1.0), f2=line(-1.0, 9.0, 1.0))
+    assert indicator(s, np.array([0.0, 0.0]), np.array([0.0, 2.0])).tolist() == [1.0, 0.0]
+
+
 def test_piecewise_linear():
     f = PiecewiseLinear(np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 0.0]))
     assert f.evaluate(0.5) == 1.0

@@ -26,6 +26,7 @@ from wigner_bounds import (
     reduce_ellipse,
     region_from_dict,
 )
+from wigner_bounds import spectra
 from wigner_bounds.kernels import DEFAULT_POINTS_PER_UNIT
 from wigner_bounds.spectra import DISK_RADIUS_LIMIT
 
@@ -147,7 +148,7 @@ def test_disk_envelope_lambda_max_is_lambda0():
 
 
 def test_disk_envelope_cutoff_warning():
-    env = disk_envelope(1.0, n_max=1)
+    env = spectra._envelope(disk_spectrum(1.0, 1))
     assert env.n_min == 1
     assert any("cutoff" in w for w in env.warnings)
 
@@ -268,7 +269,7 @@ def expected_route(shape, method, grid):
         return CLOSED_FORMS[shape]
     if shape == "strip" and method != "numeric":  # a band: [0, 1] in closed form
         return lambda s: SpectrumResult(lambda_min=0.0, lambda_max=1.0, method="exact")
-    if method == "exact" or (shape == "strip" and "window" not in grid):
+    if shape == "strip" and "window" not in grid:
         return None
     if shape != "strip":  # every bounded region takes Fock, window or not
         return fock_extremes
@@ -284,6 +285,10 @@ def test_bounds_matches_direct_route(shape, method, grid):
         with pytest.raises(TypeError, match="grid_count"):
             bounds(s, method, **REMOVED_GRIDS[grid])
         return
+    if method == "exact":  # no longer a method: auto already takes every closed form
+        with pytest.raises(ValueError, match="method must be"):
+            bounds(s, method, **GRIDS[grid])
+        return
     route = expected_route(shape, method, GRIDS[grid])
     if route is None:
         with pytest.raises(ValueError):
@@ -297,12 +302,10 @@ def test_bounds_matches_direct_route(shape, method, grid):
 
 def test_bounds_refusals():
     disk = region_from_dict(SHAPES["disk"])
-    graph = region_from_dict(SHAPES["graph"])
     strip = region_from_dict(SHAPES["strip"])
-    with pytest.raises(ValueError, match="no exact route"):
-        bounds(graph, "exact")
-    with pytest.raises(ValueError, match="method must be"):
-        bounds(disk, "fock")
+    for method in ("exact", "fock", True, None):
+        with pytest.raises(ValueError, match="method must be"):
+            bounds(disk, method)
     with pytest.raises(ValueError, match="unbounded region"):
         bounds(region_from_dict(KINKED))
     # a malformed window is refused even where a closed form wins
@@ -312,11 +315,6 @@ def test_bounds_refusals():
                 bounds(region, window=window)
     with pytest.raises(ValueError, match="fewer than 2 grid points"):
         bounds(strip, "numeric", window=(0.0, 0.001))
-    # the scan cutoff reaches every closed form and no other route
-    for shape in CLOSED_FORMS:
-        capped = bounds(region_from_dict(SHAPES[shape]), n_max=1)
-        assert capped.warnings == ("eigenvalue scan hit its cutoff at n = 1",), shape
-    assert bounds(graph, n_max=1).basis_size == fock_extremes(graph).basis_size
 
 
 def band(f1, f2, b="-inf", c="+inf"):
@@ -339,31 +337,30 @@ def test_bands_between_parallel_lines_are_exact():
         for a, g, n, r in ((1.0, 0.0, 0.5, 0.0), (1.7, -0.4, -2.3, 0.8), (-0.6, 1.1, 0.9, -3.0))
     ]
     for s in (horizontal, sheared, collinear, *images):
-        for method in ("auto", "exact"):
-            for grid in GRIDS.values():
-                got = bounds(s, method, **grid)
-                assert (got.lambda_min, got.lambda_max, got.method, got.n_min, got.n_max) == exact
-                assert got.warnings == ()
+        for grid in GRIDS.values():
+            got = bounds(s, **grid)
+            assert (got.lambda_min, got.lambda_max, got.method, got.n_min, got.n_max) == exact
+            assert got.warnings == ()
     empty = band([[-5.0, 0.5], [5.0, 3.0]], [[-1.0, 1.5], [1.0, 2.0]])
     got = bounds(empty)
     assert (got.lambda_min, got.lambda_max, got.method) == (0.0, 0.0, "exact")
 
 
 def test_bands_refuse_reversed_lines():
-    # knots that do not overlap slip past the graph's own check
-    reversed_lines = band([[-9.0, 1.0], [-5.0, 1.0]], [[5.0, -1.0], [9.0, -1.0]])
-    with pytest.raises(ValueError, match="must dominate"):
-        bounds(reversed_lines)
+    # boundaries whose knot ranges share no q are refused whichever
+    # line lies on top: nowhere are both defined
+    with pytest.raises(ValueError, match="knot ranges must overlap"):
+        band([[-9.0, 1.0], [-5.0, 1.0]], [[5.0, -1.0], [9.0, -1.0]])
+    with pytest.raises(ValueError, match="knot ranges must overlap"):
+        band([[-9.0, -1.0], [-5.0, -1.0]], [[5.0, 1.0], [9.0, 1.0]])
 
 
 def test_not_bands_take_no_closed_form():
     """A kink, a finite end or non-parallel lines leave the region
-    without a closed form: exact refuses it, a window takes Nystrom."""
+    without a closed form: a window takes Nystrom."""
     half = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5]], b=-1.0)
     converging = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5 + 1e-6]])
     for s in (region_from_dict(KINKED), half, converging):
-        with pytest.raises(ValueError, match="no exact route"):
-            bounds(s, "exact")
         got = bounds(s, window=(-3.0, 3.0))
         assert got.method == "nystrom"
         assert got.warnings == (unbounded_note(-3.0, 3.0),)

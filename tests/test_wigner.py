@@ -1,6 +1,5 @@
 """Wigner transform, integral identities, quasiprobability, grid CSV."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -162,10 +161,7 @@ def test_quasiprobability_uncovered_region():
     w = wigner_transform(oscillator_state(0), small_axes(), small_axes())
     big = Disk((0.0, 0.0), 6.0)
     with pytest.raises(ValueError, match="uncovered region"):
-        quasiprobability(w, big, uncovered_tol=0.0)
-    with pytest.warns(UserWarning, match="truncated"):
-        got = quasiprobability(w, big)
-    assert abs(got - 1.0) < 1e-5
+        quasiprobability(w, big)
 
 
 def test_pointwise_bound_report():
@@ -222,10 +218,3 @@ def test_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="row-major"):
         read_wigner_csv(path)
 
-
-def test_truncation_warns_once_and_value_sane():
-    w = wigner_transform(oscillator_state(0), small_axes(0.1, 3.0), small_axes(0.1, 3.0))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        quasiprobability(w, Disk((2.5, 0.0), 1.0))
-    assert len(caught) == 1
