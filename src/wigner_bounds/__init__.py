@@ -4,12 +4,13 @@ The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
 computes those eigenvalues exactly for disks, ellipses, annuli and
 bands between parallel lines, in the number basis for any other bounded
-region, and by kernel discretization on a named window for any other
-unbounded region, with bounds() picking the route from the region
-alone; it also evaluates Wigner functions from sampled wavefunctions
-and checks measured quasiprobability grids against the bounds.
+region, and by kernel discretization on a named window
+(nystrom_extremes) for any other unbounded region, with bounds()
+picking the route from the region alone; it also evaluates Wigner
+functions from sampled wavefunctions and checks measured
+quasiprobability grids against the bounds.
 """
-from .kernels import KernelMatrix, apply_kernel, assemble, kernel_eval
+from .kernels import apply_kernel, assemble, kernel_eval
 from .regions import (
     Annulus,
     CanonicalMap,
@@ -40,8 +41,8 @@ from .spectra import (
     disk_eigenvalue,
     disk_envelope,
     disk_spectrum,
-    extremal_eigenvalues,
     fock_extremes,
+    nystrom_extremes,
 )
 from .states import (
     Ensemble,
@@ -77,7 +78,6 @@ __all__ = [
     "Ensemble",
     "Graph",
     "Identities",
-    "KernelMatrix",
     "PiecewiseLinear",
     "Region",
     "RegionUnion",
@@ -98,7 +98,6 @@ __all__ = [
     "disk_eigenvalue",
     "disk_envelope",
     "disk_spectrum",
-    "extremal_eigenvalues",
     "fock_extremes",
     "indicator",
     "integral_identities",
@@ -108,6 +107,7 @@ __all__ = [
     "mixed_wigner",
     "normalize",
     "number_state_wigner",
+    "nystrom_extremes",
     "oscillator_fn",
     "oscillator_state",
     "pointwise_bound_report",

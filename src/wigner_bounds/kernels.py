@@ -20,13 +20,11 @@ the Wigner function over the region are inner products against this
 operator, so its extreme eigenvalues are the sharp bounds.
 
 assemble discretizes the kernel on a named position grid (Nystrom,
-error O(h)).  bounds() takes it only for unbounded regions without a
-closed form; for bounded regions it is a verification oracle for the
-number-basis route.
+error O(h)).  spectra.nystrom_extremes diagonalizes it, the route
+bounds() takes only for unbounded regions without a closed form; for
+bounded regions it is a verification oracle for the number-basis route.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from .states import WavefunctionGrid
 
 __all__ = [
     "DEFAULT_POINTS_PER_UNIT",
-    "KernelMatrix",
     "apply_kernel",
     "assemble",
     "kernel_eval",
@@ -54,33 +51,6 @@ NEAR_DIAGONAL = 1e-8
 
 # density meeting the documented 1e-4 eigenvalue accuracy on disks
 DEFAULT_POINTS_PER_UNIT = 100
-
-
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Symmetrized Nystrom matrix of a region kernel on a uniform grid."""
-
-    x0: float
-    dx: float
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
-        if np.max(np.abs(a - a.conj().T)) > 1e-12:
-            raise ValueError("matrix must be Hermitian to 1e-12")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    def __len__(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.a.shape[0])
 
 
 def _disk_kernel(radius: float, m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -176,8 +146,9 @@ def apply_kernel(s: Region, psi: WavefunctionGrid) -> WavefunctionGrid:
     return WavefunctionGrid(psi.x0, psi.dx, (k @ psi.values) * psi.dx)
 
 
-def assemble(s: Region, x0: float, dx: float, count: int) -> KernelMatrix:
-    """Nystrom matrix a_ij = dx K(x_i, x_j), symmetrized to (a + a^H)/2.
+def assemble(s: Region, x0: float, dx: float, count: int) -> np.ndarray:
+    """Nystrom matrix a_ij = dx K(x_i, x_j), symmetrized to (a + a^H)/2,
+    so Hermitian by construction.
 
     The grid x0 + dx * arange(count) must cover the q extent of every
     bounded part of s, as for apply_kernel.
@@ -187,4 +158,4 @@ def assemble(s: Region, x0: float, dx: float, count: int) -> KernelMatrix:
     xs = x0 + dx * np.arange(count)
     _check_q_support(s, x0, xs[-1])
     a = dx * kernel_eval(s, xs[:, None], xs[None, :])
-    return KernelMatrix(x0=x0, dx=dx, a=(a + a.conj().T) / 2.0)
+    return (a + a.conj().T) / 2.0

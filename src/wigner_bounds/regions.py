@@ -166,14 +166,10 @@ class Graph:
                 raise ValueError("boundary knots must span [b, c]")
             if math.isfinite(c) and f.qmax < c:
                 raise ValueError("boundary knots must span [b, c]")
-        # the boundaries are defined only where both knot ranges reach
-        lo = max(self.f1.qmin, self.f2.qmin, b)
-        hi = min(self.f1.qmax, self.f2.qmax, c)
-        if not lo < hi:
+        qs = _graph_knots(self)
+        if len(qs) < 2:
             raise ValueError("boundary knot ranges must overlap on (b, c)")
         # piecewise-linear difference attains its minimum at a knot
-        qs = np.unique(np.concatenate([self.f1.qs, self.f2.qs, [lo, hi]]))
-        qs = qs[(qs >= lo) & (qs <= hi)]
         if np.any(self.f2.evaluate(qs) < self.f1.evaluate(qs) - 1e-12):
             raise ValueError("upper boundary must dominate lower boundary on (b, c)")
 
@@ -226,8 +222,13 @@ Region = Union[Disk, Ellipse, Annulus, Graph, RegionUnion]
 
 
 def _graph_knots(s: Graph) -> np.ndarray:
-    qs = np.unique(np.concatenate([s.f1.qs, s.f2.qs, [s.b, s.c]]))
-    return qs[(qs >= s.b) & (qs <= s.c)]
+    # every knot of both boundaries where both are defined: from
+    # max(b, first knots) to min(c, last knots), ends included, so all
+    # of [b, c] for a bounded graph; fewer than two when they share no q
+    lo = max(s.b, s.f1.qmin, s.f2.qmin)
+    hi = min(s.c, s.f1.qmax, s.f2.qmax)
+    qs = np.unique(np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]]))
+    return qs[(qs >= lo) & (qs <= hi)]
 
 
 def _sample_box(s: Region) -> tuple[float, float, float, float]:
@@ -237,11 +238,9 @@ def _sample_box(s: Region) -> tuple[float, float, float, float]:
         return _hull([_sample_box(part) for part in s.parts])
     if not isinstance(s, Graph):
         return bounding_box(s)
-    lo = max(s.b, s.f1.qmin, s.f2.qmin)
-    hi = min(s.c, s.f1.qmax, s.f2.qmax)
-    qs = np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]])
-    qs = qs[(qs >= lo) & (qs <= hi)]
-    return lo, hi, float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
+    qs = _graph_knots(s)
+    pmin, pmax = float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
+    return float(qs[0]), float(qs[-1]), pmin, pmax
 
 
 def indicator(s: Region, q, p):
@@ -311,8 +310,7 @@ def bounding_box(s: Region) -> tuple[float, float, float, float]:
     if isinstance(s, Graph):
         if not (math.isfinite(s.b) and math.isfinite(s.c)):
             return s.b, s.c, -math.inf, math.inf
-        qs = _graph_knots(s)
-        return s.b, s.c, float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
+        return _sample_box(s)  # the knots of a bounded graph span [b, c]
     if isinstance(s, RegionUnion):
         return _hull([bounding_box(part) for part in s.parts])
     raise TypeError("not a region: %r" % (s,))

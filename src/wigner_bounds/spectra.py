@@ -24,10 +24,10 @@ cross-Wigner function W_mn, is integrated with a rule exact in the
 region's geometry, and the extremes of its leading blocks converge
 from inside by Cauchy interlacing.  An unbounded region without a
 closed form (a graph that is not a band, or a band under
-method="numeric") takes the discretized kernel from kernels.assemble
-on a named window (extremal_eigenvalues); its value is the kernel
-compressed to the window: an inner estimate that moves with the
-window, not a bound.
+method="numeric") takes the Nystrom route (nystrom_extremes): the
+kernel discretized by kernels.assemble on a named window, whose value
+is the kernel compressed to the window: an inner estimate that moves
+with the window, not a bound.
 
 bounds(region) is the one entry point that picks among these routes
 from the region alone: the closed forms for disks, ellipses (reduced
@@ -38,11 +38,11 @@ method="numeric" skips the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DEFAULT_POINTS_PER_UNIT, KernelMatrix, assemble
+from .kernels import DEFAULT_POINTS_PER_UNIT, assemble
 from .regions import Annulus, Disk, Ellipse, Graph, Region, bounding_box, quadrature
 from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
@@ -51,6 +51,7 @@ __all__ = [
     "DISK_RADIUS_LIMIT",
     "FOCK_MAX_BASIS",
     "FOCK_TOL",
+    "NYSTROM_MAX_POINTS",
     "SpectrumResult",
     "annulus_eigenvalue",
     "annulus_envelope",
@@ -60,8 +61,8 @@ __all__ = [
     "disk_eigenvalue",
     "disk_envelope",
     "disk_spectrum",
-    "extremal_eigenvalues",
     "fock_extremes",
+    "nystrom_extremes",
 ]
 
 # past this radius e^{-a^2} leaves the normal float range and the sweep
@@ -78,6 +79,11 @@ FOCK_GROWTH = 1.5
 # quadrature nodes per unit length per unit of sqrt(2N + 1), the largest
 # phase-plane wavenumber of the basis over two
 FOCK_DENSITY = 0.75
+
+# the Nystrom route's memory grows as n^2 (a 190 MB peak at 1251
+# points, 669 MB at 2501, on a 2-core 8 GB VM); its grid stops at a span
+# of 40 at DEFAULT_POINTS_PER_UNIT, about 1.7 GB by the same scaling
+NYSTROM_MAX_POINTS = 4001
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,31 +267,6 @@ def crossing_radius(n: int, tol: float = 1e-10) -> float:
     return (lo + hi) / 2.0
 
 
-def extremal_eigenvalues(km: KernelMatrix) -> SpectrumResult:
-    """Extreme eigenvalues of a discretized kernel with eigenvectors.
-
-    Eigenvectors come back as wavefunctions on the kernel grid,
-    normalized so that sum |psi|^2 dx = 1; the residual is the larger of
-    ||A v - lambda v||_2 over the two extremes.
-    """
-    a = km.a
-    w, v = np.linalg.eigh(a)
-    vmin, vmax = v[:, 0], v[:, -1]
-    res = max(
-        float(np.linalg.norm(a @ vmin - w[0] * vmin)),
-        float(np.linalg.norm(a @ vmax - w[-1] * vmax)),
-    )
-    scale = 1.0 / math.sqrt(km.dx)
-    return SpectrumResult(
-        lambda_min=float(w[0]),
-        lambda_max=float(w[-1]),
-        method="nystrom",
-        residual=res,
-        psi_min=WavefunctionGrid(km.x0, km.dx, vmin * scale),
-        psi_max=WavefunctionGrid(km.x0, km.dx, vmax * scale),
-    )
-
-
 def _fock_vectors(vecs: np.ndarray, center) -> list[WavefunctionGrid]:
     # column c holds the coefficients on the displaced number states
     # D(q0, p0)|n>, whose wavefunctions are e^{i p0 (x - q0)} h_n(x - q0)
@@ -320,7 +301,7 @@ def fock_extremes(s: Region) -> SpectrumResult:
     """
     qmin, qmax, pmin, pmax = bounding_box(s)
     if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
-        raise ValueError("unbounded region needs an explicit window: the Fock route needs a bounded one")
+        raise ValueError("the Fock route needs a bounded region")
     center = (0.5 * (qmin + qmax), 0.5 * (pmin + pmax))
     reach = 0.5 * math.hypot(qmax - qmin, pmax - pmin)
     size = min(FOCK_MAX_BASIS, math.ceil((reach + 4.0) ** 2 / 2.0))
@@ -354,6 +335,56 @@ def fock_extremes(s: Region) -> SpectrumResult:
         top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
 
 
+def nystrom_extremes(s: Region, window) -> SpectrumResult:
+    """Extreme eigenvalues of s's kernel discretized on the window (LO, HI).
+
+    The window gets round((HI - LO) DEFAULT_POINTS_PER_UNIT) + 1 uniform
+    points, at least 2 and at most NYSTROM_MAX_POINTS, checked before
+    anything is allocated; kernels.assemble builds the matrix and the
+    whole of it is diagonalized.  Eigenvectors come back as
+    wavefunctions on the grid, normalized so that sum |psi|^2 dx = 1;
+    the residual is the larger of ||A v - lambda v||_2 over the two
+    extremes.  On an unbounded region the value is the kernel
+    compressed to the window, and the result carries a warning that it
+    is not a bound.
+    """
+    if window is None:
+        raise ValueError("unbounded region with no closed form needs a window (--window LO HI)")
+    lo, hi = (float(v) for v in window)
+    n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
+    if n < 2:
+        raise ValueError("window %g..%g holds fewer than 2 grid points" % (lo, hi))
+    if n > NYSTROM_MAX_POINTS:
+        raise ValueError(
+            "window %g..%g needs %d grid points, past the Nystrom limit of %d"
+            % (lo, hi, n, NYSTROM_MAX_POINTS)
+        )
+    dx = (hi - lo) / (n - 1)
+    a = assemble(s, lo, dx, n)
+    w, v = np.linalg.eigh(a)
+    vmin, vmax = v[:, 0], v[:, -1]
+    res = max(
+        float(np.linalg.norm(a @ vmin - w[0] * vmin)),
+        float(np.linalg.norm(a @ vmax - w[-1] * vmax)),
+    )
+    notes = []
+    if not all(math.isfinite(edge) for edge in bounding_box(s)):
+        notes.append(
+            "unbounded region: this is the kernel compressed to the window %g..%g,"
+            " an inner estimate that moves with the window, not a bound" % (lo, hi)
+        )
+    scale = 1.0 / math.sqrt(dx)
+    return SpectrumResult(
+        lambda_min=float(w[0]),
+        lambda_max=float(w[-1]),
+        method="nystrom",
+        residual=res,
+        psi_min=WavefunctionGrid(lo, dx, vmin * scale),
+        psi_max=WavefunctionGrid(lo, dx, vmax * scale),
+        warnings=notes,
+    )
+
+
 def _band_bounds(s: Region) -> SpectrumResult | None:
     """Sharp bounds for a band between two parallel lines, or None.
 
@@ -371,10 +402,9 @@ def _band_bounds(s: Region) -> SpectrumResult | None:
     slopes = np.concatenate([np.diff(f.values) / np.diff(f.qs) for f in (s.f1, s.f2)])
     if np.ptp(slopes) > 1e-12 * max(1.0, float(np.max(np.abs(slopes)))):
         return None
-    # the gap f2 - f1 is constant; read it at the first knot of f1
+    # the gap f2 - f1 is constant, and Graph has checked that it is not
+    # negative; read it at the first knot of f1
     gap = s.f2.values[0] + slopes[0] * (s.f1.qs[0] - s.f2.qs[0]) - s.f1.values[0]
-    if gap < -1e-12:
-        raise ValueError("upper boundary must dominate lower boundary on (b, c)")
     return SpectrumResult(lambda_min=0.0, lambda_max=1.0 if gap > 1e-12 else 0.0, method="exact")
 
 
@@ -386,8 +416,7 @@ def bounds(s: Region, method: str = "auto", window=None) -> SpectrumResult:
     with n_min/n_max None), and the Fock route for any other bounded
     region; "numeric" skips the closed forms.  The result's method
     names the route taken.  An unbounded region left without a closed
-    form needs a finite window (LO, HI): it takes the Nystrom route on
-    that window at DEFAULT_POINTS_PER_UNIT points per unit, and the
+    form takes nystrom_extremes, which needs a window (LO, HI); its
     result carries a warning that it is the kernel compressed to the
     window, not a bound.  A window that is not finite with LO < HI is
     refused on every region; on a bounded one a valid window is ignored.
@@ -408,14 +437,6 @@ def bounds(s: Region, method: str = "auto", window=None) -> SpectrumResult:
         band = _band_bounds(s)
         if band is not None:
             return band
-    if window is None or all(math.isfinite(v) for v in bounding_box(s)):
+    if all(math.isfinite(v) for v in bounding_box(s)):
         return fock_extremes(s)
-    n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
-    if n < 2:
-        raise ValueError("window %g..%g holds fewer than 2 grid points" % (lo, hi))
-    res = extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
-    note = (
-        "unbounded region: this is the kernel compressed to the window %g..%g,"
-        " an inner estimate that moves with the window, not a bound" % (lo, hi)
-    )
-    return replace(res, warnings=(note,))
+    return nystrom_extremes(s, window)

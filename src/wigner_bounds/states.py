@@ -17,6 +17,7 @@ __all__ = [
     "normalize",
     "oscillator_state",
     "read_state_csv",
+    "write_state_csv",
 ]
 
 # default position grid: [-8, 8] at dx = 0.005; fine enough that

@@ -215,6 +215,29 @@ def test_bounds_band_is_exact(tmp_path, capsys):
     assert "unbounded region" in capsys.readouterr().err
 
 
+def test_bounds_nystrom_window_is_needed_and_capped(tmp_path, capsys):
+    """An unbounded region without a closed form names the missing
+    window, and a window past the Nystrom grid limit is refused before
+    its matrix is allocated: one error line, exit 2."""
+    kinked = write_region(
+        tmp_path, "kinked.json",
+        {"type": "graph", "b": "-inf", "c": "+inf",
+         "f1": [[-6000.0, -0.5], [6000.0, -0.5]],
+         "f2": [[-6000.0, 2997.5], [-6.0, 0.5], [6.0, 0.5], [6000.0, 2997.5]]},
+    )
+    for argv, message in (
+        ([], "unbounded region with no closed form needs a window (--window LO HI)"),
+        (["--window", "-5000", "5000"],
+         "window -5000..5000 needs 1000001 grid points, past the Nystrom limit of 4001"),
+        (["--window", "-20.01", "20.01"],
+         "window -20.01..20.01 needs 4003 grid points, past the Nystrom limit of 4001"),
+    ):
+        assert main(["bounds", kinked, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+
 def test_curves_output(capsys):
     assert main(["curves", "--a-max", "1.5", "--steps", "16", "--n-max", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -19,7 +19,6 @@ from wigner_bounds import (
     assemble,
     bounding_box,
     disk_envelope,
-    extremal_eigenvalues,
     fock_extremes,
     quadrature,
 )
@@ -110,9 +109,8 @@ def test_fock_against_nystrom_on_random_regions():
     worst = 0.0
     for region in random_regions(np.random.default_rng(20260814)):
         fock = fock_extremes(region)
-        nys = extremal_eigenvalues(assemble(region, -8.0, h, 801))
-        assert not nys.warnings
-        worst = max(worst, abs(fock.lambda_min - nys.lambda_min), abs(fock.lambda_max - nys.lambda_max))
+        nys = np.linalg.eigvalsh(assemble(region, -8.0, h, 801))
+        worst = max(worst, abs(fock.lambda_min - nys[0]), abs(fock.lambda_max - nys[-1]))
     assert worst < 0.05 * h
 
 

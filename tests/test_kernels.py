@@ -10,7 +10,6 @@ from wigner_bounds import (
     Disk,
     Ellipse,
     Graph,
-    KernelMatrix,
     PiecewiseLinear,
     RegionUnion,
     apply_kernel,
@@ -133,9 +132,10 @@ def test_apply_kernel_needs_support():
 
 
 def test_assemble_trace_matches_area():
-    km = assemble(Disk((0.0, 0.0), 1.0), -6.0, 0.01, 1201)
+    a = assemble(Disk((0.0, 0.0), 1.0), -6.0, 0.01, 1201)
     want = math.pi / (2 * math.pi)
-    assert abs(np.real(np.trace(km.a)) - want) < 0.005 * want
+    assert abs(np.real(np.trace(a)) - want) < 0.005 * want
+    assert np.array_equal(a, a.conj().T)  # Hermitian by construction
 
 
 def test_assemble_window_warning():
@@ -153,24 +153,15 @@ def test_assemble_empty_disk_is_numerically_null():
     """A vanishing disk has a vanishing kernel matrix.  The window is
     offset so no quadrature pair straddles x + y = 0 head-on; symmetric
     windows resolve the band as one anti-diagonal of height dx a/pi."""
-    km = assemble(Disk((0.0, 0.0), 1e-6), -6.0033, 0.01, 1201)
-    eigs = np.linalg.eigvalsh(km.a)
+    eigs = np.linalg.eigvalsh(assemble(Disk((0.0, 0.0), 1e-6), -6.0033, 0.01, 1201))
     assert np.max(np.abs(eigs)) < 1e-11
 
 
 def test_assemble_disk_spectrum_many_modes():
     """Eigenvalues of the discretized disk kernel track the closed-form
     curve values for n <= 10."""
-    km = assemble(Disk((0.0, 0.0), 1.0), -6.0, 12.0 / 960, 961)
-    eigs = np.linalg.eigvalsh(km.a)
+    eigs = np.linalg.eigvalsh(assemble(Disk((0.0, 0.0), 1.0), -6.0, 12.0 / 960, 961))
     for n in range(11):
         lam = disk_eigenvalue(n, 1.0)
         assert np.min(np.abs(eigs - lam)) < 1e-4
 
-
-def test_kernel_matrix_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        KernelMatrix(0.0, 0.1, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    km = KernelMatrix(0.0, 0.5, np.eye(3))
-    assert len(km) == 3
-    assert np.allclose(km.xs, [0.0, 0.5, 1.0])

@@ -1,6 +1,10 @@
 """The README's library quick tour runs and names only real functions,
-and its command line section names only real flags."""
+and its command line section names only real flags; the package
+exports only what its modules export."""
 import argparse
+import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -39,3 +43,17 @@ def test_command_line_flags_exist():
     assert "--window" in named
     missing = sorted(named - flags)
     assert not missing, "README names %s, which no subcommand takes" % missing
+
+
+def test_package_exports_match_module_exports():
+    """Every name in the package's __all__ is in the __all__ of the
+    module the package imports it from."""
+    source = {
+        alias.name: node.module
+        for node in ast.parse(inspect.getsource(wigner_bounds)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for name in wigner_bounds.__all__:
+        module = importlib.import_module("wigner_bounds." + source[name])
+        assert name in module.__all__, "%s.__all__ lacks %s" % (module.__name__, name)

@@ -1,5 +1,4 @@
 """Eigenvalue curves, envelopes, crossings and the discretized solver."""
-import dataclasses
 import math
 
 import numpy as np
@@ -10,24 +9,21 @@ from scipy.special import eval_laguerre
 from wigner_bounds import (
     CanonicalMap,
     Disk,
-    KernelMatrix,
     SpectrumResult,
     annulus_eigenvalue,
     annulus_envelope,
     apply_canonical,
-    assemble,
     bounds,
     crossing_radius,
     disk_eigenvalue,
     disk_envelope,
     disk_spectrum,
-    extremal_eigenvalues,
     fock_extremes,
+    nystrom_extremes,
     reduce_ellipse,
     region_from_dict,
 )
 from wigner_bounds import spectra
-from wigner_bounds.kernels import DEFAULT_POINTS_PER_UNIT
 from wigner_bounds.spectra import DISK_RADIUS_LIMIT
 
 # greatest root of lambda_3(a) = lambda_4(a), frozen from a dense scan
@@ -167,32 +163,36 @@ def test_crossing_radii():
         crossing_radius(0)
 
 
-def test_extremal_eigenvalues_trivial_matrices():
-    zero = KernelMatrix(0.0, 0.1, np.zeros((4, 4)))
-    res = extremal_eigenvalues(zero)
+def test_nystrom_extremes_on_an_empty_band():
+    """Coincident lines leave a zero kernel, so the discretized route
+    returns exact zeros with a zero residual, and warns that an
+    unbounded region's value is not a bound."""
+    line = [[-5.0, 0.5], [5.0, 0.5]]
+    res = nystrom_extremes(band(line, line), (-1.0, 1.0))
     assert (res.lambda_min, res.lambda_max) == (0.0, 0.0)
-    diag = KernelMatrix(0.0, 0.1, np.diag([0.3, -0.1]))
-    res = extremal_eigenvalues(diag)
-    assert (res.lambda_min, res.lambda_max) == (-0.1, 0.3)
     assert res.method == "nystrom"
     assert res.residual < 1e-14
+    assert res.warnings == (unbounded_note(-1.0, 1.0),)
+    assert (res.psi_max.x0, res.psi_max.dx, len(res.psi_max)) == (-1.0, 0.01, 201)
 
 
 def test_extremal_eigenvectors_normalized():
-    km = assemble(Disk((0.0, 0.0), 1.0), -6.0, 0.025, 481)
-    res = extremal_eigenvalues(km)
+    res = nystrom_extremes(Disk((0.0, 0.0), 1.0), (-7.0, 7.0))
     assert abs(res.psi_min.norm() - 1.0) < 1e-12
     assert abs(res.psi_max.norm() - 1.0) < 1e-12
-    # extremizers live near the disk, not at the window edge
-    tails = np.abs(res.psi_max.values[:40])
+    assert res.residual < 1e-14
+    # extremizers live near the disk, not in the unit at the window edge
+    # (the ground state itself is 2.8e-6 at |x| = 5)
+    tails = np.abs(res.psi_max.values[:100])
     assert np.max(tails) < 1e-6
 
 
 def test_nystrom_matches_envelope():
     env = disk_envelope(1.5)
-    res = extremal_eigenvalues(assemble(Disk((0.0, 0.0), 1.5), -6.0, 0.01, 1201))
+    res = nystrom_extremes(Disk((0.0, 0.0), 1.5), (-6.0, 6.0))
     assert abs(res.lambda_min - env.lambda_min) < 1e-4
     assert abs(res.lambda_max - env.lambda_max) < 1e-4
+    assert res.method == "nystrom" and res.warnings == ()  # a bounded region
 
 
 def test_annulus_envelope_scans_both_sides():
@@ -256,13 +256,6 @@ def unbounded_note(lo, hi):
     )
 
 
-def nystrom(s, window):
-    lo, hi = window
-    n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
-    res = extremal_eigenvalues(assemble(s, lo, (hi - lo) / (n - 1), n))
-    return dataclasses.replace(res, warnings=(unbounded_note(lo, hi),))
-
-
 def expected_route(shape, method, grid):
     """The direct call bounds() must match, or None where it must raise."""
     if shape in CLOSED_FORMS and method != "numeric":
@@ -273,7 +266,7 @@ def expected_route(shape, method, grid):
         return None
     if shape != "strip":  # every bounded region takes Fock, window or not
         return fock_extremes
-    return lambda s: nystrom(s, **grid)
+    return lambda s: nystrom_extremes(s, **grid)
 
 
 @pytest.mark.parametrize("grid", [*GRIDS, *REMOVED_GRIDS])
@@ -306,7 +299,7 @@ def test_bounds_refusals():
     for method in ("exact", "fock", True, None):
         with pytest.raises(ValueError, match="method must be"):
             bounds(disk, method)
-    with pytest.raises(ValueError, match="unbounded region"):
+    with pytest.raises(ValueError, match="unbounded region with no closed form needs a window"):
         bounds(region_from_dict(KINKED))
     # a malformed window is refused even where a closed form wins
     for window in ((-6.0, math.inf), (math.nan, 6.0), (2.0, -2.0)):
@@ -347,8 +340,11 @@ def test_bands_between_parallel_lines_are_exact():
 
 
 def test_bands_refuse_reversed_lines():
-    # boundaries whose knot ranges share no q are refused whichever
-    # line lies on top: nowhere are both defined
+    # the graph itself refuses a reversed band: where the knot ranges
+    # overlap it compares the lines, and where they share no q nowhere
+    # are both defined, whichever line lies on top
+    with pytest.raises(ValueError, match="upper boundary must dominate"):
+        band([[-9.0, 1.0], [9.0, 1.0]], [[-9.0, -1.0], [9.0, -1.0]])
     with pytest.raises(ValueError, match="knot ranges must overlap"):
         band([[-9.0, 1.0], [-5.0, 1.0]], [[5.0, -1.0], [9.0, -1.0]])
     with pytest.raises(ValueError, match="knot ranges must overlap"):
