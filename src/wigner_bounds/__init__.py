@@ -3,14 +3,12 @@
 The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
 computes those eigenvalues exactly for disks, ellipses, annuli and
-bands between parallel lines, in the number basis for any other bounded
-region, and by kernel discretization on a named window
-(nystrom_extremes) for any other unbounded region, with bounds()
-picking the route from the region alone; it also evaluates Wigner
+bands between parallel lines and in the number basis for any other
+bounded region, with bounds() picking the route from the region alone
+and refusing any other unbounded region; it also evaluates Wigner
 functions from sampled wavefunctions and checks measured
 quasiprobability grids against the bounds.
 """
-from .kernels import apply_kernel, assemble, kernel_eval
 from .regions import (
     Annulus,
     CanonicalMap,
@@ -42,7 +40,6 @@ from .spectra import (
     disk_envelope,
     disk_spectrum,
     fock_extremes,
-    nystrom_extremes,
 )
 from .states import (
     Ensemble,
@@ -87,9 +84,7 @@ __all__ = [
     "annulus_eigenvalue",
     "annulus_envelope",
     "apply_canonical",
-    "apply_kernel",
     "area",
-    "assemble",
     "bounding_box",
     "bounds",
     "coherent_state",
@@ -101,13 +96,11 @@ __all__ = [
     "fock_extremes",
     "indicator",
     "integral_identities",
-    "kernel_eval",
     "laguerre_poly",
     "load_region",
     "mixed_wigner",
     "normalize",
     "number_state_wigner",
-    "nystrom_extremes",
     "oscillator_fn",
     "oscillator_state",
     "pointwise_bound_report",

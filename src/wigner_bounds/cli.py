@@ -48,7 +48,9 @@ def _fmt(x: float) -> str:
 
 
 def cmd_bounds(args) -> int:
-    res = bounds(load_region(args.region), args.method, args.window)
+    if args.ignored_lo_hi is not None:
+        print("warning: --window is ignored: no route uses a window", file=sys.stderr)
+    res = bounds(load_region(args.region), args.method)
     for note in res.warnings:
         print("warning: %s" % note, file=sys.stderr)
     line = "lambda_min=%s lambda_max=%s method=%s" % (
@@ -58,8 +60,6 @@ def cmd_bounds(args) -> int:
     )
     if res.method == "fock":
         line += " basis=%d error=%s" % (res.basis_size, _fmt(res.error_estimate))
-    elif res.method == "nystrom":
-        line += " residual=%s" % _fmt(res.residual)
     print(line)
     return 0
 
@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="bounds for a region JSON file")
     b.add_argument("region", help="region JSON file")
-    b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), help="Nystrom window for an unbounded region; ignored on bounded ones")
-    b.add_argument("--numeric", dest="method", action="store_const", const="numeric", help="skip the closed forms: Fock route on bounded regions, Nystrom on unbounded ones")
+    b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), dest="ignored_lo_hi", help="accepted and ignored, with a warning: no route uses a window")
+    b.add_argument("--numeric", dest="method", action="store_const", const="numeric", help="skip the closed forms: Fock route on bounded regions, refusal on unbounded ones")
     b.set_defaults(func=cmd_bounds, method="auto")
 
     c = sub.add_parser("curves", help="disk eigenvalue curves as TSV on stdout")

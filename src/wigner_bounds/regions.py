@@ -90,7 +90,7 @@ class PiecewiseLinear:
         if np.any(q < self.qs[0]) or np.any(q > self.qs[-1]):
             raise ValueError(
                 "evaluation outside knot range [%g, %g]: extend the knot"
-                " lists to cover every q the kernel samples" % (self.qs[0], self.qs[-1])
+                " lists to cover every q the region is evaluated at" % (self.qs[0], self.qs[-1])
             )
         out = np.interp(q, self.qs, self.values)
         return out if out.ndim else float(out)
@@ -145,7 +145,7 @@ class Graph:
     For finite b, c the knot tables of both boundaries must span [b, c];
     in any case they must share a q interval inside (b, c).
     The boundaries need not pinch together at b and c: open strips are
-    legitimate regions and their kernels are well defined.
+    legitimate regions.
     """
 
     b: float

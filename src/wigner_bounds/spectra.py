@@ -1,4 +1,4 @@
-"""Extreme eigenvalues of region kernels, exact and discretized.
+"""Extreme eigenvalues of region kernels, in closed form or in the number basis.
 
 The eigenvalues of a disk kernel of radius a are
 
@@ -22,17 +22,13 @@ Any other bounded region takes the Fock route (fock_extremes): the
 kernel's matrix in the number basis, <m|K_S|n> = integral over S of the
 cross-Wigner function W_mn, is integrated with a rule exact in the
 region's geometry, and the extremes of its leading blocks converge
-from inside by Cauchy interlacing.  An unbounded region without a
-closed form (a graph that is not a band, or a band under
-method="numeric") takes the Nystrom route (nystrom_extremes): the
-kernel discretized by kernels.assemble on a named window, whose value
-is the kernel compressed to the window: an inner estimate that moves
-with the window, not a bound.
+from inside by Cauchy interlacing.  An unbounded region that is not a
+band has no sharp bound here and is refused.
 
 bounds(region) is the one entry point that picks among these routes
 from the region alone: the closed forms for disks, ellipses (reduced
 to the disk of equal area), annuli and bands; otherwise the Fock route
-for a bounded region and the discretized kernel for an unbounded one.
+for a bounded region and a refusal for an unbounded one.
 method="numeric" skips the closed forms.
 """
 from __future__ import annotations
@@ -42,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DEFAULT_POINTS_PER_UNIT, assemble
 from .regions import Annulus, Disk, Ellipse, Graph, Region, bounding_box, quadrature
 from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
@@ -51,7 +46,6 @@ __all__ = [
     "DISK_RADIUS_LIMIT",
     "FOCK_MAX_BASIS",
     "FOCK_TOL",
-    "NYSTROM_MAX_POINTS",
     "SpectrumResult",
     "annulus_eigenvalue",
     "annulus_envelope",
@@ -62,7 +56,6 @@ __all__ = [
     "disk_envelope",
     "disk_spectrum",
     "fock_extremes",
-    "nystrom_extremes",
 ]
 
 # past this radius e^{-a^2} leaves the normal float range and the sweep
@@ -79,11 +72,8 @@ FOCK_GROWTH = 1.5
 # quadrature nodes per unit length per unit of sqrt(2N + 1), the largest
 # phase-plane wavenumber of the basis over two
 FOCK_DENSITY = 0.75
-
-# the Nystrom route's memory grows as n^2 (a 190 MB peak at 1251
-# points, 669 MB at 2501, on a 2-core 8 GB VM); its grid stops at a span
-# of 40 at DEFAULT_POINTS_PER_UNIT, about 1.7 GB by the same scaling
-NYSTROM_MAX_POINTS = 4001
+# position grid points per unit length of the Fock eigenvectors
+FOCK_VECTOR_POINTS_PER_UNIT = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +81,14 @@ class SpectrumResult:
     """Extreme eigenvalues of a region kernel.
 
     method is "exact" (closed-form eigenvalue curves, or the [0, 1] of
-    a band), "fock" (number basis matrix) or "nystrom" (discretized
-    kernel).  n_min/n_max index the eigenvalue curves of a conic on the
-    exact route; a band has none and leaves them None.  The Fock route
-    reports its basis_size and, as error_estimate, the last change of the
-    extremes as the basis grew; that change is a convergence signal, not
-    a bound on the error, which can be larger (1.2e-10 against an
-    estimate of 7.7e-11 on two radius-0.7 disks at (+-1.8, 0)).  The
-    Nystrom route reports the residual.
-    Both attach the extreme eigenvectors as position grids.
+    a band) or "fock" (number basis matrix).  n_min/n_max index the
+    eigenvalue curves of a conic on the exact route; a band has none and
+    leaves them None.  The Fock route reports its basis_size and, as
+    error_estimate, the last change of the extremes as the basis grew;
+    that change is a convergence signal, not a bound on the error, which
+    can be larger (1.2e-10 against an estimate of 7.7e-11 on two
+    radius-0.7 disks at (+-1.8, 0)).  It also attaches the extreme
+    eigenvectors as position grids.
     """
 
     lambda_min: float
@@ -107,7 +96,6 @@ class SpectrumResult:
     method: str
     n_min: int | None = None
     n_max: int | None = None
-    residual: float | None = None
     psi_min: WavefunctionGrid | None = None
     psi_max: WavefunctionGrid | None = None
     basis_size: int | None = None
@@ -115,8 +103,8 @@ class SpectrumResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.method not in ("exact", "fock", "nystrom"):
-            raise ValueError("method must be 'exact', 'fock' or 'nystrom'")
+        if self.method not in ("exact", "fock"):
+            raise ValueError("method must be 'exact' or 'fock'")
         if not self.lambda_min <= self.lambda_max:
             raise ValueError("lambda_min exceeds lambda_max")
         object.__setattr__(self, "warnings", tuple(self.warnings))
@@ -272,7 +260,7 @@ def _fock_vectors(vecs: np.ndarray, center) -> list[WavefunctionGrid]:
     # D(q0, p0)|n>, whose wavefunctions are e^{i p0 (x - q0)} h_n(x - q0)
     # up to one common phase; the grid spans every basis function
     half = math.sqrt(2.0 * vecs.shape[0] + 1.0) + 4.0
-    count = int(round(2.0 * half * DEFAULT_POINTS_PER_UNIT)) + 1
+    count = int(round(2.0 * half * FOCK_VECTOR_POINTS_PER_UNIT)) + 1
     dx = 2.0 * half / (count - 1)
     xs = np.linspace(-half, half, count)
     phase = np.exp(1j * center[1] * xs)
@@ -335,56 +323,6 @@ def fock_extremes(s: Region) -> SpectrumResult:
         top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
 
 
-def nystrom_extremes(s: Region, window) -> SpectrumResult:
-    """Extreme eigenvalues of s's kernel discretized on the window (LO, HI).
-
-    The window gets round((HI - LO) DEFAULT_POINTS_PER_UNIT) + 1 uniform
-    points, at least 2 and at most NYSTROM_MAX_POINTS, checked before
-    anything is allocated; kernels.assemble builds the matrix and the
-    whole of it is diagonalized.  Eigenvectors come back as
-    wavefunctions on the grid, normalized so that sum |psi|^2 dx = 1;
-    the residual is the larger of ||A v - lambda v||_2 over the two
-    extremes.  On an unbounded region the value is the kernel
-    compressed to the window, and the result carries a warning that it
-    is not a bound.
-    """
-    if window is None:
-        raise ValueError("unbounded region with no closed form needs a window (--window LO HI)")
-    lo, hi = (float(v) for v in window)
-    n = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
-    if n < 2:
-        raise ValueError("window %g..%g holds fewer than 2 grid points" % (lo, hi))
-    if n > NYSTROM_MAX_POINTS:
-        raise ValueError(
-            "window %g..%g needs %d grid points, past the Nystrom limit of %d"
-            % (lo, hi, n, NYSTROM_MAX_POINTS)
-        )
-    dx = (hi - lo) / (n - 1)
-    a = assemble(s, lo, dx, n)
-    w, v = np.linalg.eigh(a)
-    vmin, vmax = v[:, 0], v[:, -1]
-    res = max(
-        float(np.linalg.norm(a @ vmin - w[0] * vmin)),
-        float(np.linalg.norm(a @ vmax - w[-1] * vmax)),
-    )
-    notes = []
-    if not all(math.isfinite(edge) for edge in bounding_box(s)):
-        notes.append(
-            "unbounded region: this is the kernel compressed to the window %g..%g,"
-            " an inner estimate that moves with the window, not a bound" % (lo, hi)
-        )
-    scale = 1.0 / math.sqrt(dx)
-    return SpectrumResult(
-        lambda_min=float(w[0]),
-        lambda_max=float(w[-1]),
-        method="nystrom",
-        residual=res,
-        psi_min=WavefunctionGrid(lo, dx, vmin * scale),
-        psi_max=WavefunctionGrid(lo, dx, vmax * scale),
-        warnings=notes,
-    )
-
-
 def _band_bounds(s: Region) -> SpectrumResult | None:
     """Sharp bounds for a band between two parallel lines, or None.
 
@@ -408,7 +346,7 @@ def _band_bounds(s: Region) -> SpectrumResult | None:
     return SpectrumResult(lambda_min=0.0, lambda_max=1.0 if gap > 1e-12 else 0.0, method="exact")
 
 
-def bounds(s: Region, method: str = "auto", window=None) -> SpectrumResult:
+def bounds(s: Region, method: str = "auto") -> SpectrumResult:
     """Sharp bounds on the integral of any Wigner function over s.
 
     method "auto" takes the closed forms for disks, ellipses and annuli
@@ -416,17 +354,11 @@ def bounds(s: Region, method: str = "auto", window=None) -> SpectrumResult:
     with n_min/n_max None), and the Fock route for any other bounded
     region; "numeric" skips the closed forms.  The result's method
     names the route taken.  An unbounded region left without a closed
-    form takes nystrom_extremes, which needs a window (LO, HI); its
-    result carries a warning that it is the kernel compressed to the
-    window, not a bound.  A window that is not finite with LO < HI is
-    refused on every region; on a bounded one a valid window is ignored.
+    form (any unbounded region but a band, and a band under "numeric")
+    has no sharp bound here and raises ValueError.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric', got %r" % (method,))
-    if window is not None:
-        lo, hi = (float(v) for v in window)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("window must be finite LO HI with LO < HI")
     if method == "auto":
         if isinstance(s, Disk):
             return disk_envelope(s.radius)
@@ -439,4 +371,4 @@ def bounds(s: Region, method: str = "auto", window=None) -> SpectrumResult:
             return band
     if all(math.isfinite(v) for v in bounding_box(s)):
         return fock_extremes(s)
-    return nystrom_extremes(s, window)
+    raise ValueError("no sharp bound for this unbounded region; bands between parallel lines are exact")

@@ -1,4 +1,4 @@
-"""Hermitian integral kernels attached to phase-plane regions.
+"""Test oracle: Hermitian integral kernels of phase-plane regions in position space.
 
 For a graph region b < q < c, F1(q) < p < F2(q) the kernel is
 
@@ -20,15 +20,14 @@ the Wigner function over the region are inner products against this
 operator, so its extreme eigenvalues are the sharp bounds.
 
 assemble discretizes the kernel on a named position grid (Nystrom,
-error O(h)).  spectra.nystrom_extremes diagonalizes it, the route
-bounds() takes only for unbounded regions without a closed form; for
-bounded regions it is a verification oracle for the number-basis route.
+error O(h)) and nystrom_extremes diagonalizes it: an oracle for the
+closed forms and the number-basis route that shares no code with them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .regions import (
+from wigner_bounds.regions import (
     Annulus,
     Disk,
     Ellipse,
@@ -37,13 +36,14 @@ from .regions import (
     RegionUnion,
     bounding_box,
 )
-from .states import WavefunctionGrid
+from wigner_bounds.states import WavefunctionGrid
 
 __all__ = [
     "DEFAULT_POINTS_PER_UNIT",
     "apply_kernel",
     "assemble",
     "kernel_eval",
+    "nystrom_extremes",
 ]
 
 # switch to the analytic diagonal limit below this |x - y|
@@ -159,3 +159,13 @@ def assemble(s: Region, x0: float, dx: float, count: int) -> np.ndarray:
     _check_q_support(s, x0, xs[-1])
     a = dx * kernel_eval(s, xs[:, None], xs[None, :])
     return (a + a.conj().T) / 2.0
+
+
+def nystrom_extremes(s: Region, window) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of s's kernel discretized on the window
+    (LO, HI) at DEFAULT_POINTS_PER_UNIT, round((HI - LO) * 100) + 1
+    uniform points: 1201 on (-6, 6)."""
+    lo, hi = window
+    count = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
+    eigs = np.linalg.eigvalsh(assemble(s, lo, (hi - lo) / (count - 1), count))
+    return float(eigs[0]), float(eigs[-1])

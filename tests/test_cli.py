@@ -145,11 +145,17 @@ def test_bounds_exact_scan_range(tmp_path, capsys):
         assert "unrecognized arguments: %s" % " ".join(flags) in capsys.readouterr().err
 
 
+WINDOW_IGNORED = "warning: --window is ignored: no route uses a window\n"
+REFUSAL = "error: no sharp bound for this unbounded region; bands between parallel lines are exact\n"
+
+
 def test_bounds_window_flags(tmp_path, capsys):
-    """A window does not change the route of a bounded region, and
+    """--window is still parsed, then ignored with one warning line: the
+    route of a bounded region and its stdout do not change, and
     --grid-count is no longer a flag."""
     assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "-7", "7"]) == 0
-    assert "method=fock" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "method=fock" in captured.out and captured.err == WINDOW_IGNORED
     tent = write_region(
         tmp_path, "tent.json",
         {"type": "graph", "b": -1.0, "c": 1.0,
@@ -164,29 +170,12 @@ def test_bounds_window_flags(tmp_path, capsys):
         main(["bounds", disk_json(tmp_path), "--numeric", "--grid-count", "601"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --grid-count" in capsys.readouterr().err
-    assert main(["bounds", disk_json(tmp_path), "--numeric", "--window", "7", "-7"]) == 2
-    capsys.readouterr()
-    strip = write_region(
-        tmp_path, "strip.json",
-        {"type": "graph", "b": "-inf", "c": "+inf",
-         "f1": [[-20.0, -0.5], [20.0, -0.5]], "f2": [[-20.0, 0.5], [20.0, 0.5]]},
-    )
-    for argv in (
-        [strip, "--window", "-6", "inf"],
-        [strip, "--window", "nan", "6"],
-        [disk_json(tmp_path), "--numeric", "--window", "-6", "inf"],
-        [disk_json(tmp_path), "--window", "7", "-7"],
-    ):
-        assert main(["bounds", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: window must be finite LO HI with LO < HI\n"
 
 
 def test_bounds_band_is_exact(tmp_path, capsys):
-    """A band between parallel lines has the closed form [0, 1], which
-    wins over a window as the conic closed forms do; --numeric keeps
-    Nystrom and warns that its value is not a bound."""
+    """A band between parallel lines has the closed form [0, 1];
+    --window on it changes nothing but the warning, and --numeric, which
+    skips the closed form, leaves no sharp bound and is refused."""
     strip = write_region(
         tmp_path, "strip.json",
         {"type": "graph", "b": "-inf", "c": "+inf",
@@ -197,45 +186,32 @@ def test_bounds_band_is_exact(tmp_path, capsys):
         {"type": "graph", "b": "-inf", "c": "+inf",
          "f1": [[-4.0, -2.5], [4.0, 1.5]], "f2": [[-4.0, -1.5], [0.0, 0.5], [4.0, 2.5]]},
     )
-    for argv in ([strip], [strip, "--window", "-6.25", "6.25"], [sheared]):
+    for argv, err in (([strip], ""), ([strip, "--window", "-6.25", "6.25"], WINDOW_IGNORED),
+                      ([sheared], "")):
         assert main(["bounds", *argv]) == 0
         captured = capsys.readouterr()
         assert captured.out == "lambda_min=0 lambda_max=1 method=exact\n"
-        assert captured.err == ""
-    assert main(["bounds", strip, "--numeric", "--window", "-3", "3"]) == 0
-    captured = capsys.readouterr()
-    fields = dict(kv.split("=") for kv in captured.out.split())
-    assert fields["method"] == "nystrom"
-    assert -1e-9 <= float(fields["lambda_min"]) < float(fields["lambda_max"]) < 1.0
-    assert captured.err == (
-        "warning: unbounded region: this is the kernel compressed to the window -3..3,"
-        " an inner estimate that moves with the window, not a bound\n"
-    )
+        assert captured.err == err
     assert main(["bounds", strip, "--numeric"]) == 2
-    assert "unbounded region" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == REFUSAL
 
 
-def test_bounds_nystrom_window_is_needed_and_capped(tmp_path, capsys):
-    """An unbounded region without a closed form names the missing
-    window, and a window past the Nystrom grid limit is refused before
-    its matrix is allocated: one error line, exit 2."""
+def test_bounds_refuses_unbounded_non_bands(tmp_path, capsys):
+    """An unbounded region without a closed form has no sharp bound:
+    one error line, nothing on stdout, exit 2, window or not."""
     kinked = write_region(
         tmp_path, "kinked.json",
         {"type": "graph", "b": "-inf", "c": "+inf",
-         "f1": [[-6000.0, -0.5], [6000.0, -0.5]],
-         "f2": [[-6000.0, 2997.5], [-6.0, 0.5], [6.0, 0.5], [6000.0, 2997.5]]},
+         "f1": [[-20.0, -0.5], [20.0, -0.5]],
+         "f2": [[-20.0, 7.5], [-6.0, 0.5], [6.0, 0.5], [20.0, 7.5]]},
     )
-    for argv, message in (
-        ([], "unbounded region with no closed form needs a window (--window LO HI)"),
-        (["--window", "-5000", "5000"],
-         "window -5000..5000 needs 1000001 grid points, past the Nystrom limit of 4001"),
-        (["--window", "-20.01", "20.01"],
-         "window -20.01..20.01 needs 4003 grid points, past the Nystrom limit of 4001"),
-    ):
-        assert main(["bounds", kinked, *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: %s\n" % message
+    assert main(["bounds", kinked]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == REFUSAL
+    assert main(["bounds", kinked, "--window", "-6", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == WINDOW_IGNORED + REFUSAL
 
 
 def test_curves_output(capsys):

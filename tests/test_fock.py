@@ -1,4 +1,4 @@
-"""The Fock-basis route against closed forms, the Nystrom route and itself."""
+"""The Fock-basis route against closed forms, the Nystrom oracle and itself."""
 import json
 import math
 
@@ -14,9 +14,7 @@ from wigner_bounds import (
     RegionUnion,
     WavefunctionGrid,
     annulus_envelope,
-    apply_kernel,
     area,
-    assemble,
     bounding_box,
     disk_envelope,
     fock_extremes,
@@ -24,6 +22,7 @@ from wigner_bounds import (
 )
 from wigner_bounds.cli import main
 from wigner_bounds.specfun import cross_wigner_matrix
+from oracle import apply_kernel, assemble
 from test_acceptance import random_regions
 
 

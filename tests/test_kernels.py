@@ -1,4 +1,4 @@
-"""Region kernels: closed forms, Hermiticity, assembly, translation."""
+"""The position-space kernel oracle: closed forms, Hermiticity, assembly, translation."""
 import math
 
 import numpy as np
@@ -12,13 +12,11 @@ from wigner_bounds import (
     Graph,
     PiecewiseLinear,
     RegionUnion,
-    apply_kernel,
-    assemble,
     coherent_state,
     disk_eigenvalue,
-    kernel_eval,
     oscillator_state,
 )
+from oracle import apply_kernel, assemble, kernel_eval
 
 # sin(0.5) / (0.5 pi): the strip |p| < 1 kernel at x = 0.5, y = 0
 STRIP_AT_HALF = 0.30521177725341280

@@ -1,4 +1,4 @@
-"""Eigenvalue curves, envelopes, crossings and the discretized solver."""
+"""Eigenvalue curves, envelopes, crossings and the route bounds() picks."""
 import math
 
 import numpy as np
@@ -19,12 +19,12 @@ from wigner_bounds import (
     disk_envelope,
     disk_spectrum,
     fock_extremes,
-    nystrom_extremes,
     reduce_ellipse,
     region_from_dict,
 )
 from wigner_bounds import spectra
 from wigner_bounds.spectra import DISK_RADIUS_LIMIT
+from oracle import nystrom_extremes
 
 # greatest root of lambda_3(a) = lambda_4(a), frozen from a dense scan
 # of the quadrature curves refined by bisection
@@ -163,36 +163,11 @@ def test_crossing_radii():
         crossing_radius(0)
 
 
-def test_nystrom_extremes_on_an_empty_band():
-    """Coincident lines leave a zero kernel, so the discretized route
-    returns exact zeros with a zero residual, and warns that an
-    unbounded region's value is not a bound."""
-    line = [[-5.0, 0.5], [5.0, 0.5]]
-    res = nystrom_extremes(band(line, line), (-1.0, 1.0))
-    assert (res.lambda_min, res.lambda_max) == (0.0, 0.0)
-    assert res.method == "nystrom"
-    assert res.residual < 1e-14
-    assert res.warnings == (unbounded_note(-1.0, 1.0),)
-    assert (res.psi_max.x0, res.psi_max.dx, len(res.psi_max)) == (-1.0, 0.01, 201)
-
-
-def test_extremal_eigenvectors_normalized():
-    res = nystrom_extremes(Disk((0.0, 0.0), 1.0), (-7.0, 7.0))
-    assert abs(res.psi_min.norm() - 1.0) < 1e-12
-    assert abs(res.psi_max.norm() - 1.0) < 1e-12
-    assert res.residual < 1e-14
-    # extremizers live near the disk, not in the unit at the window edge
-    # (the ground state itself is 2.8e-6 at |x| = 5)
-    tails = np.abs(res.psi_max.values[:100])
-    assert np.max(tails) < 1e-6
-
-
 def test_nystrom_matches_envelope():
     env = disk_envelope(1.5)
-    res = nystrom_extremes(Disk((0.0, 0.0), 1.5), (-6.0, 6.0))
-    assert abs(res.lambda_min - env.lambda_min) < 1e-4
-    assert abs(res.lambda_max - env.lambda_max) < 1e-4
-    assert res.method == "nystrom" and res.warnings == ()  # a bounded region
+    lo, hi = nystrom_extremes(Disk((0.0, 0.0), 1.5), (-6.0, 6.0))
+    assert abs(lo - env.lambda_min) < 1e-4
+    assert abs(hi - env.lambda_max) < 1e-4
 
 
 def test_annulus_envelope_scans_both_sides():
@@ -206,13 +181,13 @@ def test_annulus_envelope_scans_both_sides():
 def test_spectrum_result_validation():
     with pytest.raises(ValueError):
         SpectrumResult(lambda_min=1.0, lambda_max=0.0, method="exact")
-    with pytest.raises(ValueError):
-        SpectrumResult(lambda_min=0.0, lambda_max=1.0, method="magic")
+    for method in ("magic", "nystrom"):
+        with pytest.raises(ValueError, match="method must be 'exact' or 'fock'"):
+            SpectrumResult(lambda_min=0.0, lambda_max=1.0, method=method)
 
 
 # bounds() against the route it picks, called directly.  The conics are
-# off centre, the ellipse rotated; every bounded shape ignores the
-# window (-2.5, 2.5), which only the strip under "numeric" uses.
+# off centre, the ellipse rotated.
 SHAPES = {
     "disk": {"type": "disk", "center": [0.3, -0.2], "radius": 1.0},
     "ellipse": {"type": "ellipse", "center": [0.4, -0.3], "semi_major": 1.5,
@@ -233,11 +208,11 @@ KINKED = {"type": "graph", "b": "-inf", "c": "+inf",
           "f2": [[-20.0, 7.5], [-6.0, 0.5], [6.0, 0.5], [20.0, 7.5]]}
 GRIDS = {
     "no-grid": {},
-    "window": {"window": (-2.5, 2.5)},
 }
-# bounds() no longer takes a grid count, so these calls are refused
+# bounds() takes neither a grid count nor a window, so these calls are refused
 REMOVED_GRIDS = {
     "count": {"grid_count": 201},
+    "window": {"window": (-2.5, 2.5)},
     "window-count": {"window": (-2.5, 2.5), "grid_count": 151},
 }
 
@@ -249,24 +224,18 @@ CLOSED_FORMS = {
 }
 
 
-def unbounded_note(lo, hi):
-    return (
-        "unbounded region: this is the kernel compressed to the window %g..%g,"
-        " an inner estimate that moves with the window, not a bound" % (lo, hi)
-    )
+REFUSAL = "no sharp bound for this unbounded region; bands between parallel lines are exact"
 
 
-def expected_route(shape, method, grid):
+def expected_route(shape, method):
     """The direct call bounds() must match, or None where it must raise."""
     if shape in CLOSED_FORMS and method != "numeric":
         return CLOSED_FORMS[shape]
     if shape == "strip" and method != "numeric":  # a band: [0, 1] in closed form
         return lambda s: SpectrumResult(lambda_min=0.0, lambda_max=1.0, method="exact")
-    if shape == "strip" and "window" not in grid:
+    if shape == "strip":  # a band under "numeric" is refused
         return None
-    if shape != "strip":  # every bounded region takes Fock, window or not
-        return fock_extremes
-    return lambda s: nystrom_extremes(s, **grid)
+    return fock_extremes  # every bounded region
 
 
 @pytest.mark.parametrize("grid", [*GRIDS, *REMOVED_GRIDS])
@@ -275,39 +244,29 @@ def expected_route(shape, method, grid):
 def test_bounds_matches_direct_route(shape, method, grid):
     s = region_from_dict(SHAPES[shape])
     if grid in REMOVED_GRIDS:
-        with pytest.raises(TypeError, match="grid_count"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             bounds(s, method, **REMOVED_GRIDS[grid])
         return
     if method == "exact":  # no longer a method: auto already takes every closed form
         with pytest.raises(ValueError, match="method must be"):
             bounds(s, method, **GRIDS[grid])
         return
-    route = expected_route(shape, method, GRIDS[grid])
+    route = expected_route(shape, method)
     if route is None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=REFUSAL):
             bounds(s, method, **GRIDS[grid])
         return
     got, want = bounds(s, method, **GRIDS[grid]), route(s)
     for field in ("lambda_min", "lambda_max", "method", "n_min", "n_max", "basis_size",
-                  "residual", "error_estimate", "warnings"):
+                  "error_estimate", "warnings"):
         assert getattr(got, field) == getattr(want, field), field
 
 
 def test_bounds_refusals():
     disk = region_from_dict(SHAPES["disk"])
-    strip = region_from_dict(SHAPES["strip"])
     for method in ("exact", "fock", True, None):
         with pytest.raises(ValueError, match="method must be"):
             bounds(disk, method)
-    with pytest.raises(ValueError, match="unbounded region with no closed form needs a window"):
-        bounds(region_from_dict(KINKED))
-    # a malformed window is refused even where a closed form wins
-    for window in ((-6.0, math.inf), (math.nan, 6.0), (2.0, -2.0)):
-        for region in (strip, disk):
-            with pytest.raises(ValueError, match="window must be finite"):
-                bounds(region, window=window)
-    with pytest.raises(ValueError, match="fewer than 2 grid points"):
-        bounds(strip, "numeric", window=(0.0, 0.001))
 
 
 def band(f1, f2, b="-inf", c="+inf"):
@@ -330,10 +289,9 @@ def test_bands_between_parallel_lines_are_exact():
         for a, g, n, r in ((1.0, 0.0, 0.5, 0.0), (1.7, -0.4, -2.3, 0.8), (-0.6, 1.1, 0.9, -3.0))
     ]
     for s in (horizontal, sheared, collinear, *images):
-        for grid in GRIDS.values():
-            got = bounds(s, **grid)
-            assert (got.lambda_min, got.lambda_max, got.method, got.n_min, got.n_max) == exact
-            assert got.warnings == ()
+        got = bounds(s)
+        assert (got.lambda_min, got.lambda_max, got.method, got.n_min, got.n_max) == exact
+        assert got.warnings == ()
     empty = band([[-5.0, 0.5], [5.0, 3.0]], [[-1.0, 1.5], [1.0, 2.0]])
     got = bounds(empty)
     assert (got.lambda_min, got.lambda_max, got.method) == (0.0, 0.0, "exact")
@@ -352,29 +310,16 @@ def test_bands_refuse_reversed_lines():
 
 
 def test_not_bands_take_no_closed_form():
-    """A kink, a finite end or non-parallel lines leave the region
-    without a closed form: a window takes Nystrom."""
+    """A kink, a finite end or non-parallel lines leave an unbounded
+    region without a closed form, and so does a band part inside a
+    union; bounds() refuses each, as it does a band under "numeric",
+    rather than return a value that is not a bound."""
     half = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5]], b=-1.0)
     converging = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5 + 1e-6]])
-    for s in (region_from_dict(KINKED), half, converging):
-        got = bounds(s, window=(-3.0, 3.0))
-        assert got.method == "nystrom"
-        assert got.warnings == (unbounded_note(-3.0, 3.0),)
-
-
-def test_band_nystrom_is_an_inner_estimate():
-    """Under --numeric the band takes Nystrom, whose compressed kernel
-    stays inside [0, 1] and climbs toward 1 as the window widens; the
-    warning says it is not a bound.  A kinked band shows the value
-    moving with the window, here below 0."""
+    with_disk = region_from_dict({"type": "union", "parts": [
+        SHAPES["strip"], {"type": "disk", "center": [0.0, 3.0], "radius": 1.0}]})
     strip = region_from_dict(SHAPES["strip"])
-    narrow = bounds(strip, "numeric", window=(-3.0, 3.0))
-    wide = bounds(strip, "numeric", window=(-5.0, 5.0))
-    assert narrow.method == wide.method == "nystrom"
-    assert narrow.lambda_min >= -1e-9 and wide.lambda_min >= -1e-9
-    assert 0.5 < narrow.lambda_max < wide.lambda_max < 1.0 + 1e-9
-    assert wide.warnings == (unbounded_note(-5.0, 5.0),)
-    kinked = region_from_dict(KINKED)
-    inner = bounds(kinked, window=(-5.0, 5.0)).lambda_min
-    outer = bounds(kinked, window=(-8.0, 8.0)).lambda_min
-    assert outer < -1e-3 < inner
+    for s, method in ((region_from_dict(KINKED), "auto"), (half, "auto"), (converging, "auto"),
+                      (with_disk, "auto"), (strip, "numeric")):
+        with pytest.raises(ValueError, match="^%s$" % REFUSAL):
+            bounds(s, method)
