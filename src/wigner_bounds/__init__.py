@@ -2,12 +2,12 @@
 
 The integral of any Wigner function over a region S is bracketed by the
 extreme eigenvalues of a Hermitian kernel attached to S.  This package
-computes those eigenvalues exactly for disks, ellipses, annuli and
-bands between parallel lines and in the number basis for any other
-bounded region, with bounds() picking the route from the region alone
-and refusing any other unbounded region; it also evaluates Wigner
-functions from sampled wavefunctions and checks measured
-quasiprobability grids against the bounds.
+computes those eigenvalues exactly for ellipses, bands between
+parallel lines, and disks, annuli and concentric unions of them, and in
+the number basis for any other bounded region, with bounds() picking
+the route from the region alone and refusing any other unbounded
+region; it also evaluates Wigner functions from sampled wavefunctions
+and checks measured quasiprobability grids against the bounds.
 """
 from .regions import (
     Annulus,
@@ -31,15 +31,13 @@ from .regions import (
 from .specfun import laguerre_poly, oscillator_fn
 from .spectra import (
     SpectrumResult,
-    annulus_eigenvalue,
-    annulus_envelope,
     bounds,
     crossing_radius,
     disk_curves,
     disk_eigenvalue,
-    disk_envelope,
     disk_spectrum,
     fock_extremes,
+    rings_envelope,
 )
 from .states import (
     Ensemble,
@@ -81,8 +79,6 @@ __all__ = [
     "SpectrumResult",
     "WavefunctionGrid",
     "WignerGrid",
-    "annulus_eigenvalue",
-    "annulus_envelope",
     "apply_canonical",
     "area",
     "bounding_box",
@@ -91,7 +87,6 @@ __all__ = [
     "crossing_radius",
     "disk_curves",
     "disk_eigenvalue",
-    "disk_envelope",
     "disk_spectrum",
     "fock_extremes",
     "indicator",
@@ -112,6 +107,7 @@ __all__ = [
     "reduce_ellipse",
     "region_from_dict",
     "region_to_dict",
+    "rings_envelope",
     "wigner_transform",
     "write_wigner_csv",
 ]

@@ -11,8 +11,8 @@ closed form that one Laguerre recurrence sweeps for every n at once
 (disk_spectrum).  The largest is always lambda_0(a) and the most
 negative scallops between consecutive odd-indexed curves as a grows,
 so the sharp bounds on the disk integral of any Wigner function come
-from scanning these curves.  Annulus eigenvalues are differences of
-disk eigenvalues at the two radii with a shared eigenbasis.
+from scanning these curves.  Concentric rings r_in < r_out share that
+eigenbasis, with eigenvalues Sum lambda_n(r_out) - lambda_n(r_in).
 
 A band between two parallel lines is sheared by (q, p) -> (q, p - s q)
 onto a momentum band, whose kernel is a projection, so its sharp
@@ -26,19 +26,21 @@ from inside by Cauchy interlacing.  An unbounded region that is not a
 band has no sharp bound here and is refused.
 
 bounds(region) is the one entry point that picks among these routes
-from the region alone: the closed forms for disks, ellipses (reduced
-to the disk of equal area), annuli and bands; otherwise the Fock route
-for a bounded region and a refusal for an unbounded one.
+from the region alone: the closed forms for concentric rings (disks,
+annuli, their unions about one centre, and ellipses as the disk of
+equal area) and bands; otherwise the Fock route for a bounded region
+and a refusal for an unbounded one.
 method="numeric" skips the closed forms.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import Annulus, Disk, Ellipse, Graph, Region, bounding_box, quadrature
+from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, bounding_box, quadrature
 from .specfun import cross_wigner_matrix, oscillator_basis
 from .states import WavefunctionGrid
 
@@ -47,15 +49,13 @@ __all__ = [
     "FOCK_MAX_BASIS",
     "FOCK_TOL",
     "SpectrumResult",
-    "annulus_eigenvalue",
-    "annulus_envelope",
     "bounds",
     "crossing_radius",
     "disk_curves",
     "disk_eigenvalue",
-    "disk_envelope",
     "disk_spectrum",
     "fock_extremes",
+    "rings_envelope",
 ]
 
 # past this radius e^{-a^2} leaves the normal float range and the sweep
@@ -82,11 +82,11 @@ class SpectrumResult:
 
     method is "exact" (closed-form eigenvalue curves, or the [0, 1] of
     a band) or "fock" (number basis matrix).  n_min/n_max index the
-    eigenvalue curves of a conic on the exact route; a band has none and
-    leaves them None.  The Fock route reports its basis_size and, as
-    error_estimate, the last change of the extremes as the basis grew;
-    that change is a convergence signal, not a bound on the error, which
-    can be larger (1.2e-10 against an estimate of 7.7e-11 on two
+    eigenvalue curves of concentric rings on the exact route; a band has
+    none and leaves them None.  The Fock route reports its basis_size
+    and, as error_estimate, the last change of the extremes as the basis
+    grew; that change is a convergence signal, not a bound on the error,
+    which can be larger (1.2e-10 against an estimate of 7.7e-11 on two
     radius-0.7 disks at (+-1.8, 0)).  It also attaches the extreme
     eigenvectors as position grids.
     """
@@ -151,17 +151,6 @@ def disk_eigenvalue(n: int, a: float) -> float:
     return float(disk_spectrum(a, n)[n])
 
 
-def annulus_eigenvalue(n: int, r_inner: float, r_outer: float) -> float:
-    """Eigenvalue n of the centered annulus kernel.
-
-    The disk kernels at both radii share the oscillator eigenbasis, so
-    this is exactly disk_eigenvalue(n, r_outer) - disk_eigenvalue(n, r_inner).
-    """
-    if not 0 <= r_inner < r_outer:
-        raise ValueError("need 0 <= r_inner < r_outer")
-    return disk_eigenvalue(n, r_outer) - disk_eigenvalue(n, r_inner)
-
-
 def _cutoff(radius: float) -> int:
     return max(50, math.ceil(10.0 * radius * radius))
 
@@ -185,14 +174,24 @@ def _envelope(values: np.ndarray) -> SpectrumResult:
     )
 
 
-def disk_envelope(a: float) -> SpectrumResult:
-    """Sharp bounds for a disk of radius a from the eigenvalue curves.
+def rings_envelope(rings) -> SpectrumResult:
+    """Sharp bounds for disjoint concentric (r_inner, r_outer) rings, a disk being (0, r).
 
-    Scans n up to max(50, ceil(10 a^2)); the extremes of physical disks
-    sit far below that, and a warning is attached if the scan ends on
-    the cutoff.
+    Eigenvalue n is the sum of lambda_n(r_outer) - lambda_n(r_inner) over
+    the rings.  Both extremes come from one scan over n up to
+    max(50, ceil(10 r^2)) for the largest radius r (the largest need not
+    be n = 0), with a warning if the scan ends on that cutoff.
     """
-    return _envelope(disk_spectrum(a, _cutoff(a)))
+    if len(rings) == 0 or not all(0 <= r_in <= r_out for r_in, r_out in rings):
+        raise ValueError("need 0 <= r_inner <= r_outer for at least one ring")
+    top = _cutoff(max(r_out for _, r_out in rings))
+    # a scalar sweep per radius is 2-3x cheaper than one array sweep
+    values = np.zeros(top + 1)
+    for r_in, r_out in rings:
+        values += disk_spectrum(r_out, top)
+        if r_in > 0:
+            values -= disk_spectrum(r_in, top)
+    return _envelope(values)
 
 
 def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
@@ -200,25 +199,12 @@ def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
 
     Row i of the table holds the curves at radii[i]; its bounds scan the
     same sweep up to that radius's own default cutoff, so they equal
-    disk_envelope(radii[i]).
+    rings_envelope([(0, radii[i])]).
     """
     radii = np.asarray(radii, dtype=float)
     tops = [_cutoff(a) for a in radii]
     table = disk_spectrum(radii, max([n_top, *tops]))
     return table[:, : n_top + 1], [_envelope(row[: top + 1]) for row, top in zip(table, tops)]
-
-
-def annulus_envelope(r_inner: float, r_outer: float) -> SpectrumResult:
-    """Sharp bounds for a centered annulus; scans both envelope sides.
-
-    Unlike the disk, the largest annulus eigenvalue need not be n = 0,
-    so both extremes come from the same scan over n, up to the outer
-    radius's cutoff max(50, ceil(10 r_outer^2)).
-    """
-    if not 0 <= r_inner < r_outer:
-        raise ValueError("need 0 <= r_inner < r_outer")
-    inner, outer = disk_spectrum((r_inner, r_outer), _cutoff(r_outer))
-    return _envelope(outer - inner)
 
 
 def crossing_radius(n: int, tol: float = 1e-10) -> float:
@@ -285,15 +271,19 @@ def fock_extremes(s: Region) -> SpectrumResult:
     error_estimate.  If they have not settled by N, M is rebuilt
     FOCK_GROWTH times larger and the reading goes on from N, up to
     FOCK_MAX_BASIS states; past that a RuntimeError is raised rather
-    than an unconverged bound returned.
+    than an unconverged bound returned.  A first N past FOCK_MAX_BASIS
+    is refused with a ValueError before any quadrature runs.
     """
     qmin, qmax, pmin, pmax = bounding_box(s)
     if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
         raise ValueError("the Fock route needs a bounded region")
     center = (0.5 * (qmin + qmax), 0.5 * (pmin + pmax))
     reach = 0.5 * math.hypot(qmax - qmin, pmax - pmin)
-    size = min(FOCK_MAX_BASIS, math.ceil((reach + 4.0) ** 2 / 2.0))
-    top = min(FOCK_MAX_BASIS, math.ceil((reach + 8.0) ** 2 / 2.0))
+    size = math.ceil((reach + 4.0) ** 2 / 2.0)
+    top = math.ceil((reach + 8.0) ** 2 / 2.0)
+    if top > FOCK_MAX_BASIS:
+        msg = "the Fock route needs %d states for this region, past its limit of %d"
+        raise ValueError(msg % (top, FOCK_MAX_BASIS))
     while True:
         density = FOCK_DENSITY * math.sqrt(2.0 * top + 1.0)
         q, p, w = quadrature(s, density)
@@ -346,11 +336,28 @@ def _band_bounds(s: Region) -> SpectrumResult | None:
     return SpectrumResult(lambda_min=0.0, lambda_max=1.0 if gap > 1e-12 else 0.0, method="exact")
 
 
+def _rings(s: Region) -> list[tuple[float, float]] | None:
+    """The rings of a disk, an annulus, an ellipse (as the disk of equal
+    area) or a union of disks and annuli whose centres lie within 1e-12
+    times the largest radius of each other; None for any other region.
+    RegionUnion has already checked that the rings are disjoint.
+    """
+    if isinstance(s, Ellipse):
+        return [(0.0, math.sqrt(s.semi_major * s.semi_minor))]
+    parts = s.parts if isinstance(s, RegionUnion) else (s,)
+    if not all(isinstance(t, (Disk, Annulus)) for t in parts):
+        return None
+    rings = [_ring_radii(t) for t in parts]
+    tol = 1e-12 * max(r_out for _, r_out in rings)
+    concentric = all(math.dist(t.center, u.center) <= tol for t, u in itertools.combinations(parts, 2))
+    return rings if concentric else None
+
+
 def bounds(s: Region, method: str = "auto") -> SpectrumResult:
     """Sharp bounds on the integral of any Wigner function over s.
 
-    method "auto" takes the closed forms for disks, ellipses and annuli
-    (see disk_envelope) and for bands between parallel lines ([0, 1],
+    method "auto" takes the closed forms for concentric rings (see
+    rings_envelope) and for bands between parallel lines ([0, 1],
     with n_min/n_max None), and the Fock route for any other bounded
     region; "numeric" skips the closed forms.  The result's method
     names the route taken.  An unbounded region left without a closed
@@ -360,12 +367,9 @@ def bounds(s: Region, method: str = "auto") -> SpectrumResult:
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric', got %r" % (method,))
     if method == "auto":
-        if isinstance(s, Disk):
-            return disk_envelope(s.radius)
-        if isinstance(s, Ellipse):
-            return disk_envelope(math.sqrt(s.semi_major * s.semi_minor))
-        if isinstance(s, Annulus):
-            return annulus_envelope(s.r_inner, s.r_outer)
+        rings = _rings(s)
+        if rings is not None:
+            return rings_envelope(rings)
         band = _band_bounds(s)
         if band is not None:
             return band

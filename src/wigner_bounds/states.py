@@ -20,8 +20,8 @@ __all__ = [
     "write_state_csv",
 ]
 
-# default position grid: [-8, 8] at dx = 0.005; fine enough that
-# kernel quadrature against these samples stays below 1e-4
+# default position grid: [-8, 8] holds number states up to n = 7, and at
+# dx = 0.005 wigner_transform off the sample nodes errs below 2e-5 to n = 5
 DEFAULT_X0 = -8.0
 DEFAULT_DX = 0.005
 DEFAULT_COUNT = 3201

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wigner_bounds
-from wigner_bounds import disk_eigenvalue, disk_envelope, read_state_csv, read_wigner_csv
+from wigner_bounds import disk_eigenvalue, read_state_csv, read_wigner_csv, rings_envelope
 from wigner_bounds.cli import main
 
 
@@ -104,8 +104,9 @@ def test_bounds_rejects_non_finite_region(tmp_path, capsys, text, message):
 
 
 def test_union_with_ellipse_part(tmp_path, capsys):
-    """An ellipse inside a union has no Nystrom kernel; the Fock route
-    takes it, for bounds and check alike, inside the area bound."""
+    """An ellipse inside a union leaves it without a closed form; the
+    Fock route takes it, for bounds and check alike, inside the area
+    bound."""
     union = write_region(
         tmp_path, "union.json",
         {"type": "union", "parts": [
@@ -143,6 +144,26 @@ def test_bounds_exact_scan_range(tmp_path, capsys):
             main(["bounds", disk_json(tmp_path), *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments: %s" % " ".join(flags) in capsys.readouterr().err
+
+
+def test_bounds_numeric_refuses_oversized_region(tmp_path, capsys):
+    """Under --numeric the radius-15 disk needs 427 Fock states, past
+    the route's limit of 400: one error line and exit 2 before any
+    quadrature runs."""
+    assert main(["bounds", disk_json(tmp_path, 15.0), "--numeric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the Fock route needs 427 states for this region, past its limit of 400\n"
+
+
+def test_bounds_concentric_union_is_exact(tmp_path, capsys):
+    """Disks and annuli about one centre take the closed form."""
+    rings = write_region(tmp_path, "rings.json", {"type": "union", "parts": [
+        {"type": "disk", "center": [0.3, 0.2], "radius": 0.5},
+        {"type": "annulus", "center": [0.3, 0.2], "r_inner": 1.0, "r_outer": 1.5},
+        {"type": "annulus", "center": [0.3, 0.2], "r_inner": 2.0, "r_outer": 2.2}]})
+    assert main(["bounds", rings]) == 0
+    assert capsys.readouterr().out == "lambda_min=-0.322606468 lambda_max=0.494088018 method=exact\n"
 
 
 WINDOW_IGNORED = "warning: --window is ignored: no route uses a window\n"
@@ -230,12 +251,12 @@ def test_curves_output(capsys):
 
 def test_curves_envelopes_match_per_row_envelopes(capsys):
     """The envelope columns come from one sweep but equal, bit for bit,
-    a separate disk_envelope at each row's radius."""
+    a separate rings_envelope of the disk at each row's radius."""
     for argv in ([], ["--a-max", "5", "--n-max", "8", "--steps", "51"]):
         assert main(["curves", *argv]) == 0
         rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()[1:]]
         for cells in rows:
-            env = disk_envelope(float(cells[0]))
+            env = rings_envelope([(0.0, float(cells[0]))])
             assert float(cells[-3]) == env.lambda_min
             assert float(cells[-2]) == env.lambda_max
             assert int(cells[-1]) == env.n_min

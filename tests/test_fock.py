@@ -13,12 +13,11 @@ from wigner_bounds import (
     PiecewiseLinear,
     RegionUnion,
     WavefunctionGrid,
-    annulus_envelope,
     area,
     bounding_box,
-    disk_envelope,
     fock_extremes,
     quadrature,
+    rings_envelope,
 )
 from wigner_bounds.cli import main
 from wigner_bounds.specfun import cross_wigner_matrix
@@ -47,12 +46,12 @@ UNION = RegionUnion((
 @pytest.mark.parametrize(
     "region, exact",
     [
-        (Disk((0.7, -0.4), 1.0), disk_envelope(1.0)),
-        (Disk((-1.1, 0.6), 1.7), disk_envelope(1.7)),
-        (Annulus((0.3, 0.2), 0.5, 1.5), annulus_envelope(0.5, 1.5)),
-        (Annulus((-0.5, 0.8), 1.0, 2.0), annulus_envelope(1.0, 2.0)),
-        (Ellipse((0.3, -0.6), 2.0, 0.5, 0.8), disk_envelope(1.0)),
-        (Ellipse((-0.2, 0.4), 1.8, 1.1, 2.3), disk_envelope(math.sqrt(1.8 * 1.1))),
+        (Disk((0.7, -0.4), 1.0), rings_envelope([(0.0, 1.0)])),
+        (Disk((-1.1, 0.6), 1.7), rings_envelope([(0.0, 1.7)])),
+        (Annulus((0.3, 0.2), 0.5, 1.5), rings_envelope([(0.5, 1.5)])),
+        (Annulus((-0.5, 0.8), 1.0, 2.0), rings_envelope([(1.0, 2.0)])),
+        (Ellipse((0.3, -0.6), 2.0, 0.5, 0.8), rings_envelope([(0.0, 1.0)])),
+        (Ellipse((-0.2, 0.4), 1.8, 1.1, 2.3), rings_envelope([(0.0, math.sqrt(1.8 * 1.1))])),
     ],
 )
 def test_fock_matches_closed_forms(region, exact):
@@ -117,9 +116,14 @@ def test_fock_refuses_unsettled_and_unbounded_regions(tmp_path, capsys, monkeypa
     strip = Graph(-math.inf, math.inf, polyline((-9, -0.5), (9, -0.5)), polyline((-9, 0.5), (9, 0.5)))
     with pytest.raises(ValueError, match="bounded"):
         fock_extremes(strip)
-    # the union settles near 105 states; with a cap of 40 it must raise,
-    # and the command line must print no bound
+    # the union starts at 54 states: a cap below that refuses it before
+    # any quadrature runs
     monkeypatch.setattr("wigner_bounds.spectra.FOCK_MAX_BASIS", 40)
+    with pytest.raises(ValueError, match="^the Fock route needs 54 states for this region, past its limit of 40$"):
+        fock_extremes(UNION)
+    # it settles near 105 states; with a cap of 64 it must raise, and
+    # the command line must print no bound
+    monkeypatch.setattr("wigner_bounds.spectra.FOCK_MAX_BASIS", 64)
     with pytest.raises(RuntimeError, match="did not settle"):
         fock_extremes(UNION)
     path = tmp_path / "union.json"

@@ -57,3 +57,14 @@ def test_package_exports_match_module_exports():
     for name in wigner_bounds.__all__:
         module = importlib.import_module("wigner_bounds." + source[name])
         assert name in module.__all__, "%s.__all__ lacks %s" % (module.__name__, name)
+
+
+def test_module_map_names_exist():
+    """Every backticked name in the contents column of the README module
+    map is in the __all__ of the module named in that row."""
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section("Module map"), re.M)
+    assert [module for module, _ in rows] == ["specfun", "states", "regions", "wigner", "spectra", "cli"]
+    for module, contents in rows:
+        exported = importlib.import_module("wigner_bounds." + module).__all__
+        missing = [n for n in re.findall(r"`([A-Za-z_]\w*)`", contents) if n not in exported]
+        assert not missing, "README module map names %s, which %s does not export" % (missing, module)

@@ -7,20 +7,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_laguerre
 
 from wigner_bounds import (
+    Annulus,
     CanonicalMap,
     Disk,
+    RegionUnion,
     SpectrumResult,
-    annulus_eigenvalue,
-    annulus_envelope,
     apply_canonical,
     bounds,
     crossing_radius,
     disk_eigenvalue,
-    disk_envelope,
     disk_spectrum,
     fock_extremes,
     reduce_ellipse,
     region_from_dict,
+    rings_envelope,
 )
 from wigner_bounds import spectra
 from wigner_bounds.spectra import DISK_RADIUS_LIMIT
@@ -105,31 +105,31 @@ def test_disk_spectrum_refuses_out_of_range():
     with pytest.raises(ValueError):
         disk_spectrum(-0.5, 3)
     with pytest.raises(ValueError):
-        disk_envelope(30.0)
+        rings_envelope([(0.0, 30.0)])
     with pytest.raises(ValueError):
-        annulus_envelope(1.0, 0.5)
-    with pytest.raises(ValueError):
-        annulus_envelope(-0.1, 1.0)
-
-
-def test_annulus_eigenvalue_is_disk_difference():
-    for n, r1, r2 in ((0, 0.5, 1.0), (3, 1.0, 2.0), (7, 0.2, 0.7)):
-        want = disk_eigenvalue(n, r2) - disk_eigenvalue(n, r1)
-        assert annulus_eigenvalue(n, r1, r2) == want
+        rings_envelope([(0.0, 1.0), (2.0, 30.0)])
+    for rings in ([(1.0, 0.5)], [(-0.1, 1.0)], [(0.0, 0.5), (1.5, 1.2)], [(0.0, float("nan"))], []):
+        with pytest.raises(ValueError, match="need 0 <= r_inner <= r_outer"):
+            rings_envelope(rings)
+    # an empty ring adds nothing; the zero disk has every eigenvalue 0
+    got, want = rings_envelope([(0.0, 0.5), (1.5, 1.5)]), rings_envelope([(0.0, 0.5)])
+    assert abs(got.lambda_min - want.lambda_min) < 1e-15 and got.n_min == want.n_min
+    assert rings_envelope([(0.0, 0.0)]).lambda_max == 0.0
 
 
 def test_annulus_eigenvalue_values():
-    assert annulus_eigenvalue(0, 0.0, 1.0) == disk_eigenvalue(0, 1.0)
-    want = math.exp(-1.0) - math.exp(-4.0)
-    assert abs(annulus_eigenvalue(0, 1.0, 2.0) - want) < 1e-14
-    with pytest.raises(ValueError):
-        annulus_eigenvalue(0, 1.0, 0.5)
+    """An annulus with no hole is the disk, and a small hole takes
+    lambda_0(r) off the top eigenvalue, n = 0, in closed form."""
+    assert rings_envelope([(0.0, 1.0)]).lambda_max == disk_eigenvalue(0, 1.0)
+    env = rings_envelope([(0.1, 1.0)])
+    assert env.n_max == 0
+    assert abs(env.lambda_max - (math.exp(-0.01) - math.exp(-1.0))) < 1e-14
 
 
 def test_disk_envelope_branches():
-    assert disk_envelope(0.5).n_min == 1
-    assert disk_envelope(1.2).n_min == 2
-    env = disk_envelope(1.0)
+    assert rings_envelope([(0.0, 0.5)]).n_min == 1
+    assert rings_envelope([(0.0, 1.2)]).n_min == 2
+    env = rings_envelope([(0.0, 1.0)])
     assert env.n_min == 1  # threefold tie at a = 1 breaks toward smaller n
     assert abs(env.lambda_min - (1 - 3 / math.e)) < 1e-12
     assert env.n_max == 0
@@ -138,7 +138,7 @@ def test_disk_envelope_branches():
 
 def test_disk_envelope_lambda_max_is_lambda0():
     for a in np.linspace(0.1, 3.0, 12):
-        env = disk_envelope(float(a))
+        env = rings_envelope([(0.0, float(a))])
         assert env.n_max == 0
         assert abs(env.lambda_max - disk_eigenvalue(0, float(a))) < 1e-15
 
@@ -164,15 +164,15 @@ def test_crossing_radii():
 
 
 def test_nystrom_matches_envelope():
-    env = disk_envelope(1.5)
+    env = rings_envelope([(0.0, 1.5)])
     lo, hi = nystrom_extremes(Disk((0.0, 0.0), 1.5), (-6.0, 6.0))
     assert abs(lo - env.lambda_min) < 1e-4
     assert abs(hi - env.lambda_max) < 1e-4
 
 
 def test_annulus_envelope_scans_both_sides():
-    env = annulus_envelope(1.0, 2.0)
-    vals = [annulus_eigenvalue(n, 1.0, 2.0) for n in range(60)]
+    env = rings_envelope([(1.0, 2.0)])
+    vals = disk_spectrum(2.0, 59) - disk_spectrum(1.0, 59)
     assert abs(env.lambda_min - min(vals)) < 1e-15
     assert abs(env.lambda_max - max(vals)) < 1e-15
     assert env.n_max != 0  # the widest ring mode is not the ground mode here
@@ -201,6 +201,9 @@ SHAPES = {
         {"type": "disk", "center": [1.0, 0.3], "radius": 0.5}]},
     "strip": {"type": "graph", "b": "-inf", "c": "+inf",
               "f1": [[-20.0, -0.5], [20.0, -0.5]], "f2": [[-20.0, 0.5], [20.0, 0.5]]},
+    "concentric": {"type": "union", "parts": [
+        {"type": "annulus", "center": [0.2, -0.1], "r_inner": 0.8, "r_outer": 1.1},
+        {"type": "disk", "center": [0.2, -0.1], "radius": 0.4}]},
 }
 # unbounded above and below, but the upper line bends up at q = +-6
 KINKED = {"type": "graph", "b": "-inf", "c": "+inf",
@@ -218,9 +221,10 @@ REMOVED_GRIDS = {
 
 
 CLOSED_FORMS = {
-    "disk": lambda s: disk_envelope(s.radius),
-    "ellipse": lambda s: disk_envelope(reduce_ellipse(s)[0]),
-    "annulus": lambda s: annulus_envelope(s.r_inner, s.r_outer),
+    "disk": lambda s: rings_envelope([(0.0, s.radius)]),
+    "ellipse": lambda s: rings_envelope([(0.0, reduce_ellipse(s)[0])]),
+    "annulus": lambda s: rings_envelope([(s.r_inner, s.r_outer)]),
+    "concentric": lambda s: rings_envelope([(0.8, 1.1), (0.0, 0.4)]),
 }
 
 
@@ -323,3 +327,60 @@ def test_not_bands_take_no_closed_form():
                       (with_disk, "auto"), (strip, "numeric")):
         with pytest.raises(ValueError, match="^%s$" % REFUSAL):
             bounds(s, method)
+
+
+# the disk r = 0.5 and the rings 1-1.5 and 2-2.2, all about (0.3, 0.2)
+RINGS = ((0.0, 0.5), (1.0, 1.5), (2.0, 2.2))
+
+
+def concentric(center, rings):
+    return RegionUnion(tuple(
+        Disk(center, r_out) if r_in == 0 else Annulus(center, r_in, r_out) for r_in, r_out in rings
+    ))
+
+
+def random_concentric(rng):
+    """Two or three disjoint rings about a random centre, the innermost
+    a disk half of the time."""
+    m = int(rng.integers(2, 4))
+    rings = np.sort(rng.uniform(0.2, 2.2, 2 * m)).reshape(m, 2)
+    if rng.random() < 0.5:
+        rings[0, 0] = 0.0
+    return concentric(tuple(rng.uniform(-1.0, 1.0, 2)), [tuple(r) for r in rings])
+
+
+def test_concentric_unions_are_exact():
+    """A union of disks and annuli about one centre is diagonal in the
+    number basis there: bounds() takes the closed form, and the Fock
+    route agrees with it."""
+    regions = [concentric((0.3, 0.2), RINGS)]
+    regions += [random_concentric(np.random.default_rng(seed)) for seed in (11, 12, 13)]
+    for s in regions:
+        got = bounds(s)
+        assert got.method == "exact" and got.warnings == ()
+        fock = fock_extremes(s)
+        assert abs(got.lambda_min - fock.lambda_min) < 1e-10
+        assert abs(got.lambda_max - fock.lambda_max) < 1e-10
+    got = bounds(regions[0])
+    assert abs(got.lambda_min - -0.32260646847454) < 1e-13
+    assert abs(got.lambda_max - 0.49408801837531) < 1e-13
+
+
+def test_off_centre_union_takes_fock():
+    """Centres 1e-9 apart are past the 1e-12 relative tolerance, so the
+    union takes the Fock route, which still lands next to the closed
+    form of the centred union."""
+    parts = concentric((0.3, 0.2), RINGS).parts
+    moved = RegionUnion((Disk((0.3 + 1e-9, 0.2), 0.5), *parts[1:]))
+    got = bounds(moved)
+    assert got.method == "fock"
+    exact = rings_envelope(RINGS)
+    assert abs(got.lambda_min - exact.lambda_min) < 1e-8
+    assert abs(got.lambda_max - exact.lambda_max) < 1e-8
+
+
+def test_one_part_union_is_the_part():
+    for part in (Disk((0.3, -0.2), 1.3), Annulus((-0.4, 0.1), 0.6, 1.9)):
+        got, want = bounds(RegionUnion((part,))), bounds(part)
+        for field in ("lambda_min", "lambda_max", "method", "n_min", "n_max", "warnings"):
+            assert getattr(got, field) == getattr(want, field), field
