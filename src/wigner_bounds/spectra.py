@@ -180,11 +180,15 @@ def rings_envelope(rings) -> SpectrumResult:
     Eigenvalue n is the sum of lambda_n(r_outer) - lambda_n(r_inner) over
     the rings.  Both extremes come from one scan over n up to
     max(50, ceil(10 r^2)) for the largest radius r (the largest need not
-    be n = 0), with a warning if the scan ends on that cutoff.
+    be n = 0), with a warning if the scan ends on that cutoff.  Radii
+    above DISK_RADIUS_LIMIT are refused, as by disk_spectrum.
     """
     if len(rings) == 0 or not all(0 <= r_in <= r_out for r_in, r_out in rings):
         raise ValueError("need 0 <= r_inner <= r_outer for at least one ring")
-    top = _cutoff(max(r_out for _, r_out in rings))
+    largest = max(r_out for _, r_out in rings)
+    if not largest <= DISK_RADIUS_LIMIT:
+        raise ValueError("exact disk spectrum needs radius <= %g" % DISK_RADIUS_LIMIT)
+    top = _cutoff(largest)
     # a scalar sweep per radius is 2-3x cheaper than one array sweep
     values = np.zeros(top + 1)
     for r_in, r_out in rings:

@@ -22,6 +22,10 @@ operator, so its extreme eigenvalues are the sharp bounds.
 assemble discretizes the kernel on a named position grid (Nystrom,
 error O(h)) and nystrom_extremes diagonalizes it: an oracle for the
 closed forms and the number-basis route that shares no code with them.
+
+cross_wigner_direct is the number-basis matrix of cross-Wigner functions
+from one Laguerre recurrence per quadrature node, the oracle for
+specfun.cross_wigner_matrix, which interpolates them in the radius.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ __all__ = [
     "DEFAULT_POINTS_PER_UNIT",
     "apply_kernel",
     "assemble",
+    "cross_wigner_direct",
     "kernel_eval",
     "nystrom_extremes",
 ]
@@ -51,6 +56,9 @@ NEAR_DIAGONAL = 1e-8
 
 # density meeting the documented 1e-4 eigenvalue accuracy on disks
 DEFAULT_POINTS_PER_UNIT = 100
+
+# quadrature points per block in cross_wigner_direct
+_DIRECT_BLOCK = 2048
 
 
 def _disk_kernel(radius: float, m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -169,3 +177,60 @@ def nystrom_extremes(s: Region, window) -> tuple[float, float]:
     count = round((hi - lo) * DEFAULT_POINTS_PER_UNIT) + 1
     eigs = np.linalg.eigvalsh(assemble(s, lo, (hi - lo) / (count - 1), count))
     return float(eigs[0]), float(eigs[-1])
+
+
+def cross_wigner_direct(n_top: int, q, p, w) -> np.ndarray:
+    """M_mn = sum_k w_k W_mn(q_k, p_k) for m, n = 0..n_top, Hermitian,
+    from one Laguerre recurrence per quadrature node.
+
+    W_mn(q, p) = (1/pi) int psi_m*(q+x) psi_n(q-x) e^{2ipx} dx is the
+    cross-Wigner function of oscillator eigenfunctions m and n.  With
+    x = 2(q^2 + p^2) and j >= 0 it is (Cahill & Glauber 1969)
+
+        W_{n,n+j} = (-1)^n / pi * (sqrt(2) (q - ip))^j sqrt(n!/(n+j)!)
+                    L_n^{(j)}(x) e^{-x/2},
+
+    and W_{n+j,n} is its conjugate.  For every offset j the normalized
+    Laguerre functions u_n = W_{n,n+j} pi (-1)^n are swept forward in n,
+
+        u_n = (2n-1+j-x) / sqrt(n(n+j)) u_{n-1}
+              - sqrt((n-1)(n-1+j) / (n(n+j))) u_{n-2},
+
+    from u_0 = (sqrt(2) (q - ip))^j e^{-x/2} / sqrt(j!), built up one
+    factor of j at a time.  The phase rides along in the starting
+    values and |u_n| <= 1 throughout.  All offsets advance together, so
+    the work is n_top + 1 array steps per block of points, and the
+    working arrays never exceed (n_top + 1) x _DIRECT_BLOCK entries.
+    """
+    if n_top < 0:
+        raise ValueError("degree must be nonnegative")
+    q, p, w = (np.ravel(np.asarray(v, dtype=float)) for v in (q, p, w))
+    if not q.shape == p.shape == w.shape:
+        raise ValueError("need matching point and weight arrays")
+    count = n_top + 1
+    out = np.zeros((count, count), dtype=complex)
+    j = np.arange(count, dtype=float)[:, None]
+    for start in range(0, q.size, _DIRECT_BLOCK):
+        block = slice(start, start + _DIRECT_BLOCK)
+        x = 2.0 * (q[block] ** 2 + p[block] ** 2)
+        z = np.sqrt(2.0) * (q[block] - 1j * p[block])
+        wb = w[block].astype(complex)
+        uc = np.empty((count, x.size), dtype=complex)
+        uc[0] = np.exp(-0.5 * x)
+        for k in range(1, count):
+            uc[k] = uc[k - 1] * (z / np.sqrt(k))
+        um = np.zeros_like(uc)
+        shift = j - x
+        a = np.empty_like(shift)
+        for n in range(count):
+            if n:
+                jn = j[: count - n]
+                an = np.add(shift[: count - n], 2 * n - 1, out=a[: count - n])
+                an /= np.sqrt(n * (n + jn))
+                un = an * uc[: count - n]
+                un -= np.sqrt((n - 1) * (n - 1 + jn) / (n * (n + jn))) * um[: count - n]
+                um, uc = uc, un
+            out[n, n:] += uc @ wb
+    out *= ((-1.0) ** np.arange(count) / np.pi)[:, None]
+    upper = np.triu(out, 1)
+    return np.triu(out) + upper.conj().T

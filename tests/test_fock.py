@@ -69,6 +69,39 @@ def test_fock_readme_diamond():
     assert res.basis_size < 60 and res.error_estimate < 1e-10
 
 
+def mirror(region, centre, axis):
+    """region reflected through q = q0 (axis 0) or p = p0 (axis 1)."""
+    q0, p0 = centre
+    if isinstance(region, RegionUnion):
+        return RegionUnion(tuple(mirror(part, centre, axis) for part in region.parts))
+    if isinstance(region, Disk):
+        q, p = region.center
+        return Disk((2 * q0 - q, p) if axis == 0 else (q, 2 * p0 - p), region.radius)
+    if axis == 0:
+        def flip(f):
+            return PiecewiseLinear(2 * q0 - f.qs[::-1], f.values[::-1])
+        return Graph(2 * q0 - region.c, 2 * q0 - region.b, flip(region.f1), flip(region.f2))
+    def flip(f):
+        return PiecewiseLinear(f.qs, 2 * p0 - f.values)
+    return Graph(region.b, region.c, flip(region.f2), flip(region.f1))
+
+
+@pytest.mark.parametrize("region", [DIAMOND, QUADRILATERAL, UNION])
+def test_fock_mirror_invariance(region):
+    """Reflections through the bounding-box centre are antiunitary, so they
+    keep the kernel's spectrum; the mirrored regions keep that centre
+    and so the basis the whole Fock route builds on."""
+    box = bounding_box(region)
+    centre = (0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
+    want = fock_extremes(region)
+    for axis in (0, 1):
+        image = mirror(region, centre, axis)
+        assert np.allclose(bounding_box(image), box, rtol=0, atol=1e-12)
+        got = fock_extremes(image)
+        assert abs(got.lambda_min - want.lambda_min) < 1e-10
+        assert abs(got.lambda_max - want.lambda_max) < 1e-10
+
+
 def test_fock_leading_blocks_interlace():
     """Extremes of the leading N x N blocks move outward as N grows."""
     box = bounding_box(QUADRILATERAL)

@@ -4,7 +4,8 @@ import pytest
 from scipy import special
 
 from wigner_bounds import laguerre_poly, number_state_wigner, oscillator_fn
-from wigner_bounds.specfun import cross_wigner_matrix, oscillator_basis
+from wigner_bounds.specfun import _POINT_BLOCK, cross_wigner_matrix, oscillator_basis
+from oracle import cross_wigner_direct
 
 # oscillator_fn(4, 1.3) from a 50-digit evaluation of the normalized
 # recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
@@ -87,3 +88,38 @@ def test_cross_wigner_matrix_against_definition():
     assert np.max(np.abs(np.diag(got) - diag)) < 1e-14
     with pytest.raises(ValueError):
         cross_wigner_matrix(3, [0.0, 1.0], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("n_top", [0, 1, 12, 60, 150, 250])
+def test_cross_wigner_matrix_matches_direct_recurrence(n_top):
+    """The build on Chebyshev radii against the oracle's recurrence at
+    every node: signed weights on nodes out to radius 8, in more than
+    one point block, with one node at the centre (the first Chebyshev
+    radius) and the outermost on the last; and the edge inputs, no
+    nodes, nodes only at the centre, a single node and a node a
+    subnormal distance from the centre."""
+    rng = np.random.default_rng(14 + n_top)
+    count = _POINT_BLOCK + 500
+    radius = 8.0 * np.sqrt(rng.uniform(0.0, 1.0, count))
+    angle = rng.uniform(0.0, 2.0 * np.pi, count)
+    q, p = radius * np.cos(angle), radius * np.sin(angle)
+    q[0] = p[0] = 0.0
+    w = rng.uniform(-1.0, 1.0, count) * (64.0 * np.pi / count)
+    cases = [
+        (q, p, w),
+        ([], [], []),
+        ([0.0, 0.0], [0.0, -0.0], [0.5, -2.0]),
+        ([0.3], [-0.7], [1.0]),
+        ([1e-310, 1.0], [0.0, 0.5], [1.0, -1.0]),
+    ]
+    for qs, ps, ws in cases:
+        with np.errstate(divide="raise", invalid="raise"):
+            got = cross_wigner_matrix(n_top, qs, ps, ws)
+        want = cross_wigner_direct(n_top, qs, ps, ws)
+        assert got.shape == (n_top + 1, n_top + 1)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(got, got.conj().T)
+    # at the centre only W_nn(0, 0) = (-1)^n / pi survives
+    centre = cross_wigner_matrix(n_top, [0.0, 0.0], [0.0, -0.0], [0.5, -2.0])
+    assert np.count_nonzero(centre - np.diag(np.diag(centre))) == 0
+    assert not np.any(cross_wigner_matrix(n_top, [], [], []))

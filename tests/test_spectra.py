@@ -108,6 +108,8 @@ def test_disk_spectrum_refuses_out_of_range():
         rings_envelope([(0.0, 30.0)])
     with pytest.raises(ValueError):
         rings_envelope([(0.0, 1.0), (2.0, 30.0)])
+    with pytest.raises(ValueError, match="^exact disk spectrum needs radius <= 26$"):
+        rings_envelope([(0.0, float("inf"))])
     for rings in ([(1.0, 0.5)], [(-0.1, 1.0)], [(0.0, 0.5), (1.5, 1.2)], [(0.0, float("nan"))], []):
         with pytest.raises(ValueError, match="need 0 <= r_inner <= r_outer"):
             rings_envelope(rings)
