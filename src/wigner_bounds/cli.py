@@ -65,8 +65,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    if args.a_min < 0 or not args.a_min < args.a_max or args.steps < 2:
-        raise ValueError("need 0 <= a-min < a-max and steps >= 2")
+    if not (0 <= args.a_min < args.a_max < math.inf) or args.steps < 2:
+        raise ValueError("need 0 <= a-min < a-max < inf and steps >= 2")
     if args.n_max < 0:
         raise ValueError("n-max must be nonnegative")
     grid = np.linspace(args.a_min, args.a_max, args.steps)
@@ -96,13 +96,13 @@ def _split_state(spec: str) -> tuple[str, object]:
         except ValueError:
             raise ValueError("bad state spec: oscillator:n needs an integer") from None
     if kind == "coherent":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValueError("bad state spec: coherent:q0,p0 needs two numbers")
         try:
-            return kind, (float(parts[0]), float(parts[1]))
+            q0, p0 = map(float, rest.split(","))
+            if not (math.isfinite(q0) and math.isfinite(p0)):
+                raise ValueError
         except ValueError:
-            raise ValueError("bad state spec: coherent:q0,p0 needs two numbers") from None
+            raise ValueError("bad state spec: coherent:q0,p0 needs two finite numbers") from None
+        return kind, (q0, p0)
     if kind == "csv":
         if not rest:
             raise ValueError("bad state spec: csv: needs a path")

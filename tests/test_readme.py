@@ -12,6 +12,8 @@ import wigner_bounds
 from wigner_bounds.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# the rows of the README module map, lowest layer first
+MODULES = ["specfun", "states", "regions", "wigner", "spectra", "cli"]
 
 
 def section(title: str) -> str:
@@ -59,11 +61,26 @@ def test_package_exports_match_module_exports():
         assert name in module.__all__, "%s.__all__ lacks %s" % (module.__name__, name)
 
 
+def test_modules_import_only_lower_layers():
+    """Each module imports only modules above it in the README module
+    map, and spectra, which computes eigenvalues and builds no
+    wavefunction, only regions and specfun."""
+    imports = {}
+    for module in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds." + module)))
+        imports[module] = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    for k, module in enumerate(MODULES):
+        assert imports[module] <= set(MODULES[:k]), "%s imports %s" % (module, sorted(imports[module]))
+    assert imports["spectra"] == {"regions", "specfun"}
+
+
 def test_module_map_names_exist():
     """Every backticked name in the contents column of the README module
     map is in the __all__ of the module named in that row."""
     rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section("Module map"), re.M)
-    assert [module for module, _ in rows] == ["specfun", "states", "regions", "wigner", "spectra", "cli"]
+    assert [module for module, _ in rows] == MODULES
     for module, contents in rows:
         exported = importlib.import_module("wigner_bounds." + module).__all__
         missing = [n for n in re.findall(r"`([A-Za-z_]\w*)`", contents) if n not in exported]

@@ -15,6 +15,7 @@ from wigner_bounds import (
     apply_canonical,
     bounds,
     crossing_radius,
+    disk_curves,
     disk_eigenvalue,
     disk_spectrum,
     fock_extremes,
@@ -110,6 +111,9 @@ def test_disk_spectrum_refuses_out_of_range():
         rings_envelope([(0.0, 1.0), (2.0, 30.0)])
     with pytest.raises(ValueError, match="^exact disk spectrum needs radius <= 26$"):
         rings_envelope([(0.0, float("inf"))])
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^exact disk spectrum needs radius <= 26$"):
+            disk_curves([1.0, bad], 3)
     for rings in ([(1.0, 0.5)], [(-0.1, 1.0)], [(0.0, 0.5), (1.5, 1.2)], [(0.0, float("nan"))], []):
         with pytest.raises(ValueError, match="need 0 <= r_inner <= r_outer"):
             rings_envelope(rings)
@@ -163,6 +167,10 @@ def test_crossing_radii():
         assert abs(disk_eigenvalue(n + 1, r) - disk_eigenvalue(n, r)) < 1e-9
     with pytest.raises(ValueError):
         crossing_radius(0)
+    for n in (23, 40, 60):
+        r = crossing_radius(n)
+        diff = [disk_eigenvalue(n + 1, a) - disk_eigenvalue(n, a) for a in (r - 1e-7, r + 1e-7)]
+        assert diff[0] * diff[1] < 0
 
 
 def test_nystrom_matches_envelope():

@@ -53,6 +53,9 @@ def test_coherent_state_profile():
     assert abs(peak - 1.0) < 0.01
     with pytest.raises(ValueError, match="insufficient support"):
         coherent_state(4.0, 0.0)  # the default grid stops at q = 8, not 12
+    for q0, p0 in ((float("nan"), 0.0), (0.0, float("inf")), (float("inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite q0 and p0"):
+            coherent_state(q0, p0)
 
 
 def test_coherent_momentum_phase():
@@ -70,6 +73,10 @@ def test_ensemble_validation():
         Ensemble(np.array([0.5, 0.6]), (a, b))
     with pytest.raises(ValueError):
         Ensemble(np.array([1.5, -0.5]), (a, b))
+    with pytest.raises(ValueError, match="positive"):
+        Ensemble(np.array([np.nan, np.nan]), (a, b))
+    with pytest.raises(ValueError, match="sum to 1"):
+        Ensemble(np.array([0.5, np.inf]), (a, b))
     short = WavefunctionGrid(a.x0, a.dx, a.values[:-1])
     with pytest.raises(ValueError):
         Ensemble(np.array([0.5, 0.5]), (a, short))
