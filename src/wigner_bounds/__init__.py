@@ -6,8 +6,9 @@ computes those eigenvalues exactly for ellipses, bands between
 parallel lines, and disks, annuli and concentric unions of them, and in
 the number basis for any other bounded region, with bounds() picking
 the route from the region alone and refusing any other unbounded
-region; it also evaluates Wigner functions from sampled wavefunctions
-and checks measured quasiprobability grids against the bounds.
+region; it also evaluates Wigner functions, in closed form for number
+and coherent states and from sampled wavefunctions otherwise, and
+checks measured quasiprobability grids against the bounds.
 """
 from .regions import (
     Annulus,
@@ -52,6 +53,7 @@ from .wigner import (
     BoundReport,
     Identities,
     WignerGrid,
+    coherent_wigner,
     integral_identities,
     mixed_wigner,
     number_state_wigner,
@@ -84,6 +86,7 @@ __all__ = [
     "bounding_box",
     "bounds",
     "coherent_state",
+    "coherent_wigner",
     "crossing_radius",
     "disk_curves",
     "disk_eigenvalue",

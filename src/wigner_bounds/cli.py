@@ -11,7 +11,10 @@ Four subcommands:
                               against the region's bounds
 
 Each subcommand parses its flags, calls the library and prints; route
-choice for bounds and check lives in spectra.bounds.
+choice for bounds and check lives in spectra.bounds.  wigner writes
+oscillator:n and coherent:q0,p0 states, and mix: terms of them, from
+their closed forms on the requested grid; wigner_transform serves only
+csv: members, each on its own sampled grid.
 
 Exit codes: 0 success (check: within bounds), 1 bound violation,
 2 usage or data error.  Report numbers carry 9 significant digits;
@@ -28,8 +31,16 @@ import numpy as np
 
 from .regions import area, load_region
 from .spectra import bounds, disk_curves
-from .states import Ensemble, coherent_state, normalize, oscillator_state, read_state_csv
-from .wigner import mixed_wigner, quasiprobability, read_wigner_csv, wigner_transform, write_wigner_csv
+from .states import normalize, read_state_csv
+from .wigner import (
+    WignerGrid,
+    coherent_wigner,
+    number_state_wigner,
+    quasiprobability,
+    read_wigner_csv,
+    wigner_transform,
+    write_wigner_csv,
+)
 
 __all__ = [
     "cmd_bounds",
@@ -39,9 +50,6 @@ __all__ = [
     "entrypoint",
     "main",
 ]
-
-STATE_DX = 0.01
-
 
 def _fmt(x: float) -> str:
     return "%.9g" % float(x)
@@ -82,19 +90,16 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _half_width(kind: str, params) -> float:
-    if kind == "oscillator":
-        return math.sqrt(2.0 * params + 1.0) + 4.5
-    return abs(params[0]) + 8.5
-
-
 def _split_state(spec: str) -> tuple[str, object]:
     kind, _, rest = spec.partition(":")
     if kind == "oscillator":
         try:
-            return kind, int(rest)
+            n = int(rest)
         except ValueError:
             raise ValueError("bad state spec: oscillator:n needs an integer") from None
+        if n < 0:
+            raise ValueError("bad state spec: oscillator:n needs n >= 0")
+        return kind, n
     if kind == "coherent":
         try:
             q0, p0 = map(float, rest.split(","))
@@ -113,52 +118,35 @@ def _split_state(spec: str) -> tuple[str, object]:
     )
 
 
-def _build_state(spec: str, qlo: float, qhi: float):
-    """One WavefunctionGrid, or an Ensemble for mix: specs.
+def _parse_state(spec: str) -> list[tuple[float, str, object]]:
+    """(weight, kind, params) for each member of a state spec.
 
     mix syntax is 'mix:W SPEC + W SPEC + ...', e.g.
-    'mix:0.5 oscillator:0 + 0.5 oscillator:1'.  Members share a common
-    grid sized for the widest of them; CSV members dictate their own
-    grid and are normalized on load.
+    'mix:0.5 oscillator:0 + 0.5 oscillator:1'; the weights must be
+    positive and sum to 1 within 1e-10.  Any other spec is one member of
+    weight 1.
     """
-    if spec.startswith("mix:"):
-        terms = []
-        for chunk in spec[4:].split("+"):
-            halves = chunk.strip().split(None, 1)
-            if len(halves) != 2:
-                raise ValueError("bad state spec: mix terms look like '0.5 oscillator:1'")
-            try:
-                weight = float(halves[0])
-            except ValueError:
-                raise ValueError("bad state spec: mix weight %r" % halves[0]) from None
-            if halves[1].startswith("mix:"):
-                raise ValueError("bad state spec: mix terms cannot nest")
-            terms.append((weight, _split_state(halves[1].strip())))
-    else:
-        terms = [(1.0, _split_state(spec))]
-
-    loaded = [read_state_csv(params) if kind == "csv" else None for _, (kind, params) in terms]
-    ref = next((psi for psi in loaded if psi is not None), None)
-    if ref is not None:
-        grid = (ref.x0, ref.dx, len(ref))
-    else:
-        half = max(8.0, abs(qlo), abs(qhi))
-        for _, (kind, params) in terms:
-            half = max(half, _half_width(kind, params))
-        count = 2 * int(math.ceil(half / STATE_DX - 1e-9)) + 1
-        grid = (-STATE_DX * (count // 2), STATE_DX, count)
-
-    members = []
-    for (_, (kind, params)), psi in zip(terms, loaded):
-        if kind == "oscillator":
-            members.append(oscillator_state(params, *grid))
-        elif kind == "coherent":
-            members.append(coherent_state(params[0], params[1], *grid))
-        else:
-            members.append(normalize(psi))
-    if len(members) == 1:
-        return members[0]
-    return Ensemble(np.array([w for w, _ in terms]), tuple(members))
+    if not spec.startswith("mix:"):
+        return [(1.0, *_split_state(spec))]
+    terms = []
+    for chunk in spec[4:].split("+"):
+        halves = chunk.strip().split(None, 1)
+        if len(halves) != 2:
+            raise ValueError("bad state spec: mix terms look like '0.5 oscillator:1'")
+        try:
+            weight = float(halves[0])
+        except ValueError:
+            raise ValueError("bad state spec: mix weight %r" % halves[0]) from None
+        if halves[1].startswith("mix:"):
+            raise ValueError("bad state spec: mix terms cannot nest")
+        terms.append((weight, *_split_state(halves[1].strip())))
+    weights = [w for w, _, _ in terms]
+    # phrased so that NaN fails each check
+    if not all(w > 0.0 for w in weights):
+        raise ValueError("bad state spec: mix weights must be positive")
+    if not abs(math.fsum(weights) - 1.0) <= 1e-10:
+        raise ValueError("bad state spec: mix weights must sum to 1")
+    return terms
 
 
 def _phase_axis(lo: float, hi: float, step: float, label: str) -> np.ndarray:
@@ -172,12 +160,19 @@ def _phase_axis(lo: float, hi: float, step: float, label: str) -> np.ndarray:
 def cmd_wigner(args) -> int:
     qs = _phase_axis(args.q_min, args.q_max, args.dq, "q")
     ps = _phase_axis(args.p_min, args.p_max, args.dp, "p")
-    state = _build_state(args.state, args.q_min, args.q_max)
-    if isinstance(state, Ensemble):
-        w = mixed_wigner(state, qs, ps)
-    else:
-        w = wigner_transform(state, qs, ps)
-    write_wigner_csv(w, args.out)
+    terms = _parse_state(args.state)
+    # every CSV is read, and refused if malformed, before any grid work
+    samples = [read_state_csv(params) if kind == "csv" else None for _, kind, params in terms]
+    acc = None
+    for (weight, kind, params), psi in zip(terms, samples):
+        if kind == "oscillator":
+            w = number_state_wigner(params, qs[:, None], ps[None, :])
+        elif kind == "coherent":
+            w = coherent_wigner(*params, qs[:, None], ps[None, :])
+        else:
+            w = wigner_transform(normalize(psi), qs, ps).w
+        acc = weight * w if acc is None else acc + weight * w
+    write_wigner_csv(WignerGrid(qs, ps, acc), args.out)
     return 0
 
 

@@ -18,6 +18,7 @@ and, downstream, the extremal integrals of Wigner functions.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -325,10 +326,19 @@ def _hull(boxes) -> tuple[float, float, float, float]:
     )
 
 
-def _gauss(lo: float, hi: float, length: float, density: float):
+@functools.lru_cache(maxsize=256)
+def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    # read-only, since every caller shares the cached arrays
     from numpy.polynomial.legendre import leggauss
 
-    t, w = leggauss(_MIN_NODES + math.ceil(density * length))
+    t, w = leggauss(count)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _gauss(lo: float, hi: float, length: float, density: float):
+    t, w = _legendre_rule(_MIN_NODES + math.ceil(density * length))
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
 

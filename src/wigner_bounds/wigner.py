@@ -16,9 +16,12 @@ sum is taken over x >= 0 alone:
 two real matrix products against cos and sin tables, real by
 construction.
 
-Also here: the closed-form number-state Wigner functions, the two
-integral identities (total mass 1, purity 1/(2 pi)), the region
-functional Q_S, and a report on the pointwise bounds +-1/pi.
+Number and coherent states skip the transform: number_state_wigner and
+coherent_wigner evaluate their closed forms at any (q, p), exact to
+rounding where the transform's interpolation errs off the sample grid.
+Also here: the two integral identities (total mass 1, purity
+1/(2 pi)), the region functional Q_S, and a report on the pointwise
+bounds +-1/pi.
 """
 from __future__ import annotations
 
@@ -28,13 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .regions import Region, bounding_box, indicator
-from .specfun import laguerre_poly
 from .states import Ensemble, WavefunctionGrid, _read_csv
 
 __all__ = [
     "BoundReport",
     "Identities",
     "WignerGrid",
+    "coherent_wigner",
     "integral_identities",
     "mixed_wigner",
     "number_state_wigner",
@@ -44,6 +47,11 @@ __all__ = [
     "wigner_transform",
     "write_wigner_csv",
 ]
+
+# number_state_wigner folds e^{-r^2} into its start up to r^2 = _NORMAL_EXP,
+# where e^{-r^2} is still a normal float, and sheds e^{_SHED} per 1e-200 step
+_NORMAL_EXP = 700.0
+_SHED = 200.0 * np.log(10.0)
 
 
 def _uniform_step(xs: np.ndarray, label: str) -> float:
@@ -123,14 +131,57 @@ def wigner_transform(psi: WavefunctionGrid, qs, ps) -> WignerGrid:
 
 
 def number_state_wigner(n: int, q, p):
-    """Closed form W_n(q,p) = (-1)^n pi^{-1} L_n(2[q^2+p^2]) e^{-(q^2+p^2)}."""
+    """Closed form W_n(q,p) = (-1)^n pi^{-1} e^{-x/2} L_n(x), x = 2 (q^2 + p^2).
+
+    l_k = e^{-x/2} L_k(x) obeys the Laguerre recurrence
+
+        (k+1) l_{k+1} = (2k+1-x) l_k - k l_{k-1},  l_0 = e^{-x/2},
+
+    and stays within [-1, 1] for x >= 0, so e^{-x/2} is folded into the
+    starting value and no term overflows before it is scaled down.  Past
+    q^2 + p^2 = _NORMAL_EXP, where e^{-x/2} leaves the normal float range,
+    the start carries a factor e^c, c = q^2 + p^2 - _NORMAL_EXP, that the
+    recurrence sheds by 1e-200 steps whenever a term passes 1e200 and the
+    end divides out.  q and p are clipped to +-1e49, past which W_n is
+    zero to any precision, so x < 1e99 and no step grows a term past
+    1e299.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    q = np.clip(np.asarray(q, dtype=float), -1e49, 1e49)
+    p = np.clip(np.asarray(p, dtype=float), -1e49, 1e49)
+    r2 = q * q + p * p
+    far = bool(np.any(r2 > _NORMAL_EXP))
+    carry = np.maximum(r2 - _NORMAL_EXP, 0.0) if far else 0.0
+    lc = np.exp(carry - r2)
+    lm = np.zeros_like(lc)
+    # x = 2 r^2 takes r^2's place and the loop works in place, so only
+    # x, lm, lc and one new term are held
+    x = r2
+    x *= 2.0
+    for k in range(n):
+        new = (2 * k + 1) - x
+        new *= lc
+        lm *= k
+        new -= lm
+        new /= k + 1
+        lm, lc = lc, new
+        if far:
+            shed = np.abs(lc) > 1e200
+            lc = np.where(shed, 1e-200 * lc, lc)
+            lm = np.where(shed, 1e-200 * lm, lm)
+            carry = carry - _SHED * shed
+    lc *= (-1) ** n / np.pi
+    if far:
+        lc *= np.exp(-carry)
+    return lc if lc.ndim else float(lc)
+
+
+def coherent_wigner(q0: float, p0: float, q, p):
+    """Closed form exp(-(q-q0)^2 - (p-p0)^2) / pi of the coherent state at (q0, p0)."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    r2 = q * q + p * p
-    out = ((-1) ** n / np.pi) * laguerre_poly(n, 2.0 * r2) * np.exp(-r2)
-    out = np.asarray(out)
+    out = np.exp(-((q - q0) ** 2) - (p - p0) ** 2) / np.pi
     return out if out.ndim else float(out)
 
 

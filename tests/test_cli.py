@@ -10,9 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
 import wigner_bounds
-from wigner_bounds import disk_eigenvalue, read_state_csv, read_wigner_csv, rings_envelope
+from wigner_bounds import (
+    coherent_state,
+    disk_eigenvalue,
+    oscillator_state,
+    read_state_csv,
+    read_wigner_csv,
+    rings_envelope,
+    wigner_transform,
+)
 from wigner_bounds.cli import main
 
 
@@ -492,6 +501,99 @@ def test_wigner_reads_each_csv_member_once(tmp_path, monkeypatch):
     spec = "mix:0.5 csv:%s + 0.5 csv:%s" % (first, second)
     assert main(["wigner", spec, "--dq", "0.2", "--dp", "0.2", "--out", str(tmp_path / "w.csv")]) == 0
     assert reads == [first, second]
+
+
+# a two-member mix of analytic states; textbook_wigner writes out the
+# Wigner function of each analytic spec without the package's own forms
+MIX = "mix:0.3 oscillator:2 + 0.7 coherent:1.5,-0.7"
+
+
+def textbook_wigner(spec, q, p):
+    if spec.startswith("mix:"):
+        return 0.3 * textbook_wigner("oscillator:2", q, p) + 0.7 * textbook_wigner("coherent:1.5,-0.7", q, p)
+    if spec.startswith("coherent:"):
+        q0, p0 = map(float, spec[9:].split(","))
+        return np.exp(-((q - q0) ** 2) - (p - p0) ** 2) / math.pi
+    n = int(spec[11:])
+    r2 = q * q + p * p
+    return (-1) ** n * eval_laguerre(n, 2 * r2) * np.exp(-r2) / math.pi
+
+
+def run_wigner(tmp_path, spec, h, q=(-2.0, 2.0), p=(-1.5, 0.5)):
+    out = str(tmp_path / "w.csv")
+    argv = ["wigner", spec, "--q-min", repr(q[0]), "--q-max", repr(q[1]), "--dq", repr(h),
+            "--p-min", repr(p[0]), "--p-max", repr(p[1]), "--dp", repr(h), "--out", out]
+    assert main(argv) == 0
+    return read_wigner_csv(out)
+
+
+@pytest.mark.parametrize("h", [0.025, 0.0125])
+def test_wigner_analytic_specs_are_exact_off_the_state_lattice(tmp_path, h):
+    """Grid nodes off the 0.01 lattice that wigner used to sample states
+    on, where its transform erred by up to 1.2e-5: the written grid is
+    the closed form."""
+    for spec in ["oscillator:%d" % n for n in range(5)] + ["coherent:1.5,-0.7", MIX]:
+        grid = run_wigner(tmp_path, spec, h)
+        assert not np.allclose(np.round(grid.qs / 0.01), grid.qs / 0.01, rtol=0.0, atol=1e-6)
+        want = textbook_wigner(spec, grid.qs[:, None], grid.ps[None, :])
+        assert np.max(np.abs(grid.w - want)) < 1e-13, spec
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+def test_wigner_analytic_specs_match_the_transform_on_the_lattice(tmp_path, h):
+    """An independent check of the closed forms: on q nodes of the 0.01
+    lattice, the transform of the sampled state is exact to rounding."""
+    for spec in ["oscillator:%d" % n for n in range(5)] + ["coherent:1.5,-0.7"]:
+        grid = run_wigner(tmp_path, spec, h, q=(-3.0, 3.0), p=(-3.0, 3.0))
+        if spec.startswith("coherent:"):
+            psi = coherent_state(1.5, -0.7, -12.0, 0.01, 2401)
+        else:
+            psi = oscillator_state(int(spec[11:]), -12.0, 0.01, 2401)
+        want = wigner_transform(psi, grid.qs, grid.ps)
+        assert np.max(np.abs(grid.w - want.w)) < 1e-13, spec
+
+
+def test_wigner_transform_serves_only_csv_members(tmp_path, monkeypatch):
+    import wigner_bounds.cli as cli
+
+    calls = []
+
+    def counting_transform(psi, qs, ps):
+        calls.append(psi)
+        return wigner_transform(psi, qs, ps)
+
+    monkeypatch.setattr(cli, "wigner_transform", counting_transform)
+    for spec in ("oscillator:1", "coherent:1.5,-0.7", MIX):
+        run_wigner(tmp_path, spec, 0.1)
+    assert calls == []
+
+    state = write_gaussian_state(tmp_path / "g.csv")
+    grid = run_wigner(tmp_path, "mix:0.5 csv:%s + 0.5 oscillator:1" % state, 0.1)
+    assert len(calls) == 1 and calls[0].dx == pytest.approx(0.01) and len(calls[0]) == 1601
+    alone = run_wigner(tmp_path, "csv:" + state, 0.1)
+    want = 0.5 * alone.w + 0.5 * textbook_wigner("oscillator:1", grid.qs[:, None], grid.ps[None, :])
+    assert np.max(np.abs(grid.w - want)) < 1e-15
+
+
+def test_wigner_high_number_state(tmp_path):
+    """e^{-r^2} L_200(2 r^2) used to overflow to nan at |q| = 40."""
+    out = str(tmp_path / "w.csv")
+    argv = ["wigner", "oscillator:200", "--q-min", "-40", "--q-max", "40", "--p-min", "-1",
+            "--p-max", "1", "--dq", "0.5", "--dp", "0.5", "--out", out]
+    with np.errstate(over="raise", invalid="raise"):
+        assert main(argv) == 0
+    grid = read_wigner_csv(out)
+    assert grid.w.shape == (161, 5)
+    assert np.all(np.isfinite(grid.w)) and np.max(np.abs(grid.w)) <= 1 / math.pi
+
+
+def test_wigner_refuses_negative_number_state(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    for spec in ("oscillator:-1", "mix:0.5 oscillator:0 + 0.5 oscillator:-2"):
+        assert main(["wigner", spec, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: bad state spec: oscillator:n needs n >= 0\n"
 
 
 def test_entry_points_run(tmp_path):

@@ -177,3 +177,35 @@ def test_quadrature_integrates_gaussians_exactly():
     assert abs(np.sum(w * u * u) - math.pi * 2.0**3 * 0.5 / 4) < 1e-12
     with pytest.raises(ValueError):
         quadrature(Graph(-math.inf, 1.0, polyline((-9, 0), (1, 0)), polyline((-9, 1), (1, 1))), 5.0)
+
+
+def test_quadrature_caches_legendre_rules(monkeypatch):
+    """Each Gauss-Legendre node count is built once, and the cached,
+    read-only rules give the same nodes and weights bit for bit as a
+    fresh leggauss per panel."""
+    import numpy.polynomial.legendre as legendre
+    import wigner_bounds.regions as regions
+
+    regions_under_test = (DIAMOND, QUADRILATERAL, UNION, Disk((0.7, -0.4), 1.0), Annulus((0.3, 0.2), 0.5, 1.5))
+    fresh = legendre.leggauss
+    counts = []
+
+    def counting(count):
+        counts.append(count)
+        return fresh(count)
+
+    monkeypatch.setattr(legendre, "leggauss", counting)
+    regions._legendre_rule.cache_clear()
+    cached = [quadrature(s, d) for d in (0.75, 5.0) for s in regions_under_test]
+    assert counts and len(counts) == len(set(counts))
+    first = len(counts)
+    again = [quadrature(s, d) for d in (0.75, 5.0) for s in regions_under_test]
+    assert len(counts) == first
+    t, w = regions._legendre_rule(counts[0])
+    assert not t.flags.writeable and not w.flags.writeable
+
+    monkeypatch.setattr(regions, "_legendre_rule", fresh)
+    uncached = [quadrature(s, d) for d in (0.75, 5.0) for s in regions_under_test]
+    for a, b, c in zip(cached, again, uncached):
+        for x, y, z in zip(a, b, c):
+            assert np.array_equal(x, z) and np.array_equal(y, z)

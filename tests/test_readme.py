@@ -85,3 +85,13 @@ def test_module_map_names_exist():
         exported = importlib.import_module("wigner_bounds." + module).__all__
         missing = [n for n in re.findall(r"`([A-Za-z_]\w*)`", contents) if n not in exported]
         assert not missing, "README module map names %s, which %s does not export" % (missing, module)
+
+
+def test_cli_samples_no_analytic_state():
+    """wigner writes number and coherent states from their closed forms,
+    so cli imports neither position-grid state builder; sampled states
+    reach it only as csv: members."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds.cli")))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "number_state_wigner" in names and "coherent_wigner" in names
+    assert not names & {"oscillator_state", "coherent_state"}

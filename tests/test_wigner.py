@@ -11,6 +11,7 @@ from wigner_bounds import (
     WavefunctionGrid,
     WignerGrid,
     coherent_state,
+    coherent_wigner,
     integral_identities,
     mixed_wigner,
     number_state_wigner,
@@ -62,6 +63,34 @@ def test_transform_coherent_state():
     i, j = np.unravel_index(np.argmax(np.abs(w.w)), w.w.shape)
     assert abs(qs[i] - 2.0) <= w.dq
     assert abs(ps[j] - 0.0) <= w.dp
+
+
+def test_coherent_wigner_closed_form():
+    assert coherent_wigner(1.5, -0.7, 1.5, -0.7) == pytest.approx(1 / math.pi, abs=1e-16)
+    assert isinstance(coherent_wigner(0.0, 0.0, 0.3, 0.4), float)
+    got = coherent_wigner(2.0, 0.0, small_axes(0.1, 4.0)[:, None], small_axes(0.1, 4.0)[None, :])
+    psi = coherent_state(2.0, 0.0, -10.0, 0.005, 4001)
+    w = wigner_transform(psi, small_axes(0.1, 4.0), small_axes(0.1, 4.0))
+    assert got.shape == w.w.shape and np.max(np.abs(got - w.w)) < 1e-9
+
+
+def test_number_state_wigner_large_n_stays_finite():
+    """e^{-r^2} L_n(2 r^2) used to overflow to inf * 0 = nan at n = 200,
+    300 and r = 40.  Against mpmath's L_n, to 1e-13 of 1/pi, across and
+    past r^2 = 700 where e^{-r^2} leaves the normal float range, for n
+    whose oscillations reach past it."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for n in (200, 300):
+            w = number_state_wigner(n, np.linspace(-40.0, 40.0, 161)[:, None], np.array([-1.0, 0.0, 1.0]))
+            assert np.all(np.isfinite(w)) and np.max(np.abs(w)) <= 1 / math.pi
+        for n in (0, 7, 200, 300, 400):
+            for r2 in (0.3, 12.0, 650.0, 700.0, 705.0, 760.0, 820.0, 1600.0):
+                r2m = mpmath.mpf(r2)
+                want = float((-1) ** n * mpmath.laguerre(n, 0, 2 * r2m) * mpmath.exp(-r2m) / mpmath.pi)
+                assert abs(number_state_wigner(n, math.sqrt(r2), 0.0) - want) < 1e-13, (n, r2)
+        assert np.all(number_state_wigner(400, np.array([1e30, 1e300, np.inf]), 0.0) == 0.0)
 
 
 def full_range_wigner(psi, qs, ps):
