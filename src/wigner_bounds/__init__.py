@@ -21,6 +21,7 @@ from .regions import (
     RegionUnion,
     apply_canonical,
     area,
+    boundary_rule,
     bounding_box,
     indicator,
     load_region,
@@ -83,6 +84,7 @@ __all__ = [
     "WignerGrid",
     "apply_canonical",
     "area",
+    "boundary_rule",
     "bounding_box",
     "bounds",
     "coherent_state",

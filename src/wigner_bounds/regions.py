@@ -11,7 +11,9 @@ A region is one of five shapes in the (q, p) plane:
 
 Boundary points count as outside everywhere (a measure-zero convention
 that keeps indicator complements exact).  ``quadrature`` gives each
-bounded region a rule that is exact in its geometry.  ``CanonicalMap``
+bounded region an area rule that is exact in its geometry, and
+``boundary_rule`` nodes and weighted tangents around its boundary, for
+integrals that Green's theorem turns into line integrals.  ``CanonicalMap``
 carries the affine maps q' = alpha q + beta p + gamma,
 p' = nu q + mu p + rho with unit determinant; such maps preserve area
 and, downstream, the extremal integrals of Wigner functions.
@@ -39,6 +41,7 @@ __all__ = [
     "apply_canonical",
     "area",
     "bounding_box",
+    "boundary_rule",
     "indicator",
     "load_region",
     "quadrature",
@@ -49,7 +52,8 @@ __all__ = [
 
 _UNION_SAMPLES = 100_000
 
-# fewest nodes per direction of a quadrature panel, however small
+# fewest nodes per direction of a quadrature panel, and per boundary
+# edge or circle, however small
 _MIN_NODES = 12
 
 
@@ -398,6 +402,80 @@ def quadrature(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np.nd
             )
     elif isinstance(s, RegionUnion):
         parts = [quadrature(part, density) for part in s.parts]
+    else:
+        raise TypeError("not a region: %r" % (s,))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _polyline(f: PiecewiseLinear, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    # the vertices of f over [b, c]: its knots inside, evaluated ends
+    qs = np.concatenate([[b], f.qs[(f.qs > b) & (f.qs < c)], [c]])
+    return qs, f.evaluate(qs)
+
+
+def _loop_rule(q, p, density: float):
+    # Gauss nodes and weighted tangents on each edge of the closed
+    # polygon through (q, p); edges of zero length carry no nodes
+    parts = []
+    for q0, p0, q1, p1 in zip(q, p, np.roll(q, -1), np.roll(p, -1)):
+        dq, dp = q1 - q0, p1 - p0
+        length = math.hypot(dq, dp)
+        if length > 0.0:
+            t, w = _gauss(0.0, 1.0, length, density)
+            parts.append((q0 + dq * t, p0 + dp * t, dq * w, dp * w))
+    return parts
+
+
+def _ellipse_loop(center, a: float, b: float, angle: float, density: float):
+    # uniform angles, counterclockwise, on the ellipse with semi-axes a, b
+    # along angle and angle + pi / 2
+    m = _MIN_NODES + math.ceil(density * 2.0 * math.pi * max(a, b))
+    phi = 2.0 * math.pi * np.arange(m) / m
+    ca, sa = math.cos(angle), math.sin(angle)
+    cos, sin = np.cos(phi), np.sin(phi)
+    u, v = a * cos, b * sin
+    du, dv = -a * sin * (2.0 * math.pi / m), b * cos * (2.0 * math.pi / m)
+    return (
+        center[0] + ca * u - sa * v,
+        center[1] + sa * u + ca * v,
+        ca * du - sa * dv,
+        sa * du + ca * dv,
+    )
+
+
+def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes q, p and weighted tangents dq, dp on the boundary of s, with s on the left.
+
+    sum (f dp - g dq) over the nodes ~ the line integral of f dp - g dq
+    around s, for functions f, g of (q, p).  By Green's theorem
+    sum (q dp - p dq) / 2 is then the area of s, and with a radial mean
+    of the integrand quadrature's area integrals become sums over these
+    nodes (specfun.boundary_wigner_matrix).
+    Each polygon edge of a graph (f1 left to right, the side at c, f2
+    right to left, the side at b) gets 12 + density * length
+    Gauss-Legendre nodes, exact for integrands polynomial along it;
+    disks, ellipses and annuli get 12 + density * 2 pi * (largest
+    semi-axis) uniform angles per circle, the inner circle of an annulus
+    running clockwise; a union concatenates its parts' rules.
+    Unbounded regions raise.
+    """
+    if isinstance(s, Disk):
+        parts = [_ellipse_loop(s.center, s.radius, s.radius, 0.0, density)]
+    elif isinstance(s, Ellipse):
+        parts = [_ellipse_loop(s.center, s.semi_major, s.semi_minor, s.angle, density)]
+    elif isinstance(s, Annulus):
+        parts = [_ellipse_loop(s.center, s.r_outer, s.r_outer, 0.0, density)]
+        if s.r_inner > 0:
+            q, p, dq, dp = _ellipse_loop(s.center, s.r_inner, s.r_inner, 0.0, density)
+            parts.append((q, p, -dq, -dp))
+    elif isinstance(s, Graph):
+        if not (math.isfinite(s.b) and math.isfinite(s.c)):
+            raise ValueError("boundary rule needs a bounded region")
+        q1, p1 = _polyline(s.f1, s.b, s.c)
+        q2, p2 = _polyline(s.f2, s.b, s.c)
+        parts = _loop_rule(np.concatenate([q1, q2[::-1]]), np.concatenate([p1, p2[::-1]]), density)
+    elif isinstance(s, RegionUnion):
+        parts = [boundary_rule(part, density) for part in s.parts]
     else:
         raise TypeError("not a region: %r" % (s,))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))

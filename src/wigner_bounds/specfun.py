@@ -11,14 +11,20 @@ and a real radial function R_n^(j)(s) of s = sqrt(2 (q^2 + p^2)), and
 interpolates R from a few dozen Chebyshev radii.  The quadrature nodes
 then enter through one matrix product per block of nodes, and the
 Laguerre recurrence runs on those radii instead of on every node.
+boundary_wigner_matrix is the same build for the radial mean
+int_0^1 W(u q, u p) u du, which Green's theorem integrates around the
+region's boundary instead of over its area: one more product, with a
+table that depends only on the number of radii.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 __all__ = [
+    "boundary_wigner_matrix",
     "cross_wigner_matrix",
     "laguerre_poly",
     "oscillator_basis",
@@ -116,6 +122,76 @@ def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
     runs on the L radii alone, all offsets j advancing together.  No
     working array exceeds max(L, n_top + 1) x _POINT_BLOCK entries.
     """
+    return _chebyshev_sums(n_top, q, p, w, lambda g: g)
+
+
+def boundary_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
+    """B_mn = sum_k w_k Phi_mn(q_k, p_k), Phi_mn(x) = int_0^1 W_mn(u x) u du.
+
+    Phi is the radial mean that turns an area integral into a boundary
+    one: 2 Phi + r d(Phi)/dr = W_mn, so by Green's theorem
+
+        int_S W_mn dq dp = oint_{boundary of S} Phi_mn (q dp - p dq),
+
+    and with the nodes of regions.boundary_rule and w_k = q_k dp_k -
+    p_k dq_k, B is the region's matrix M of cross_wigner_matrix from a
+    few hundred boundary nodes instead of a few thousand area nodes.
+    The phase of W leaves the mean alone, so
+
+        Phi_{n,n+j} = (-1)^n / pi * e^{-ij theta} A_n^(j)(s),
+        A_n^(j)(s) = int_0^1 R_n^(j)(u s) u du,
+
+    and A is interpolated on the same L Chebyshev radii as R.  Its
+    values there come from R's through a table that depends on L alone,
+
+        A(sigma_l) = sum_m C_L[l, m] R(sigma_m),
+        C_L[l, m] = int_0^1 ell_m(tau_l u) u du,  tau = sigma / s_max,
+
+    so the build is cross_wigner_matrix's with G replaced by C_L^T G.
+    """
+    return _chebyshev_sums(n_top, q, p, w, lambda g: _radial_mean(len(g)).T @ g)
+
+
+def _chebyshev_points(size: int, top: float) -> np.ndarray:
+    return 0.5 * top * (1.0 - np.cos(np.linspace(0.0, np.pi, size)))
+
+
+def _lagrange_rows(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    # ell_l(x_k), the barycentric Lagrange basis of the Chebyshev points
+    # nodes, in row k; an x_k on a node takes that node's unit row
+    bary = (-1.0) ** np.arange(nodes.size)
+    bary[[0, -1]] *= 0.5
+    ell = x[:, None] - nodes
+    on = ell == 0.0
+    ell[on] = 1.0
+    np.divide(bary, ell, out=ell)
+    hit = on.any(axis=1)
+    ell[hit] = on[hit]
+    ell /= ell.sum(axis=1, keepdims=True)
+    return ell
+
+
+@functools.lru_cache(maxsize=64)
+def _radial_mean(size: int) -> np.ndarray:
+    # C_L[l, m] = int_0^1 ell_m(tau_l u) u du on the size Chebyshev points
+    # tau of [0, 1]; the integrand has degree size in u, which a Gauss
+    # rule of size // 2 + 1 nodes integrates exactly.  Read-only, since
+    # every caller shares the cached table.
+    from numpy.polynomial.legendre import leggauss
+
+    tau = _chebyshev_points(size, 1.0)
+    t, wt = leggauss(size // 2 + 1)
+    u = 0.5 * (t + 1.0)
+    ell = _lagrange_rows(np.outer(tau, u).ravel(), tau).reshape(size, u.size, size)
+    table = (0.5 * wt * u) @ ell
+    table.setflags(write=False)
+    return table
+
+
+def _chebyshev_sums(n_top: int, q, p, w, radial) -> np.ndarray:
+    # the build of cross_wigner_matrix; radial(G) gives the sums that
+    # pair with R at the Chebyshev radii: G itself for point values,
+    # C_L^T G for the radial mean
     if n_top < 0:
         raise ValueError("degree must be nonnegative")
     q, p, w = (np.ravel(np.asarray(v, dtype=float)) for v in (q, p, w))
@@ -129,32 +205,24 @@ def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
     r[r < 1e-150] = 0.0
     s_max = np.sqrt(2.0) * np.max(r, initial=0.0)
     if s_max == 0.0:
-        # no nodes, or all at the centre, where only W_nn = (-1)^n / pi is nonzero
-        return np.diag(sign * np.sum(w)).astype(complex)
+        # no nodes, or all at the centre: one radius, 0, where only
+        # R_n^(0) = 1 is nonzero
+        return np.diag(sign * radial(np.full((1, 1), np.sum(w)))[0, 0]).astype(complex)
     size = math.ceil(max(math.sqrt(4.0 * n_top + 2.0), 0.25 * s_max) * s_max) + 24
-    sigma = 0.5 * s_max * (1.0 - np.cos(np.linspace(0.0, np.pi, size)))
-    bary = (-1.0) ** np.arange(size)
-    bary[[0, -1]] *= 0.5
+    sigma = _chebyshev_points(size, s_max)
     # e^{-i theta}; a node at the centre takes 0, which R^(j)(0) = 0 for j > 0 ignores
     turn = (q - 1j * p) / np.where(r > 0.0, r, 1.0)
     g = np.zeros((size, count), dtype=complex)
     for start in range(0, q.size, _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
-        # ell_l(s_k) by the barycentric formula, with a unit row for a
-        # node that sits on a Chebyshev point
-        ell = np.sqrt(2.0) * r[block, None] - sigma
-        on = ell == 0.0
-        ell[on] = 1.0
-        np.divide(bary, ell, out=ell)
-        hit = on.any(axis=1)
-        ell[hit] = on[hit]
-        ell /= ell.sum(axis=1, keepdims=True)
+        ell = _lagrange_rows(np.sqrt(2.0) * r[block], sigma)
         # w_k e^{-ij theta_k} for j = 0..n_top as one running product
         phase = np.empty((ell.shape[0], count), dtype=complex)
         phase[:, 0] = w[block]
         phase[:, 1:] = turn[block, None]
         np.cumprod(phase, axis=1, out=phase)
         g += (ell.T @ phase.view(float)).view(complex)
+    g = radial(g)
     g_re, g_im = np.ascontiguousarray(g.real.T), np.ascontiguousarray(g.imag.T)
     x = sigma * sigma
     uc = np.empty((count, size))

@@ -20,8 +20,9 @@ bounds are exactly 0 and 1, both attained.
 
 Any other bounded region takes the Fock route (fock_extremes): the
 kernel's matrix in the number basis, <m|K_S|n> = integral over S of the
-cross-Wigner function W_mn, is integrated with a rule exact in the
-region's geometry, and the extremes of its leading blocks converge
+cross-Wigner function W_mn, is turned by Green's theorem into a line
+integral around the region's boundary, integrated with a rule exact in
+the region's geometry, and the extremes of its leading blocks converge
 from inside by Cauchy interlacing.  An unbounded region that is not a
 band has no sharp bound here and is refused.
 
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, bounding_box, quadrature
-from .specfun import cross_wigner_matrix
+from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, boundary_rule, bounding_box
+from .specfun import boundary_wigner_matrix
 
 __all__ = [
     "DISK_RADIUS_LIMIT",
@@ -68,8 +69,9 @@ FOCK_TOL = 1e-10
 FOCK_STEP = 8
 FOCK_MAX_BASIS = 400
 FOCK_GROWTH = 1.5
-# quadrature nodes per unit length per unit of sqrt(2N + 1), the largest
-# phase-plane wavenumber of the basis over two
+# boundary nodes per unit length of boundary per unit of sqrt(2N + 1),
+# the largest phase-plane wavenumber of the basis over two; doubling it
+# moves no extreme of the Fock test regions by 1e-12
 FOCK_DENSITY = 0.75
 
 
@@ -229,18 +231,20 @@ def fock_extremes(s: Region) -> SpectrumResult:
 
     The basis is centred on the region's bounding-box centre (q0, p0),
     whose half-diagonal is the reach r.  M_mn = integral over S of
-    W_mn(q - q0, p - p0) is built once for N = (r + 8)^2 / 2 states
-    (regions.quadrature, specfun.cross_wigner_matrix); by Cauchy
-    interlacing the extremes of its leading blocks move outward as the
-    block grows.  Blocks are read from (r + 4)^2 / 2 states, where the
-    basis first covers the region, in steps of FOCK_STEP until both
-    extremes change by less than FOCK_TOL.  The extremes of that settled
-    block are the result, with no eigenvectors, and their change is the
-    error_estimate.  If they have not settled by N, M is rebuilt
-    FOCK_GROWTH times larger and the reading goes on from N, up to
-    FOCK_MAX_BASIS states; past that a RuntimeError is raised rather
-    than an unconverged bound returned.  A first N past FOCK_MAX_BASIS
-    is refused with a ValueError before any quadrature runs.
+    W_mn(q - q0, p - p0) is built once for N = (r + 8)^2 / 2 states,
+    by Green's theorem from nodes on the boundary of S alone, weighted
+    (q - q0) dp - (p - p0) dq (regions.boundary_rule,
+    specfun.boundary_wigner_matrix); by Cauchy interlacing the extremes
+    of its leading blocks move outward as the block grows.  Blocks are
+    read from (r + 4)^2 / 2 states, where the basis first covers the
+    region, in steps of FOCK_STEP until both extremes change by less
+    than FOCK_TOL.  The extremes of that settled block are the result,
+    with no eigenvectors, and their change is the error_estimate.  If
+    they have not settled by N, M is rebuilt FOCK_GROWTH times larger
+    and the reading goes on from N, up to FOCK_MAX_BASIS states; past
+    that a RuntimeError is raised rather than an unconverged bound
+    returned.  A first N past FOCK_MAX_BASIS is refused with a
+    ValueError before any quadrature runs.
     """
     qmin, qmax, pmin, pmax = bounding_box(s)
     if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
@@ -254,8 +258,9 @@ def fock_extremes(s: Region) -> SpectrumResult:
         raise ValueError(msg % (top, FOCK_MAX_BASIS))
     while True:
         density = FOCK_DENSITY * math.sqrt(2.0 * top + 1.0)
-        q, p, w = quadrature(s, density)
-        m = cross_wigner_matrix(top - 1, q - center[0], p - center[1], w)
+        q, p, dq, dp = boundary_rule(s, density)
+        q, p = q - center[0], p - center[1]
+        m = boundary_wigner_matrix(top - 1, q, p, q * dp - p * dq)
         prev = np.linalg.eigvalsh(m[:size, :size])
         while size < top:
             size = min(size + FOCK_STEP, top)

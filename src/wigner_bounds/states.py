@@ -167,6 +167,12 @@ def _read_csv(path, kind: str, columns: str) -> np.ndarray:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != columns.split(","):
             raise ValueError("%s CSV must start with header %s" % (kind, columns))
+        # find the first data row (loadtxt skips blank and # lines, and
+        # only warns when none is left), then parse from there
+        start = fh.tell()
+        if not any(line.split("#")[0].strip() for line in iter(fh.readline, "")):
+            raise ValueError("%s CSV has a header but no data rows" % kind)
+        fh.seek(start)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():

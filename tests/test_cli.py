@@ -312,7 +312,7 @@ def test_wigner_csv_and_check_loop(tmp_path, capsys):
 def test_check_flags_scaled_grid(tmp_path, capsys):
     out = str(tmp_path / "w0.csv")
     assert main(["wigner", "oscillator:0", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     scaled = [lines[0]]
     for ln in lines[1:]:
         q, p, w = ln.split(",")
@@ -327,7 +327,7 @@ def test_check_flags_scaled_grid(tmp_path, capsys):
 def test_check_margin_flag_can_absorb_violation(tmp_path, capsys):
     out = str(tmp_path / "w1.csv")
     assert main(["wigner", "oscillator:1", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     scaled = [lines[0]] + [
         "%s,%s,%.17g" % (*ln.split(",")[:2], 1.1 * float(ln.split(",")[2]))
         for ln in lines[1:]
@@ -362,7 +362,7 @@ def test_check_rejects_bad_margin(tmp_path, capsys, margin):
 def test_check_rejects_non_finite_cells(tmp_path, capsys, column, bad):
     out = str(tmp_path / "w0.csv")
     assert main(["wigner", "oscillator:0", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     cells = lines[1000].split(",")
     cells[column] = bad
     lines[1000] = ",".join(cells)
@@ -485,6 +485,25 @@ def test_wigner_rejects_non_finite_state(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert "state CSV data row 901 is not finite" in captured.err
 
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n# no samples\n"], ids=["bare", "blank", "comment"])
+def test_header_only_csvs_are_refused(tmp_path, capsys, body):
+    """A CSV with its header and no data rows gets one error line and
+    exit 2, on check and on a wigner csv: member, with no warning."""
+    grid = tmp_path / "empty.csv"
+    grid.write_text("q,p,w\n" + body)
+    assert main(["check", str(grid), disk_json(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Wigner CSV has a header but no data rows\n"
+    state = tmp_path / "state.csv"
+    state.write_text("x,re,im\n" + body)
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "csv:%s" % state, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: state CSV has a header but no data rows\n"
 
 def test_wigner_reads_each_csv_member_once(tmp_path, monkeypatch):
     import wigner_bounds.cli as cli

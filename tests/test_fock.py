@@ -13,13 +13,15 @@ from wigner_bounds import (
     PiecewiseLinear,
     RegionUnion,
     area,
+    boundary_rule,
     bounding_box,
     fock_extremes,
     quadrature,
     rings_envelope,
 )
 from wigner_bounds.cli import main
-from wigner_bounds.specfun import cross_wigner_matrix
+from wigner_bounds.spectra import FOCK_DENSITY
+from wigner_bounds.specfun import boundary_wigner_matrix, cross_wigner_matrix
 from oracle import assemble
 from test_acceptance import random_regions
 
@@ -42,17 +44,24 @@ UNION = RegionUnion((
 ))
 
 
-@pytest.mark.parametrize(
-    "region, exact",
-    [
-        (Disk((0.7, -0.4), 1.0), rings_envelope([(0.0, 1.0)])),
-        (Disk((-1.1, 0.6), 1.7), rings_envelope([(0.0, 1.7)])),
-        (Annulus((0.3, 0.2), 0.5, 1.5), rings_envelope([(0.5, 1.5)])),
-        (Annulus((-0.5, 0.8), 1.0, 2.0), rings_envelope([(1.0, 2.0)])),
-        (Ellipse((0.3, -0.6), 2.0, 0.5, 0.8), rings_envelope([(0.0, 1.0)])),
-        (Ellipse((-0.2, 0.4), 1.8, 1.1, 2.3), rings_envelope([(0.0, math.sqrt(1.8 * 1.1))])),
-    ],
-)
+CONIC_CASES = [
+    (Disk((0.7, -0.4), 1.0), rings_envelope([(0.0, 1.0)])),
+    (Disk((-1.1, 0.6), 1.7), rings_envelope([(0.0, 1.7)])),
+    (Annulus((0.3, 0.2), 0.5, 1.5), rings_envelope([(0.5, 1.5)])),
+    (Annulus((-0.5, 0.8), 1.0, 2.0), rings_envelope([(1.0, 2.0)])),
+    (Ellipse((0.3, -0.6), 2.0, 0.5, 0.8), rings_envelope([(0.0, 1.0)])),
+    (Ellipse((-0.2, 0.4), 1.8, 1.1, 2.3), rings_envelope([(0.0, math.sqrt(1.8 * 1.1))])),
+]
+# every region the Fock route is tested on here
+FOCK_REGIONS = [region for region, _ in CONIC_CASES] + [DIAMOND, QUADRILATERAL, UNION]
+
+
+def box_centre(region):
+    box = bounding_box(region)
+    return 0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3])
+
+
+@pytest.mark.parametrize("region, exact", CONIC_CASES)
 def test_fock_matches_closed_forms(region, exact):
     res = fock_extremes(region)
     assert res.method == "fock"
@@ -209,3 +218,113 @@ def test_quadrature_caches_legendre_rules(monkeypatch):
     for a, b, c in zip(cached, again, uncached):
         for x, y, z in zip(a, b, c):
             assert np.array_equal(x, z) and np.array_equal(y, z)
+
+
+def about_box_centre(region):
+    return region, box_centre(region)
+
+
+# regions where the boundary form of the build is most likely to slip,
+# each with the basis centre it is built about
+GREEN_CASES = [about_box_centre(region) for region in FOCK_REGIONS] + [
+    # a bowtie pinched at its box centre, so its boundary runs through it
+    (Graph(-1.0, 1.0, polyline((-1, -1), (0, 0), (1, -1)), polyline((-1, 1), (0, 0), (1, 1))), (0.0, 0.0)),
+    # a triangle whose long edge runs through its box centre
+    (Graph(-1.0, 1.0, polyline((-1, -1), (1, 1)), polyline((-1, 1), (1, 1))), (0.0, 0.0)),
+    # a sliver 1e-6 thick
+    about_box_centre(Graph(-1.0, 1.0, polyline((-1, 0.1), (1, 0.3)), polyline((-1, 0.1 + 1e-6), (1, 0.3 + 1e-6)))),
+    # a small region far from the basis centre
+    (Graph(3.0, 3.2, polyline((3.0, 2.0), (3.2, 2.1)), polyline((3.0, 2.3), (3.2, 2.2))), (0.0, 0.0)),
+    (Disk((1.3, -0.9), 0.6), (0.0, 0.0)),
+    (Annulus((-0.4, 0.7), 0.3, 1.1), (0.0, 0.0)),
+    (Ellipse((0.4, 0.2), 1.5, 0.4, 2.1), (0.0, 0.0)),
+    about_box_centre(RegionUnion((Disk((2.2, 1.2), 0.5), QUADRILATERAL))),
+]
+GREEN_IDS = ["%s-%d" % (type(region).__name__, k) for k, (region, _) in enumerate(GREEN_CASES)]
+
+
+@pytest.mark.parametrize("region, centre", GREEN_CASES, ids=GREEN_IDS)
+def test_boundary_build_matches_area_build(region, centre):
+    """Green's theorem: the boundary build on boundary_rule is the area
+    build on quadrature, here at twice the density, for bases from 1 to
+    250 states."""
+    q0, p0 = centre
+    for n_top in (0, 1, 53, 121, 249):
+        density = FOCK_DENSITY * math.sqrt(2.0 * n_top + 3.0)
+        q, p, dq, dp = boundary_rule(region, density)
+        q, p = q - q0, p - p0
+        got = boundary_wigner_matrix(n_top, q, p, q * dp - p * dq)
+        q, p, w = quadrature(region, 2.0 * density)
+        want = cross_wigner_matrix(n_top, q - q0, p - p0, w)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("region", [region for region, _ in GREEN_CASES], ids=GREEN_IDS)
+def test_boundary_rule_encloses_the_area(region):
+    """sum (q dp - p dq) is twice the area: the rule runs around the
+    region once, with the region on its left."""
+    for density in (0.5, 7.0):
+        q, p, dq, dp = boundary_rule(region, density)
+        assert abs(np.sum(q * dp - p * dq) - 2.0 * area(region)) < 1e-14
+
+
+def test_boundary_rule_refuses_unbounded_graphs():
+    for b, c in ((-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf)):
+        strip = Graph(b, c, polyline((-9, 0), (9, 0)), polyline((-9, 1), (9, 1)))
+        with pytest.raises(ValueError, match="bounded"):
+            boundary_rule(strip, 5.0)
+        with pytest.raises(ValueError, match="bounded"):
+            boundary_rule(RegionUnion((Disk((20.0, 0.0), 1.0), strip)), 5.0)
+
+
+@pytest.mark.parametrize("region", FOCK_REGIONS)
+def test_fock_extremes_hold_at_twice_the_density(region, monkeypatch):
+    """The boundary rule's error is below the stopping tolerance: doubling
+    FOCK_DENSITY moves no extreme by 1e-12."""
+    want = fock_extremes(region)
+    monkeypatch.setattr("wigner_bounds.spectra.FOCK_DENSITY", 2.0 * FOCK_DENSITY)
+    got = fock_extremes(region)
+    assert got.basis_size == want.basis_size
+    assert abs(got.lambda_min - want.lambda_min) < 1e-12
+    assert abs(got.lambda_max - want.lambda_max) < 1e-12
+
+
+def test_radial_mean_tables_are_cached(monkeypatch):
+    """Each C_L table of the boundary build is made once per L (one
+    leggauss call each), is read-only, and is the same bit for bit as a
+    fresh table."""
+    import numpy.polynomial.legendre as legendre
+    import wigner_bounds.specfun as specfun
+
+    builds = []
+    for region in (DIAMOND, QUADRILATERAL, UNION, Disk((0.7, -0.4), 1.0), Annulus((0.3, 0.2), 0.5, 1.5)):
+        q0, p0 = box_centre(region)
+        for n_top in (30, 44, 70):
+            q, p, dq, dp = boundary_rule(region, FOCK_DENSITY * math.sqrt(2.0 * n_top + 3.0))
+            builds.append((n_top, q - q0, p - p0, (q - q0) * dp - (p - p0) * dq))
+    fresh, cached = legendre.leggauss, specfun._radial_mean
+    counts, sizes = [], []
+
+    def counting(count):
+        counts.append(count)
+        return fresh(count)
+
+    def recording(size):
+        sizes.append(size)
+        return cached(size)
+
+    monkeypatch.setattr(legendre, "leggauss", counting)
+    monkeypatch.setattr(specfun, "_radial_mean", recording)
+    cached.cache_clear()
+    first = [boundary_wigner_matrix(*build) for build in builds]
+    assert len(sizes) == len(builds) > len(set(sizes))
+    assert len(counts) == len(set(sizes))
+    again = [boundary_wigner_matrix(*build) for build in builds]
+    assert len(counts) == len(set(sizes))
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    for size in set(sizes):
+        table = cached(size)
+        assert not table.flags.writeable
+        assert np.array_equal(table, cached.__wrapped__(size))
