@@ -21,7 +21,6 @@ from .regions import (
     RegionUnion,
     apply_canonical,
     area,
-    boundary_rule,
     bounding_box,
     indicator,
     load_region,
@@ -84,7 +83,6 @@ __all__ = [
     "WignerGrid",
     "apply_canonical",
     "area",
-    "boundary_rule",
     "bounding_box",
     "bounds",
     "coherent_state",

@@ -171,19 +171,30 @@ def _lagrange_rows(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return ell
 
 
-@functools.lru_cache(maxsize=64)
+# 16 tables: a Fock pass over the benchmark's regions needs at most 8
+# distinct L, and the largest tables (L about 1400 at 400 states) hold
+# 16 MB each
+@functools.lru_cache(maxsize=16)
 def _radial_mean(size: int) -> np.ndarray:
     # C_L[l, m] = int_0^1 ell_m(tau_l u) u du on the size Chebyshev points
     # tau of [0, 1]; the integrand has degree size in u, which a Gauss
-    # rule of size // 2 + 1 nodes integrates exactly.  Read-only, since
-    # every caller shares the cached table.
+    # rule of size // 2 + 1 nodes integrates exactly.  Rows l are built in
+    # blocks of at most _POINT_BLOCK points tau_l u_i, so the barycentric
+    # rows stay within size x _POINT_BLOCK entries, as in _chebyshev_sums
+    # (size // 2 + 1 < _POINT_BLOCK for every size the Fock route reaches).
+    # Read-only, since every caller shares the cached table.
     from numpy.polynomial.legendre import leggauss
 
     tau = _chebyshev_points(size, 1.0)
     t, wt = leggauss(size // 2 + 1)
     u = 0.5 * (t + 1.0)
-    ell = _lagrange_rows(np.outer(tau, u).ravel(), tau).reshape(size, u.size, size)
-    table = (0.5 * wt * u) @ ell
+    wu = 0.5 * wt * u
+    table = np.empty((size, size))
+    rows = max(1, _POINT_BLOCK // u.size)
+    for start in range(0, size, rows):
+        block = tau[start : start + rows]
+        ell = _lagrange_rows(np.outer(block, u).ravel(), tau)
+        table[start : start + block.size] = wu @ ell.reshape(block.size, u.size, size)
     table.setflags(write=False)
     return table
 

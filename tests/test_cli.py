@@ -486,7 +486,6 @@ def test_wigner_rejects_non_finite_state(tmp_path, capsys):
     assert "state CSV data row 901 is not finite" in captured.err
 
 
-
 @pytest.mark.parametrize("body", ["", "\n", "\n\n# no samples\n"], ids=["bare", "blank", "comment"])
 def test_header_only_csvs_are_refused(tmp_path, capsys, body):
     """A CSV with its header and no data rows gets one error line and
@@ -504,6 +503,7 @@ def test_header_only_csvs_are_refused(tmp_path, capsys, body):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == "error: state CSV has a header but no data rows\n"
+
 
 def test_wigner_reads_each_csv_member_once(tmp_path, monkeypatch):
     import wigner_bounds.cli as cli

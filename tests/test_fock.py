@@ -13,13 +13,13 @@ from wigner_bounds import (
     PiecewiseLinear,
     RegionUnion,
     area,
-    boundary_rule,
     bounding_box,
     fock_extremes,
     quadrature,
     rings_envelope,
 )
 from wigner_bounds.cli import main
+from wigner_bounds.regions import boundary_rule
 from wigner_bounds.spectra import FOCK_DENSITY
 from wigner_bounds.specfun import boundary_wigner_matrix, cross_wigner_matrix
 from oracle import assemble
@@ -328,3 +328,26 @@ def test_radial_mean_tables_are_cached(monkeypatch):
         table = cached(size)
         assert not table.flags.writeable
         assert np.array_equal(table, cached.__wrapped__(size))
+
+
+def test_radial_mean_table_is_built_in_blocks(monkeypatch):
+    """At L = 600 the C_L table's barycentric rows stay within
+    L x _POINT_BLOCK entries, and the table maps tau^k on its Chebyshev
+    points to the radial mean int_0^1 (tau u)^k u du = tau^k / (k + 2)."""
+    import wigner_bounds.specfun as specfun
+
+    entries = []
+    rows = specfun._lagrange_rows
+
+    def recording(x, nodes):
+        entries.append(x.size * nodes.size)
+        return rows(x, nodes)
+
+    monkeypatch.setattr(specfun, "_lagrange_rows", recording)
+    size = 600
+    table = specfun._radial_mean.__wrapped__(size)
+    assert len(entries) > 1
+    assert max(entries) <= size * specfun._POINT_BLOCK
+    tau = specfun._chebyshev_points(size, 1.0)
+    for k in (0, 1, 7, 40, 300, size - 1):
+        assert np.max(np.abs(table @ tau**k - tau**k / (k + 2))) < 1e-13
