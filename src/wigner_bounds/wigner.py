@@ -25,6 +25,7 @@ bounds +-1/pi.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -250,19 +251,105 @@ def write_wigner_csv(w: WignerGrid, path) -> None:
     """Row-major CSV q,p,w with full float precision (round-trips exactly).
 
     Each line is "%.17g,%.17g,%.17g" of q, p, w.  The p cells are
-    formatted once into a row template; each q row fills in its q and
-    its w cells and is written in one call.
+    formatted once into a row template, split at its q slots; each q row
+    joins its q text into the slots, fills in its w cells and is written
+    in one call.
     """
-    template = "".join("{q},%.17g,%%.17g\n" % p for p in w.ps.tolist())
+    parts = "".join("{q},%.17g,%%.17g\n" % p for p in w.ps.tolist()).split("{q}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("q,p,w\n")
         for q, row in zip(w.qs.tolist(), w.w):
-            fh.write(template.replace("{q}", "%.17g" % q) % tuple(row.tolist()))
+            fh.write(("%.17g" % q).join(parts) % tuple(row.tolist()))
+
+
+# the regular read holds q and p as bytes of this width (a "%.17g" text
+# has at most 24 characters) and parses this many lines at a time, which
+# keeps its peak memory on a 641 x 641 grid below the full parse's
+_TEXT_WIDTH = 25
+_BLOCK_ROWS = 1 << 13
+_CELLS = np.dtype([("q", "S%d" % _TEXT_WIDTH), ("p", "S%d" % _TEXT_WIDTH), ("w", float)])
 
 
 def read_wigner_csv(path) -> WignerGrid:
     """Inverse of write_wigner_csv; enforces the uniform row-major layout
-    and finite cells."""
+    and finite cells.
+
+    A text-regular file is read without parsing every coordinate cell.
+    It is text-regular when each q text repeats unchanged along its row
+    of k lines and every row's p texts are byte for byte the first row's,
+    as write_wigner_csv and np.savetxt write them.  Such a file is
+    tokenized in blocks of _BLOCK_ROWS lines, q and p kept as text and w
+    parsed, and checked in whole rows, so the working memory stays one
+    block beyond the grid.  Then only the nq + k distinct coordinate
+    texts go through the same float parser.  Every other file is read
+    again from the start by the full parse, which parses every cell and
+    decides the grid or the error: comment lines, a blank line that
+    starts a block, coordinates spelled differently in different rows
+    ("-4" and "-4.0"), a coordinate of _TEXT_WIDTH or more characters,
+    NUL or non-Latin-1 characters, non-finite cells, rows longer than a
+    block, a ragged or irregular grid, and any parse or layout error on
+    the way.
+    Text-equal coordinates pass the full parse's 1e-9 row-major check
+    exactly, so both reads give the same grid bit for bit.
+    """
+    try:
+        grid = _read_regular(path)
+    except ValueError:
+        # loadtxt, the decoder and WignerGrid raise ValueError; an OSError
+        # would recur in the full parse
+        grid = None
+    return grid if grid is not None else _read_full(path)
+
+
+def _read_regular(path) -> WignerGrid | None:
+    """The grid of a text-regular file, or None to read it in full."""
+    with open(path, "rb") as raw:
+        # bytes fields drop trailing NULs, which the full parse refuses
+        if any(b"\0" in chunk for chunk in iter(lambda: raw.read(1 << 16), b"")):
+            return None
+    with open(path, "r", encoding="utf-8") as fh:
+        if [c.strip() for c in fh.readline().split(",")] != ["q", "p", "w"]:
+            return None
+        k = None
+        carry = np.empty(0, _CELLS)
+        qtexts, wrows = [], []
+        while first := fh.readline():
+            # loadtxt warns on a block with no data, which a blank line
+            # could start; it skips blank lines inside a block, as the full
+            # parse does
+            if not first.strip():
+                return None
+            lines = itertools.chain([first], itertools.islice(fh, _BLOCK_ROWS - 1))
+            cells = np.loadtxt(lines, dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
+            cells = np.concatenate([carry, cells])
+            if k is None:
+                k = int(np.argmax(cells["q"] != cells["q"][0]))
+                if k < 2:
+                    return None
+                ptexts = cells["p"][:k].copy()
+            whole = cells.size - cells.size % k
+            rows, carry = cells[:whole].reshape(-1, k), cells[whole:]
+            if np.any(rows["q"] != rows["q"][:, :1]) or np.any(rows["p"] != ptexts):
+                return None
+            qtexts.append(rows["q"][:, 0].copy())
+            wrows.append(rows["w"].copy())
+    if k is None or carry.size:
+        return None
+    texts = np.concatenate(qtexts + [ptexts])
+    widths = np.char.str_len(texts)
+    if widths.min() == 0 or widths.max() >= _TEXT_WIDTH:
+        return None
+    coords = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1)
+    w = np.concatenate(wrows)
+    if not (np.isfinite(coords).all() and np.isfinite(w).all()):
+        return None
+    # WignerGrid refuses axes that are not uniformly increasing, so the
+    # row length k is the full read's too
+    return WignerGrid(coords[:-k], coords[-k:], w)
+
+
+def _read_full(path) -> WignerGrid:
+    """read_wigner_csv for any file: every cell parsed, every check numeric."""
     data = _read_csv(path, "Wigner", "q,p,w")
     if data.shape[0] < 4 or data.shape[1] != 3:
         raise ValueError("Wigner CSV needs at least a 2x2 grid of q,p,w rows")

@@ -505,6 +505,24 @@ def test_header_only_csvs_are_refused(tmp_path, capsys, body):
     assert captured.err == "error: state CSV has a header but no data rows\n"
 
 
+def test_cli_module_runs_as_python_m(tmp_path):
+    """`python -m wigner_bounds.cli` runs the CLI, as `python -m
+    wigner_bounds` does, instead of importing it and exiting 0."""
+    grid = tmp_path / "empty.csv"
+    grid.write_text("q,p,w\n")
+    src = str(Path(wigner_bounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("wigner_bounds", "wigner_bounds.cli"):
+        ret = subprocess.run(
+            [sys.executable, "-m", module, "check", str(grid), disk_json(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert ret.returncode == 2, module
+        assert ret.stdout == ""
+        assert ret.stderr == "error: Wigner CSV has a header but no data rows\n"
+
+
 def test_wigner_reads_each_csv_member_once(tmp_path, monkeypatch):
     import wigner_bounds.cli as cli
 

@@ -1,5 +1,6 @@
 """Wigner transform, integral identities, quasiprobability, grid CSV."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from wigner_bounds import (
     wigner_transform,
     write_wigner_csv,
 )
+from wigner_bounds import wigner
 
 # W_2(1, 0) = -e^{-1}/pi, from L_2(2) e^{-1} / pi with L_2(2) = -1
 W2_AT_10 = -0.11709966304863832
@@ -247,3 +249,157 @@ def test_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="row-major"):
         read_wigner_csv(path)
 
+
+def grid_or_error(read, path):
+    try:
+        g = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return g.qs, g.ps, g.w
+
+
+def assert_same_read(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# the full parse, held here so that counting its calls does not count these
+full_read = wigner._read_full
+
+
+@pytest.fixture
+def full_reads(monkeypatch):
+    """Counts the files read_wigner_csv hands to its full parse."""
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return full_read(path)
+
+    monkeypatch.setattr(wigner, "_read_full", counted)
+    return calls
+
+
+def savetxt_grid(path, axis, fn):
+    """The layout of np.savetxt(fmt="%.17g"), one q row per call."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("q,p,w\n")
+        for q in axis:
+            rows = np.column_stack([np.full_like(axis, q), axis, fn(q, axis)])
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+
+
+def test_csv_regular_grids_skip_the_full_parse(tmp_path, full_reads):
+    """Grids written by write_wigner_csv and by np.savetxt are text-regular:
+    they never reach the full parse, and read back as it would read them."""
+    written = tmp_path / "written.csv"
+    qs, ps = small_axes(0.05, 2.0), small_axes(0.1, 3.0)
+    w = WignerGrid(qs, ps, number_state_wigner(1, qs[:, None], ps[None, :]))
+    write_wigner_csv(w, written)
+    saved = tmp_path / "saved.csv"
+    savetxt_grid(saved, -3.0 + 0.05 * np.arange(121), lambda q, p: coherent_wigner(0.3, -0.1, q, p))
+    for path in (written, saved):
+        got = grid_or_error(read_wigner_csv, path)
+        assert not full_reads
+        assert_same_read(got, grid_or_error(full_read, path))
+    assert_same_read(grid_or_error(read_wigner_csv, written), (w.qs, w.ps, w.w))
+
+
+@pytest.mark.parametrize("block", [5, 8, 10, 24, 1000])
+def test_csv_regular_read_in_blocks(tmp_path, monkeypatch, full_reads, block):
+    """6 rows of 4 lines: blocks that end mid-row, on a row, and on the
+    last line (24 = 3 * 8) all stay on the regular path, with no warning
+    from an empty last read."""
+    monkeypatch.setattr(wigner, "_BLOCK_ROWS", block)
+    path = tmp_path / "w.csv"
+    qs, ps = small_axes(1.0, 2.5)[:6], np.array([-4.0, -3.5, -3.0, -2.5])
+    write_wigner_csv(WignerGrid(qs, ps, np.arange(24.0).reshape(6, 4) - 7.5), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = grid_or_error(read_wigner_csv, path)
+    assert caught == [] and full_reads == []
+    assert_same_read(got, grid_or_error(full_read, path))
+
+
+def _edit_line(n, old, new):
+    def edit(lines):
+        lines[n] = lines[n].replace(old, new, 1)
+        return lines
+    return edit
+
+
+def _edit_column(col, old, new):
+    def edit(lines):
+        out = []
+        for line in lines:
+            cells = line.split(",")
+            if cells[col] == old:
+                cells[col] = new
+            out.append(",".join(cells))
+        return out
+    return edit
+
+
+def _insert(n, text):
+    def edit(lines):
+        return lines[:n] + [text] + lines[n:]
+    return edit
+
+
+# each edit takes the 24 data lines of a 6 x 4 grid (q = -4 ... 1, p = -4
+# ... -2.5) and gives the lines of the file to read; the block is 8 lines
+CSV_EDITS = {
+    "comment": (_insert(5, "# a comment line\n"), "grid"),
+    "blank": (_insert(5, "\n"), "grid"),
+    "blank-first": (_insert(0, "\n"), "grid"),
+    "blank-tail": (lambda lines: lines + ["\n", "\n"], "grid"),
+    "padded-all": (lambda lines: [" , ".join(line.strip().split(",")) + " \n" for line in lines], "grid"),
+    "padded-one-row": (lambda lines: lines[:8] + [" " + line for line in lines[8:12]] + lines[12:], "grid"),
+    "respelled-p": (_edit_line(12, ",-4,", ",-4.0,"), "grid"),
+    "respelled-q": (_edit_line(1, "-4,", "-4.0,"), "grid"),
+    "long-p": (_edit_column(1, "-3.5", "-0000000000000000000000003.5"), "grid"),
+    # 27 characters, one ulp off -3; cut to 25 they would read -3 exactly
+    "long-q-every-row": (_edit_column(0, "-3", "-3.000000000000000222044605"), "grid"),
+    "signed-zero": (_edit_column(0, "0", "-0"), "grid"),
+    "nan-q": (_edit_line(9, "-2,", "nan,"), "error"),
+    "inf-p": (_edit_line(10, ",-3,", ",inf,"), "error"),
+    "nan-w": (lambda lines: lines[:11] + [lines[11].rsplit(",", 1)[0] + ",nan\n"] + lines[12:], "error"),
+    "minus-inf-w-last": (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",-inf\n"], "error"),
+    "ragged": (lambda lines: lines[:-1], "error"),
+    "p-period-respelled-later": (_edit_line(18, ",-3,", ",-3.00,"), "grid"),
+    "p-period-broken-later": (_edit_line(18, ",-3,", ",-2.9,"), "error"),
+    "non-ascii-w": (lambda lines: lines[:3] + [lines[3].rstrip("\n") + "é\n"] + lines[4:], "error"),
+    "nbsp-padded-p": (lambda lines: [line.replace(",", ",\xa0", 1) for line in lines], "grid"),
+    "non-ascii-q": (lambda lines: [line.replace("-1,", "−1,", 1) if line.startswith("-1,") else line for line in lines], "error"),
+    "nul-q": (lambda lines: [line.replace("-2,", "-2\0,", 1) if line.startswith("-2,") else line for line in lines], "error"),
+    "crlf": (lambda lines: [line.replace("\n", "\r\n") for line in lines], "grid"),
+    "four-columns": (_edit_line(20, "\n", ",0\n"), "error"),
+    "one-q-row": (lambda lines: lines[:4], "error"),
+    "header-only": (lambda lines: [], "error"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_EDITS))
+def test_csv_regular_read_matches_the_full_parse(tmp_path, monkeypatch, name):
+    """Whatever a file holds, read_wigner_csv gives the full parse's grid
+    bit for bit, or its error text, and emits no warning."""
+    edit, kind = CSV_EDITS[name]
+    monkeypatch.setattr(wigner, "_BLOCK_ROWS", 8)
+    grid = tmp_path / "base.csv"
+    qs, ps = small_axes(1.0, 2.5)[:6] - 1.5, np.array([-4.0, -3.5, -3.0, -2.5])
+    write_wigner_csv(WignerGrid(qs, ps, np.arange(24.0).reshape(6, 4) / 7 - 1.5), grid)
+    lines = grid.read_text().splitlines(keepends=True)
+    path = tmp_path / "edited.csv"
+    path.write_bytes("".join(lines[:1] + edit(lines[1:])).encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = grid_or_error(read_wigner_csv, path)
+    assert caught == []
+    want = grid_or_error(full_read, path)
+    assert isinstance(want, str) == (kind == "error"), want
+    assert_same_read(got, want)
