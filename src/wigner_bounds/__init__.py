@@ -12,24 +12,20 @@ checks measured quasiprobability grids against the bounds.
 """
 from .regions import (
     Annulus,
-    CanonicalMap,
     Disk,
     Ellipse,
     Graph,
     PiecewiseLinear,
     Region,
     RegionUnion,
-    apply_canonical,
     area,
     bounding_box,
     indicator,
     load_region,
     quadrature,
-    reduce_ellipse,
     region_from_dict,
     region_to_dict,
 )
-from .specfun import laguerre_poly, oscillator_fn
 from .spectra import (
     SpectrumResult,
     bounds,
@@ -40,22 +36,13 @@ from .spectra import (
     fock_extremes,
     rings_envelope,
 )
-from .states import (
-    Ensemble,
-    WavefunctionGrid,
-    coherent_state,
-    normalize,
-    oscillator_state,
-    read_state_csv,
-    write_state_csv,
-)
+from .states import WavefunctionGrid, normalize, read_state_csv
 from .wigner import (
     BoundReport,
     Identities,
     WignerGrid,
     coherent_wigner,
     integral_identities,
-    mixed_wigner,
     number_state_wigner,
     pointwise_bound_report,
     quasiprobability,
@@ -69,10 +56,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Annulus",
     "BoundReport",
-    "CanonicalMap",
     "Disk",
     "Ellipse",
-    "Ensemble",
     "Graph",
     "Identities",
     "PiecewiseLinear",
@@ -81,11 +66,9 @@ __all__ = [
     "SpectrumResult",
     "WavefunctionGrid",
     "WignerGrid",
-    "apply_canonical",
     "area",
     "bounding_box",
     "bounds",
-    "coherent_state",
     "coherent_wigner",
     "crossing_radius",
     "disk_curves",
@@ -94,20 +77,14 @@ __all__ = [
     "fock_extremes",
     "indicator",
     "integral_identities",
-    "laguerre_poly",
     "load_region",
-    "mixed_wigner",
     "normalize",
     "number_state_wigner",
-    "oscillator_fn",
-    "oscillator_state",
     "pointwise_bound_report",
     "quadrature",
     "quasiprobability",
     "read_state_csv",
-    "write_state_csv",
     "read_wigner_csv",
-    "reduce_ellipse",
     "region_from_dict",
     "region_to_dict",
     "rings_envelope",

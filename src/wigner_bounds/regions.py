@@ -1,4 +1,4 @@
-"""Phase-plane regions, their areas and indicators, and area-preserving maps.
+"""Phase-plane regions, their areas, indicators and quadrature rules.
 
 A region is one of five shapes in the (q, p) plane:
 
@@ -13,10 +13,7 @@ Boundary points count as outside everywhere (a measure-zero convention
 that keeps indicator complements exact).  ``quadrature`` gives each
 bounded region an area rule that is exact in its geometry, and
 ``boundary_rule`` nodes and weighted tangents around its boundary, for
-integrals that Green's theorem turns into line integrals.  ``CanonicalMap``
-carries the affine maps q' = alpha q + beta p + gamma,
-p' = nu q + mu p + rho with unit determinant; such maps preserve area
-and, downstream, the extremal integrals of Wigner functions.
+integrals that Green's theorem turns into line integrals.
 """
 from __future__ import annotations
 
@@ -31,21 +28,18 @@ import numpy as np
 
 __all__ = [
     "Annulus",
-    "CanonicalMap",
     "Disk",
     "Ellipse",
     "Graph",
     "PiecewiseLinear",
     "Region",
     "RegionUnion",
-    "apply_canonical",
     "area",
     "bounding_box",
     "boundary_rule",
     "indicator",
     "load_region",
     "quadrature",
-    "reduce_ellipse",
     "region_from_dict",
     "region_to_dict",
 ]
@@ -479,135 +473,6 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
     else:
         raise TypeError("not a region: %r" % (s,))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-@dataclass(frozen=True)
-class CanonicalMap:
-    """Affine map q' = alpha q + beta p + gamma, p' = nu q + mu p + rho, det 1."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    mu: float
-    nu: float
-    rho: float
-
-    def __post_init__(self):
-        if abs(self.alpha * self.mu - self.beta * self.nu - 1.0) > 1e-12:
-            raise ValueError("map must have unit determinant (alpha mu - beta nu = 1)")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.alpha, self.beta], [self.nu, self.mu]])
-
-    @property
-    def shift(self) -> np.ndarray:
-        return np.array([self.gamma, self.rho])
-
-    def apply(self, q, p):
-        return (
-            self.alpha * q + self.beta * p + self.gamma,
-            self.nu * q + self.mu * p + self.rho,
-        )
-
-
-def _map_from_parts(matrix: np.ndarray, shift: np.ndarray) -> CanonicalMap:
-    return CanonicalMap(
-        alpha=float(matrix[0, 0]),
-        beta=float(matrix[0, 1]),
-        gamma=float(shift[0]),
-        mu=float(matrix[1, 1]),
-        nu=float(matrix[1, 0]),
-        rho=float(shift[1]),
-    )
-
-
-def _ellipse_quadratic(s) -> tuple[np.ndarray, np.ndarray]:
-    # (x-c)^T A (x-c) = 1 on the boundary
-    if isinstance(s, Disk):
-        a = b = s.radius
-        ang = 0.0
-    else:
-        a, b, ang = s.semi_major, s.semi_minor, s.angle
-    ca, sa = math.cos(ang), math.sin(ang)
-    rot = np.array([[ca, -sa], [sa, ca]])
-    A = rot @ np.diag([a**-2.0, b**-2.0]) @ rot.T
-    return A, np.asarray(s.center, dtype=float)
-
-
-def _ellipse_from_quadratic(A: np.ndarray, center: np.ndarray) -> Region:
-    evals, evecs = np.linalg.eigh(A)
-    axes = evals**-0.5  # descending axes since eigh sorts ascending
-    if abs(axes[0] - axes[1]) <= 1e-12 * axes[0]:
-        return Disk(center=tuple(center), radius=float(np.sqrt(axes[0] * axes[1])))
-    major = evecs[:, 0]
-    return Ellipse(
-        center=tuple(center),
-        semi_major=float(axes[0]),
-        semi_minor=float(axes[1]),
-        angle=float(math.atan2(major[1], major[0]) % math.pi),
-    )
-
-
-def apply_canonical(s: Region, m: CanonicalMap) -> Region:
-    """Image of s under m, within the same shape family.
-
-    Disks and ellipses map to disks or ellipses for any canonical map.
-    Annuli survive only rigid maps (rotation plus translation) and graphs
-    only maps with beta = 0; anything else raises.
-    """
-    M, t = m.matrix, m.shift
-    if isinstance(s, (Disk, Ellipse)):
-        A, c = _ellipse_quadratic(s)
-        Minv = np.array([[m.mu, -m.beta], [-m.nu, m.alpha]])  # inverse, det 1
-        return _ellipse_from_quadratic(Minv.T @ A @ Minv, M @ c + t)
-    if isinstance(s, Annulus):
-        if np.max(np.abs(M.T @ M - np.eye(2))) > 1e-12:
-            raise ValueError("shape not closed under map: annulus needs a rigid map")
-        cq, cp = M @ np.asarray(s.center) + t
-        return Annulus(center=(float(cq), float(cp)), r_inner=s.r_inner, r_outer=s.r_outer)
-    if isinstance(s, Graph):
-        if m.beta != 0.0:
-            raise ValueError("shape not closed under map: graph needs beta = 0")
-
-        def image(f: PiecewiseLinear) -> PiecewiseLinear:
-            qs = m.alpha * f.qs + m.gamma
-            vals = m.mu * f.values + m.nu * f.qs + m.rho
-            if m.alpha < 0:
-                qs, vals = qs[::-1], vals[::-1]
-            return PiecewiseLinear(qs.copy(), vals.copy())
-
-        lo, hi = m.alpha * s.b + m.gamma, m.alpha * s.c + m.gamma
-        g1, g2 = image(s.f1), image(s.f2)
-        if m.alpha < 0:  # mu = 1/alpha < 0 flips the vertical order too
-            lo, hi, g1, g2 = hi, lo, g2, g1
-        return Graph(b=lo, c=hi, f1=g1, f2=g2)
-    if isinstance(s, RegionUnion):
-        return RegionUnion(tuple(apply_canonical(part, m) for part in s.parts))
-    raise TypeError("not a region: %r" % (s,))
-
-
-def reduce_ellipse(e: Ellipse) -> tuple[float, CanonicalMap]:
-    """Area-preserving map taking e onto the origin-centered disk of equal area.
-
-    Returns (radius, map) with radius = sqrt(semi_major * semi_minor).
-    Rotate the axes straight, then squeeze both onto the mean radius; the
-    squeeze has unit determinant by construction.
-    """
-    a, b = e.semi_major, e.semi_minor
-    r = math.sqrt(a * b)
-    ca, sa = math.cos(e.angle), math.sin(e.angle)
-    rot_back = np.array([[ca, sa], [-sa, ca]])
-    M = np.diag([r / a, r / b]) @ rot_back
-    shift = -M @ np.asarray(e.center, dtype=float)
-    m = _map_from_parts(M, shift)
-    phi = 2.0 * np.pi * np.arange(16) / 16.0
-    bq = e.center[0] + a * np.cos(phi) * ca - b * np.sin(phi) * sa
-    bp = e.center[1] + a * np.cos(phi) * sa + b * np.sin(phi) * ca
-    iq, ip = m.apply(bq, bp)
-    if np.max(np.abs(np.hypot(iq, ip) - r)) > 1e-10:
-        raise RuntimeError("ellipse reduction failed its boundary check")
-    return r, m
 
 
 # --- JSON serialization -------------------------------------------------

@@ -1,9 +1,7 @@
-"""Special functions shared by the rest of the package.
+"""Number-basis matrices of the cross-Wigner functions of the oscillator basis.
 
-Laguerre polynomials, normalized harmonic-oscillator eigenfunctions and
-the cross-Wigner functions of the oscillator basis.  All evaluation runs
-through three-term recurrences so no factorials or binomial tables are
-formed.
+All evaluation runs through three-term recurrences so no factorials or
+binomial tables are formed.
 
 cross_wigner_matrix, the number-basis matrix of a region's kernel, splits
 each cross-Wigner function W_{n,n+j}(q, p) into a phase e^{-ij theta}
@@ -26,56 +24,11 @@ import numpy as np
 __all__ = [
     "boundary_wigner_matrix",
     "cross_wigner_matrix",
-    "laguerre_poly",
-    "oscillator_basis",
-    "oscillator_fn",
 ]
 
 # quadrature points per block in cross_wigner_matrix; bounds its working
 # arrays to max(Chebyshev radii, basis size) x (block) entries
 _POINT_BLOCK = 2048
-
-
-def laguerre_poly(n: int, x):
-    """Laguerre polynomial L_n(x) via (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    lm = np.ones_like(x)
-    if n == 0:
-        return lm if lm.ndim else float(lm)
-    lc = 1.0 - x
-    for k in range(1, n):
-        lm, lc = lc, ((2 * k + 1 - x) * lc - k * lm) / (k + 1)
-    return lc if lc.ndim else float(lc)
-
-
-def oscillator_basis(n_top: int, x) -> np.ndarray:
-    """h_0(x) .. h_{n_top}(x) stacked on a new leading axis.
-
-    h_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2} is the normalized
-    oscillator eigenfunction.  The Gaussian is folded into the starting
-    value and the recurrence is carried in normalized form,
-
-        h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1},
-
-    so intermediate values stay of order one for n <= 200, |x| <= 20.
-    """
-    if n_top < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_top + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    hm = np.zeros_like(x)
-    for k in range(n_top):
-        hm, out[k + 1] = out[k], x * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * hm
-    return out
-
-
-def oscillator_fn(n: int, x):
-    """Normalized oscillator eigenfunction h_n(x), the last row of oscillator_basis."""
-    out = oscillator_basis(n, x)[n]
-    return out if out.ndim else float(out)
 
 
 def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:

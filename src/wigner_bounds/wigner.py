@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .regions import Region, bounding_box, indicator
-from .states import Ensemble, WavefunctionGrid, _read_csv
+from .states import WavefunctionGrid, _read_csv, _uniform_step
 
 __all__ = [
     "BoundReport",
@@ -40,7 +40,6 @@ __all__ = [
     "WignerGrid",
     "coherent_wigner",
     "integral_identities",
-    "mixed_wigner",
     "number_state_wigner",
     "pointwise_bound_report",
     "quasiprobability",
@@ -53,15 +52,6 @@ __all__ = [
 # where e^{-r^2} is still a normal float, and sheds e^{_SHED} per 1e-200 step
 _NORMAL_EXP = 700.0
 _SHED = 200.0 * np.log(10.0)
-
-
-def _uniform_step(xs: np.ndarray, label: str) -> float:
-    if xs.ndim != 1 or xs.size < 2:
-        raise ValueError("%s must hold at least two points" % label)
-    step = (xs[-1] - xs[0]) / (xs.size - 1)
-    if step <= 0 or np.max(np.abs(np.diff(xs) - step)) > 1e-9 * step:
-        raise ValueError("%s must be uniformly increasing" % label)
-    return float(step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,15 +174,6 @@ def coherent_wigner(q0: float, p0: float, q, p):
     p = np.asarray(p, dtype=float)
     out = np.exp(-((q - q0) ** 2) - (p - p0) ** 2) / np.pi
     return out if out.ndim else float(out)
-
-
-def mixed_wigner(ens: Ensemble, qs, ps) -> WignerGrid:
-    """Convex combination of the members' Wigner functions."""
-    acc = None
-    for weight, member in zip(ens.weights, ens.members):
-        grid = wigner_transform(member, qs, ps)
-        acc = weight * grid.w if acc is None else acc + weight * grid.w
-    return WignerGrid(np.asarray(qs, dtype=float).copy(), np.asarray(ps, dtype=float).copy(), acc)
 
 
 class Identities(NamedTuple):

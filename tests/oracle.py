@@ -26,8 +26,27 @@ closed forms and the number-basis route that shares no code with them.
 cross_wigner_direct is the number-basis matrix of cross-Wigner functions
 from one Laguerre recurrence per quadrature node, the oracle for
 specfun.cross_wigner_matrix, which interpolates them in the radius.
+
+The fixtures the tests build their inputs with live here too, because
+no route of the package needs them:
+
+* oscillator_basis and oscillator_fn, the normalized oscillator
+  eigenfunctions h_n(x), for the wavefunctions below and for checking
+  cross-Wigner matrices against their defining integral;
+* oscillator_state and coherent_state, number and coherent states
+  sampled on a position grid (DEFAULT_X0, DEFAULT_DX, DEFAULT_COUNT),
+  the sampled inputs of wigner_transform, apply_kernel and the
+  acceptance checks; the CLI writes these states from their closed
+  forms instead;
+* CanonicalMap, apply_canonical and reduce_ellipse, the unit-determinant
+  affine maps of the phase plane and their images of regions, which
+  the tests use to check canonical invariance; the exact route reads an
+  ellipse as the disk of equal area without building the map.
 """
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +55,7 @@ from wigner_bounds.regions import (
     Disk,
     Ellipse,
     Graph,
+    PiecewiseLinear,
     Region,
     RegionUnion,
     bounding_box,
@@ -43,12 +63,22 @@ from wigner_bounds.regions import (
 from wigner_bounds.states import WavefunctionGrid
 
 __all__ = [
+    "CanonicalMap",
+    "DEFAULT_COUNT",
+    "DEFAULT_DX",
     "DEFAULT_POINTS_PER_UNIT",
+    "DEFAULT_X0",
+    "apply_canonical",
     "apply_kernel",
     "assemble",
+    "coherent_state",
     "cross_wigner_direct",
     "kernel_eval",
     "nystrom_extremes",
+    "oscillator_basis",
+    "oscillator_fn",
+    "oscillator_state",
+    "reduce_ellipse",
 ]
 
 # switch to the analytic diagonal limit below this |x - y|
@@ -97,7 +127,7 @@ def kernel_eval(s: Region, x, y):
     """Kernel K_S(x, y); vectorizes over broadcastable x, y.
 
     Ellipses have no direct closed form here; reduce them to a disk with
-    regions.reduce_ellipse first.
+    reduce_ellipse first.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -234,3 +264,221 @@ def cross_wigner_direct(n_top: int, q, p, w) -> np.ndarray:
     out *= ((-1.0) ** np.arange(count) / np.pi)[:, None]
     upper = np.triu(out, 1)
     return np.triu(out) + upper.conj().T
+
+
+# --- oscillator eigenfunctions and sampled states ---------------------
+
+def oscillator_basis(n_top: int, x) -> np.ndarray:
+    """h_0(x) .. h_{n_top}(x) stacked on a new leading axis.
+
+    h_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2} is the normalized
+    oscillator eigenfunction.  The Gaussian is folded into the starting
+    value and the recurrence is carried in normalized form,
+
+        h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1},
+
+    so intermediate values stay of order one for n <= 200, |x| <= 20.
+    """
+    if n_top < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_top + 1,) + x.shape)
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    hm = np.zeros_like(x)
+    for k in range(n_top):
+        hm, out[k + 1] = out[k], x * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * hm
+    return out
+
+
+def oscillator_fn(n: int, x):
+    """Normalized oscillator eigenfunction h_n(x), the last row of oscillator_basis."""
+    out = oscillator_basis(n, x)[n]
+    return out if out.ndim else float(out)
+
+
+# default position grid: [-8, 8] holds number states up to n = 7, and at
+# dx = 0.005 wigner_transform off the sample nodes errs below 2e-5 to n = 5
+DEFAULT_X0 = -8.0
+DEFAULT_DX = 0.005
+DEFAULT_COUNT = 3201
+
+
+def oscillator_state(
+    n: int,
+    x0: float = DEFAULT_X0,
+    dx: float = DEFAULT_DX,
+    count: int = DEFAULT_COUNT,
+) -> WavefunctionGrid:
+    """Number state n sampled on a uniform grid.
+
+    The grid must span [-(sqrt(2n+1)+4), sqrt(2n+1)+4] so that the
+    classically allowed region plus four units of Gaussian tail fit; the
+    sampled values then carry unit norm to better than 1e-8.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    reach = np.sqrt(2.0 * n + 1.0) + 4.0
+    xmax = x0 + dx * (count - 1)
+    if x0 > -reach or xmax < reach:
+        raise ValueError(
+            "insufficient support: grid [%g, %g] must span [-%g, %g]"
+            % (x0, xmax, reach, reach)
+        )
+    xs = x0 + dx * np.arange(count)
+    return WavefunctionGrid(x0, dx, oscillator_fn(n, xs).astype(complex))
+
+
+def coherent_state(
+    q0: float,
+    p0: float,
+    x0: float = DEFAULT_X0,
+    dx: float = DEFAULT_DX,
+    count: int = DEFAULT_COUNT,
+) -> WavefunctionGrid:
+    """Coherent state pi^{-1/4} exp(-(x-q0)^2/2 + i p0 x).
+
+    The grid must cover q0 +- 8.  Oscillations go as exp(i p0 x); keep
+    dx well below 1/|p0| or the samples alias.  q0 and p0 must be finite.
+    """
+    if not (np.isfinite(q0) and np.isfinite(p0)):
+        raise ValueError("coherent state needs finite q0 and p0, got %r, %r" % (q0, p0))
+    xmax = x0 + dx * (count - 1)
+    if x0 > q0 - 8.0 or xmax < q0 + 8.0:
+        raise ValueError(
+            "insufficient support: grid [%g, %g] must cover [%g, %g]"
+            % (x0, xmax, q0 - 8.0, q0 + 8.0)
+        )
+    xs = x0 + dx * np.arange(count)
+    values = np.pi ** -0.25 * np.exp(-0.5 * (xs - q0) ** 2 + 1j * p0 * xs)
+    return WavefunctionGrid(x0, dx, values)
+
+
+# --- canonical maps -----------------------------------------------------
+
+@dataclass(frozen=True)
+class CanonicalMap:
+    """Affine map q' = alpha q + beta p + gamma, p' = nu q + mu p + rho, det 1."""
+
+    alpha: float
+    beta: float
+    gamma: float
+    mu: float
+    nu: float
+    rho: float
+
+    def __post_init__(self):
+        if abs(self.alpha * self.mu - self.beta * self.nu - 1.0) > 1e-12:
+            raise ValueError("map must have unit determinant (alpha mu - beta nu = 1)")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.alpha, self.beta], [self.nu, self.mu]])
+
+    @property
+    def shift(self) -> np.ndarray:
+        return np.array([self.gamma, self.rho])
+
+    def apply(self, q, p):
+        return (
+            self.alpha * q + self.beta * p + self.gamma,
+            self.nu * q + self.mu * p + self.rho,
+        )
+
+
+def _map_from_parts(matrix: np.ndarray, shift: np.ndarray) -> CanonicalMap:
+    return CanonicalMap(
+        alpha=float(matrix[0, 0]),
+        beta=float(matrix[0, 1]),
+        gamma=float(shift[0]),
+        mu=float(matrix[1, 1]),
+        nu=float(matrix[1, 0]),
+        rho=float(shift[1]),
+    )
+
+
+def _ellipse_quadratic(s) -> tuple[np.ndarray, np.ndarray]:
+    # (x-c)^T A (x-c) = 1 on the boundary
+    if isinstance(s, Disk):
+        a = b = s.radius
+        ang = 0.0
+    else:
+        a, b, ang = s.semi_major, s.semi_minor, s.angle
+    ca, sa = math.cos(ang), math.sin(ang)
+    rot = np.array([[ca, -sa], [sa, ca]])
+    A = rot @ np.diag([a**-2.0, b**-2.0]) @ rot.T
+    return A, np.asarray(s.center, dtype=float)
+
+
+def _ellipse_from_quadratic(A: np.ndarray, center: np.ndarray) -> Region:
+    evals, evecs = np.linalg.eigh(A)
+    axes = evals**-0.5  # descending axes since eigh sorts ascending
+    if abs(axes[0] - axes[1]) <= 1e-12 * axes[0]:
+        return Disk(center=tuple(center), radius=float(np.sqrt(axes[0] * axes[1])))
+    major = evecs[:, 0]
+    return Ellipse(
+        center=tuple(center),
+        semi_major=float(axes[0]),
+        semi_minor=float(axes[1]),
+        angle=float(math.atan2(major[1], major[0]) % math.pi),
+    )
+
+
+def apply_canonical(s: Region, m: CanonicalMap) -> Region:
+    """Image of s under m, within the same shape family.
+
+    Disks and ellipses map to disks or ellipses for any canonical map.
+    Annuli survive only rigid maps (rotation plus translation) and graphs
+    only maps with beta = 0; anything else raises.
+    """
+    M, t = m.matrix, m.shift
+    if isinstance(s, (Disk, Ellipse)):
+        A, c = _ellipse_quadratic(s)
+        Minv = np.array([[m.mu, -m.beta], [-m.nu, m.alpha]])  # inverse, det 1
+        return _ellipse_from_quadratic(Minv.T @ A @ Minv, M @ c + t)
+    if isinstance(s, Annulus):
+        if np.max(np.abs(M.T @ M - np.eye(2))) > 1e-12:
+            raise ValueError("shape not closed under map: annulus needs a rigid map")
+        cq, cp = M @ np.asarray(s.center) + t
+        return Annulus(center=(float(cq), float(cp)), r_inner=s.r_inner, r_outer=s.r_outer)
+    if isinstance(s, Graph):
+        if m.beta != 0.0:
+            raise ValueError("shape not closed under map: graph needs beta = 0")
+
+        def image(f: PiecewiseLinear) -> PiecewiseLinear:
+            qs = m.alpha * f.qs + m.gamma
+            vals = m.mu * f.values + m.nu * f.qs + m.rho
+            if m.alpha < 0:
+                qs, vals = qs[::-1], vals[::-1]
+            return PiecewiseLinear(qs.copy(), vals.copy())
+
+        lo, hi = m.alpha * s.b + m.gamma, m.alpha * s.c + m.gamma
+        g1, g2 = image(s.f1), image(s.f2)
+        if m.alpha < 0:  # mu = 1/alpha < 0 flips the vertical order too
+            lo, hi, g1, g2 = hi, lo, g2, g1
+        return Graph(b=lo, c=hi, f1=g1, f2=g2)
+    if isinstance(s, RegionUnion):
+        return RegionUnion(tuple(apply_canonical(part, m) for part in s.parts))
+    raise TypeError("not a region: %r" % (s,))
+
+
+def reduce_ellipse(e: Ellipse) -> tuple[float, CanonicalMap]:
+    """Area-preserving map taking e onto the origin-centered disk of equal area.
+
+    Returns (radius, map) with radius = sqrt(semi_major * semi_minor).
+    Rotate the axes straight, then squeeze both onto the mean radius; the
+    squeeze has unit determinant by construction.
+    """
+    a, b = e.semi_major, e.semi_minor
+    r = math.sqrt(a * b)
+    ca, sa = math.cos(e.angle), math.sin(e.angle)
+    rot_back = np.array([[ca, sa], [-sa, ca]])
+    M = np.diag([r / a, r / b]) @ rot_back
+    shift = -M @ np.asarray(e.center, dtype=float)
+    m = _map_from_parts(M, shift)
+    phi = 2.0 * np.pi * np.arange(16) / 16.0
+    bq = e.center[0] + a * np.cos(phi) * ca - b * np.sin(phi) * sa
+    bp = e.center[1] + a * np.cos(phi) * sa + b * np.sin(phi) * ca
+    iq, ip = m.apply(bq, bp)
+    if np.max(np.abs(np.hypot(iq, ip) - r)) > 1e-10:
+        raise RuntimeError("ellipse reduction failed its boundary check")
+    return r, m

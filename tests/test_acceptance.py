@@ -20,8 +20,6 @@ from wigner_bounds import (
     crossing_radius,
     disk_eigenvalue,
     integral_identities,
-    oscillator_fn,
-    oscillator_state,
     pointwise_bound_report,
     quasiprobability,
     read_wigner_csv,
@@ -29,7 +27,7 @@ from wigner_bounds import (
     wigner_transform,
 )
 from wigner_bounds.cli import main
-from oracle import apply_kernel, assemble, nystrom_extremes
+from oracle import apply_kernel, assemble, nystrom_extremes, oscillator_fn, oscillator_state
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:

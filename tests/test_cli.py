@@ -14,15 +14,14 @@ from scipy.special import eval_laguerre
 
 import wigner_bounds
 from wigner_bounds import (
-    coherent_state,
     disk_eigenvalue,
-    oscillator_state,
     read_state_csv,
     read_wigner_csv,
     rings_envelope,
     wigner_transform,
 )
 from wigner_bounds.cli import main
+from oracle import coherent_state, oscillator_state
 
 
 def write_region(tmp_path, name, obj):
@@ -484,6 +483,17 @@ def test_wigner_rejects_non_finite_state(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert "state CSV data row 901 is not finite" in captured.err
+
+
+@pytest.mark.parametrize("xs", ["0,0.1,0.25", "0.2,0.1,0"], ids=["uneven", "decreasing"])
+def test_wigner_refuses_non_uniform_state_axis(tmp_path, capsys, xs):
+    state = tmp_path / "state.csv"
+    state.write_text("x,re,im\n" + "".join("%s,1,0\n" % x for x in xs.split(",")))
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "csv:%s" % state, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: state CSV x column must be uniformly increasing\n"
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\n\n# no samples\n"], ids=["bare", "blank", "comment"])

@@ -12,11 +12,9 @@ from wigner_bounds import (
     Graph,
     PiecewiseLinear,
     RegionUnion,
-    coherent_state,
     disk_eigenvalue,
-    oscillator_state,
 )
-from oracle import apply_kernel, assemble, kernel_eval
+from oracle import apply_kernel, assemble, coherent_state, kernel_eval, oscillator_state
 
 # sin(0.5) / (0.5 pi): the strip |p| < 1 kernel at x = 0.5, y = 0
 STRIP_AT_HALF = 0.30521177725341280

@@ -63,8 +63,9 @@ def test_package_exports_match_module_exports():
 
 def test_modules_import_only_lower_layers():
     """Each module imports only modules above it in the README module
-    map, and spectra, which computes eigenvalues and builds no
-    wavefunction, only regions and specfun."""
+    map; spectra, which computes eigenvalues and builds no
+    wavefunction, only regions and specfun; and states, which builds
+    no state from a formula, none."""
     imports = {}
     for module in MODULES:
         tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds." + module)))
@@ -74,6 +75,7 @@ def test_modules_import_only_lower_layers():
     for k, module in enumerate(MODULES):
         assert imports[module] <= set(MODULES[:k]), "%s imports %s" % (module, sorted(imports[module]))
     assert imports["spectra"] == {"regions", "specfun"}
+    assert imports["states"] == set()
 
 
 def test_module_map_names_exist():
@@ -90,8 +92,15 @@ def test_module_map_names_exist():
 def test_cli_samples_no_analytic_state():
     """wigner writes number and coherent states from their closed forms,
     so cli imports neither position-grid state builder; sampled states
-    reach it only as csv: members."""
+    reach it only as csv: members.  No package module exports the
+    builders, a mixture path beside cmd_wigner's (Ensemble,
+    mixed_wigner), or a Laguerre polynomial beside number_state_wigner's
+    recurrence (laguerre_poly)."""
     tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds.cli")))
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "number_state_wigner" in names and "coherent_wigner" in names
     assert not names & {"oscillator_state", "coherent_state"}
+    gone = {"oscillator_state", "coherent_state", "Ensemble", "mixed_wigner", "laguerre_poly"}
+    for module in [wigner_bounds] + [importlib.import_module("wigner_bounds." + m) for m in MODULES]:
+        exported = set(module.__all__)
+        assert not exported & gone, "%s exports %s" % (module.__name__, sorted(exported & gone))

@@ -7,21 +7,19 @@ import pytest
 
 from wigner_bounds import (
     Annulus,
-    CanonicalMap,
     Disk,
     Ellipse,
     Graph,
     PiecewiseLinear,
     RegionUnion,
-    apply_canonical,
     area,
     bounding_box,
     indicator,
     load_region,
-    reduce_ellipse,
     region_from_dict,
     region_to_dict,
 )
+from oracle import CanonicalMap, apply_canonical, reduce_ellipse
 
 
 def tent_graph():

