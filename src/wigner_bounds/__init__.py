@@ -22,7 +22,6 @@ from .regions import (
     bounding_box,
     indicator,
     load_region,
-    quadrature,
     region_from_dict,
     region_to_dict,
 )
@@ -31,7 +30,6 @@ from .spectra import (
     bounds,
     crossing_radius,
     disk_curves,
-    disk_eigenvalue,
     disk_spectrum,
     fock_extremes,
     rings_envelope,
@@ -72,7 +70,6 @@ __all__ = [
     "coherent_wigner",
     "crossing_radius",
     "disk_curves",
-    "disk_eigenvalue",
     "disk_spectrum",
     "fock_extremes",
     "indicator",
@@ -81,7 +78,6 @@ __all__ = [
     "normalize",
     "number_state_wigner",
     "pointwise_bound_report",
-    "quadrature",
     "quasiprobability",
     "read_state_csv",
     "read_wigner_csv",

@@ -1,4 +1,4 @@
-"""Phase-plane regions, their areas, indicators and quadrature rules.
+"""Phase-plane regions, their areas, indicators and boundary rules.
 
 A region is one of five shapes in the (q, p) plane:
 
@@ -10,10 +10,12 @@ A region is one of five shapes in the (q, p) plane:
   other pairs' boxes meet.
 
 Boundary points count as outside everywhere (a measure-zero convention
-that keeps indicator complements exact).  ``quadrature`` gives each
-bounded region an area rule that is exact in its geometry, and
-``boundary_rule`` nodes and weighted tangents around its boundary, for
-integrals that Green's theorem turns into line integrals.
+that keeps indicator complements exact).  ``boundary_rule`` gives each
+bounded region nodes and weighted tangents around its boundary, exact
+in its geometry, for the area integrals that Green's theorem turns into
+line integrals: the number-basis matrix of the Fock route
+(specfun.boundary_wigner_matrix) and the mass of a Wigner grid
+(wigner.quasiprobability).
 """
 from __future__ import annotations
 
@@ -39,16 +41,20 @@ __all__ = [
     "boundary_rule",
     "indicator",
     "load_region",
-    "quadrature",
     "region_from_dict",
     "region_to_dict",
 ]
 
 _UNION_SAMPLES = 100_000
 
-# fewest nodes per direction of a quadrature panel, and per boundary
-# edge or circle, however small
+# fewest nodes per Gauss-Legendre panel or circle, however small
 _MIN_NODES = 12
+# most nodes per panel beyond _MIN_NODES: a stretch that needs more is
+# split into equal panels, because building a rule of n nodes costs
+# O(n^3) time and O(n^2) memory (the rules of up to 2360 nodes that
+# quasiprobability wanted for a quadrilateral on a 0.0125 grid took 3 s
+# and 46 MB)
+_PANEL_NODES = 128
 
 
 def _require_finite(what: str, *values) -> None:
@@ -336,69 +342,15 @@ def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss(lo: float, hi: float, length: float, density: float):
-    t, w = _legendre_rule(_MIN_NODES + math.ceil(density * length))
-    half = 0.5 * (hi - lo)
-    return lo + half * (t + 1.0), half * w
-
-
-def _conic_rule(s, density: float):
-    # polar rule on the unit-scaled shape, mapped through the axes
-    if isinstance(s, Ellipse):
-        a, b, angle, r0, r1 = s.semi_major, s.semi_minor, s.angle, 0.0, 1.0
-    elif isinstance(s, Disk):
-        a, b, angle, r0, r1 = s.radius, s.radius, 0.0, 0.0, 1.0
-    else:
-        a, b, angle, r0, r1 = 1.0, 1.0, 0.0, s.r_inner, s.r_outer
-    reach = max(a, b)
-    rho, w_rho = _gauss(r0, r1, (r1 - r0) * reach, density)
-    m = _MIN_NODES + math.ceil(density * 2.0 * math.pi * r1 * reach)
-    phi = 2.0 * math.pi * np.arange(m) / m
-    u = a * np.outer(rho, np.cos(phi))
-    v = b * np.outer(rho, np.sin(phi))
-    ca, sa = math.cos(angle), math.sin(angle)
-    q = s.center[0] + ca * u - sa * v
-    p = s.center[1] + sa * u + ca * v
-    w = np.outer(w_rho * rho * (2.0 * math.pi * a * b / m), np.ones(m))
-    return q.ravel(), p.ravel(), w.ravel()
-
-
-def quadrature(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes q, p and weights w with sum w f(q, p) ~ integral of f over s.
-
-    The rule is exact in the geometry: a tensor Gauss-Legendre rule on
-    each trapezoid between consecutive knots of a graph, radial Gauss
-    nodes times uniform angles on disks and annuli, the same mapped
-    through the axes on ellipses, and the parts' rules concatenated for
-    a union.  Every direction of every panel gets 12 + density * length
-    nodes, so smooth integrands that vary on scales well above
-    1/density are integrated to rounding.  Unbounded regions raise.
-    """
-    if isinstance(s, (Disk, Ellipse, Annulus)):
-        return _conic_rule(s, density)
-    if isinstance(s, Graph):
-        if not (math.isfinite(s.b) and math.isfinite(s.c)):
-            raise ValueError("quadrature needs a bounded region")
-        qs = _graph_knots(s)
-        lo, hi = s.f1.evaluate(qs), s.f2.evaluate(qs)
-        parts = []
-        for i in range(len(qs) - 1):
-            tq, wq = _gauss(qs[i], qs[i + 1], qs[i + 1] - qs[i], density)
-            gap = max(hi[i] - lo[i], hi[i + 1] - lo[i + 1])
-            tp, wp = _gauss(0.0, 1.0, gap, density)
-            f1 = np.interp(tq, qs[i : i + 2], lo[i : i + 2])
-            height = np.interp(tq, qs[i : i + 2], hi[i : i + 2]) - f1
-            parts.append(
-                (
-                    np.repeat(tq, len(tp)),
-                    (f1[:, None] + height[:, None] * tp).ravel(),
-                    np.outer(wq * height, wp).ravel(),
-                )
-            )
-    elif isinstance(s, RegionUnion):
-        parts = [quadrature(part, density) for part in s.parts]
-    else:
-        raise TypeError("not a region: %r" % (s,))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    # Gauss-Legendre nodes and weights on [lo, hi]: _MIN_NODES + density
+    # * length of them on the fewest equal panels that keep each panel's
+    # density * length within _PANEL_NODES, each panel getting its own
+    # _MIN_NODES
+    panels = max(1, math.ceil(density * length / _PANEL_NODES))
+    t, w = _legendre_rule(_MIN_NODES + math.ceil(density * length / panels))
+    half = 0.5 * (hi - lo) / panels
+    starts = lo + (hi - lo) * np.arange(panels)[:, None] / panels
+    return (starts + half * (t + 1.0)).ravel(), np.tile(half * w, panels)
 
 
 def _polyline(f: PiecewiseLinear, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -442,12 +394,15 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
 
     sum (f dp - g dq) over the nodes ~ the line integral of f dp - g dq
     around s, for functions f, g of (q, p).  By Green's theorem
-    sum (q dp - p dq) / 2 is then the area of s, and with a radial mean
-    of the integrand quadrature's area integrals become sums over these
-    nodes (specfun.boundary_wigner_matrix).
+    sum (q dp - p dq) / 2 is then the area of s, and area integrals
+    become sums over these nodes: of a radial mean of the integrand
+    (specfun.boundary_wigner_matrix), or of its antiderivative along q
+    (wigner.quasiprobability).
     Each polygon edge of a graph (f1 left to right, the side at c, f2
     right to left, the side at b) gets 12 + density * length
-    Gauss-Legendre nodes, exact for integrands polynomial along it;
+    Gauss-Legendre nodes, exact for integrands polynomial along it; an
+    edge with density * length past 128 is split into equal panels with
+    12 + density * length / panels nodes each;
     disks, ellipses and annuli get 12 + density * 2 pi * (largest
     semi-axis) uniform angles per circle, the inner circle of an annulus
     running clockwise; a union concatenates its parts' rules.

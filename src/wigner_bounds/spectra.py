@@ -52,7 +52,6 @@ __all__ = [
     "bounds",
     "crossing_radius",
     "disk_curves",
-    "disk_eigenvalue",
     "disk_spectrum",
     "fock_extremes",
     "rings_envelope",
@@ -138,13 +137,6 @@ def disk_spectrum(a, n_top: int) -> np.ndarray:
         lm, lc = lc, ((2 * n - 1 - x) * lc - (n - 1) * lm) / n
         out[..., n] = out[..., n - 1] + (lc - lm if n % 2 else lm - lc)
     return out
-
-
-def disk_eigenvalue(n: int, a: float) -> float:
-    """lambda_n(a) for the centered disk of radius a."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return float(disk_spectrum(a, n)[n])
 
 
 def _cutoff(radius: float) -> int:

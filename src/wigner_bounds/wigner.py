@@ -20,8 +20,10 @@ Number and coherent states skip the transform: number_state_wigner and
 coherent_wigner evaluate their closed forms at any (q, p), exact to
 rounding where the transform's interpolation errs off the sample grid.
 Also here: the two integral identities (total mass 1, purity
-1/(2 pi)), the region functional Q_S, and a report on the pointwise
-bounds +-1/pi.
+1/(2 pi)), the region functional Q_S of a grid (the integral of its
+bilinear interpolant, taken around the region's boundary by Green's
+theorem, as the Fock route takes its matrix), and a report on the
+pointwise bounds +-1/pi.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regions import Region, bounding_box, indicator
+from .regions import Region, boundary_rule, bounding_box
 from .states import WavefunctionGrid, _read_csv, _uniform_step
 
 __all__ = [
@@ -52,6 +54,12 @@ __all__ = [
 # where e^{-r^2} is still a normal float, and sheds e^{_SHED} per 1e-200 step
 _NORMAL_EXP = 700.0
 _SHED = 200.0 * np.log(10.0)
+
+# quasiprobability's boundary nodes per grid step of boundary length: F
+# has kinks at the grid lines, so uniform angles converge like this
+# density to the -2 (the ground state's mass on a disk of radius 5 at
+# dq = dp = 0.05 erred by 5.1e-6 at 4, 1.2e-6 at 8 and 2.0e-7 at 16)
+_NODES_PER_STEP = 16.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,22 +199,52 @@ def integral_identities(w: WignerGrid) -> Identities:
 
 
 def quasiprobability(w: WignerGrid, s: Region) -> float:
-    """Q_S, the Wigner mass inside s, by the midpoint rule on w's cells.
+    """Q_S, the integral over s of w's bilinear interpolant, by Green's theorem.
 
-    Cells are centered on the grid points.  s must lie inside the
-    rectangle the cells cover; a region that sticks out past it is
-    refused, not truncated.
+    With F(q, p) the integral of the interpolant along q from qs[0],
+
+        Q_S = integral over s of W dq dp = line integral of F dp around s,
+
+    summed over boundary_rule(s, _NODES_PER_STEP / min(dq, dp)).  Along
+    q, F is the trapezoid cumsum of the grid to the node's cell plus the
+    exact integral within it, dq (t W_i + t^2/2 (W_{i+1} - W_i)) at
+    offset t; across p it is linear between the two grid columns.  The
+    cumsum is built only over the columns the nodes touch and the rows
+    up to the last one they touch.  Its lower limit qs[0] does not depend
+    on s, so the mass of a disjoint union is the sum of its parts' masses
+    to rounding.  On the exact grids of the extreme eigenstates of disks
+    of radius 1 to 3.5, at dq = dp from 0.1 to 0.01, |Q_S - lambda|
+    stayed below 0.23 (2 dq dp), under a quarter of check's margin.
+    s must lie inside the rectangle the grid spans,
+    [qs[0], qs[-1]] x [ps[0], ps[-1]]; a region that sticks out past it
+    is refused, not truncated.
     """
-    qlo = w.qs[0] - 0.5 * w.dq
-    qhi = w.qs[-1] + 0.5 * w.dq
-    plo = w.ps[0] - 0.5 * w.dp
-    phi = w.ps[-1] + 0.5 * w.dp
     bq0, bq1, bp0, bp1 = bounding_box(s)
-    overhang = max(qlo - bq0, bq1 - qhi, plo - bp0, bp1 - phi, 0.0)
+    overhang = max(w.qs[0] - bq0, bq1 - w.qs[-1], w.ps[0] - bp0, bp1 - w.ps[-1], 0.0)
     if overhang > 0.0:
         raise ValueError("uncovered region: extends %.3g beyond the grid" % overhang)
-    ind = indicator(s, w.qs[:, None], w.ps[None, :])
-    return float(np.sum(w.w * ind) * w.dq * w.dp)
+    q, p, _, dp = boundary_rule(s, _NODES_PER_STEP / min(w.dq, w.dp))
+    # each node's cell (i, j) and its offsets t, u in [0, 1] within it
+    t = (q - w.qs[0]) / w.dq
+    i = np.clip(np.floor(t), 0, w.qs.size - 2).astype(np.intp)
+    t -= i
+    u = (p - w.ps[0]) / w.dp
+    j = np.clip(np.floor(u), 0, w.ps.size - 2).astype(np.intp)
+    u -= j
+    j0 = int(j.min())
+    block = w.w[: int(i.max()) + 2, j0 : int(j.max()) + 2]
+    j -= j0
+    # twice the trapezoid cumsum along q, per column
+    c = np.empty(block.shape)
+    c[0] = 0.0
+    np.add(block[:-1], block[1:], out=c[1:])
+    np.cumsum(c, axis=0, out=c)
+    # F / dq at each node, linear in p between columns j and j + 1
+    f = 0.0
+    for col, weight in ((j, 1.0 - u), (j + 1, u)):
+        lo, hi = block[i, col], block[i + 1, col]
+        f = f + weight * (0.5 * c[i, col] + t * (lo + 0.5 * t * (hi - lo)))
+    return float(np.dot(f, dp) * w.dq)
 
 
 class BoundReport(NamedTuple):

@@ -18,7 +18,7 @@ from wigner_bounds import (
     RegionUnion,
     area,
     crossing_radius,
-    disk_eigenvalue,
+    disk_spectrum,
     integral_identities,
     pointwise_bound_report,
     quasiprobability,
@@ -51,7 +51,7 @@ def closed_form(n: int, a: float) -> float:
 def test_A1_exact_disk_values():
     t0 = time.perf_counter()
     worst = max(
-        abs(disk_eigenvalue(n, a) - closed_form(n, a))
+        abs(disk_spectrum(a, n)[n] - closed_form(n, a))
         for n in range(4)
         for a in (0.3, 1.0, 2.0, 3.0)
     )
@@ -93,7 +93,7 @@ def test_A4_eigen_relation_residuals():
         for n in range(6):
             psi = oscillator_state(n)
             out = apply_kernel(disk, psi)
-            diff = out.values - disk_eigenvalue(n, a) * psi.values
+            diff = out.values - disk_spectrum(a, n)[n] * psi.values
             worst = max(worst, math.sqrt(float(np.sum(np.abs(diff) ** 2)) * psi.dx))
     dt = time.perf_counter() - t0
     report("A4", worst < 1e-4 and dt < 30.0, "max residual %.2e, %.1fs" % (worst, dt))
@@ -136,7 +136,7 @@ def test_A6_consistency_loop():
         w = wigner_transform(psi, qs, qs)
         for a in (0.5, 1.0, 2.0):
             got = quasiprobability(w, Disk((0.0, 0.0), a))
-            worst = max(worst, abs(got - disk_eigenvalue(n, a)))
+            worst = max(worst, abs(got - disk_spectrum(a, n)[n]))
     report("A6", worst < 5e-4, "max gap %.2e" % worst)
 
 

@@ -14,7 +14,7 @@ from scipy.special import eval_laguerre
 
 import wigner_bounds
 from wigner_bounds import (
-    disk_eigenvalue,
+    disk_spectrum,
     read_state_csv,
     read_wigner_csv,
     rings_envelope,
@@ -253,8 +253,8 @@ def test_curves_output(capsys):
         cells = row.split("\t")
         a = float(cells[0])
         # same code path means parsed values match the library exactly
-        assert abs(float(cells[1]) - disk_eigenvalue(0, a)) < 1e-12
-        assert abs(float(cells[5]) - disk_eigenvalue(0, a)) < 1e-12
+        assert abs(float(cells[1]) - disk_spectrum(a, 0)[0]) < 1e-12
+        assert abs(float(cells[5]) - disk_spectrum(a, 0)[0]) < 1e-12
 
 
 def test_curves_envelopes_match_per_row_envelopes(capsys):
@@ -393,6 +393,23 @@ def test_check_uncovered_region(tmp_path, capsys):
     assert main(["wigner", "oscillator:0", "--out", out]) == 0
     assert main(["check", out, disk_json(tmp_path, radius=5.0)]) == 2
     assert "uncovered region" in capsys.readouterr().err
+    # the grid covers [qs[0], qs[-1]] x [ps[0], ps[-1]] and no more: a
+    # disk that reaches 0.01 past q = 4, under half of dq = 0.05, is refused
+    assert main(["check", out, disk_json(tmp_path, radius=4.01)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "uncovered region" in captured.err
+
+
+def test_check_lambda_min_state_on_a_fine_grid(tmp_path, capsys):
+    """oscillator:1 is the unit disk's lambda_min eigenstate, so its mass
+    sits exactly on the bound; at dq = dp = 0.02 it must still come back
+    within."""
+    out = str(tmp_path / "w1.csv")
+    assert main(["wigner", "oscillator:1", "--dq", "0.02", "--dp", "0.02", "--out", out]) == 0
+    assert main(["check", out, disk_json(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "within"
+    assert report["lambda_min"] <= report["q_value"] <= report["lambda_min"] + 0.5 * report["margin"]
 
 
 def test_wigner_mix_and_coherent_specs(tmp_path):

@@ -15,14 +15,13 @@ from wigner_bounds import (
     area,
     bounding_box,
     fock_extremes,
-    quadrature,
     rings_envelope,
 )
 from wigner_bounds.cli import main
 from wigner_bounds.regions import boundary_rule
 from wigner_bounds.spectra import FOCK_DENSITY
 from wigner_bounds.specfun import boundary_wigner_matrix, cross_wigner_matrix
-from oracle import assemble
+from oracle import assemble, quadrature
 from test_acceptance import random_regions
 
 
@@ -188,10 +187,10 @@ def test_quadrature_integrates_gaussians_exactly():
         quadrature(Graph(-math.inf, 1.0, polyline((-9, 0), (1, 0)), polyline((-9, 1), (1, 1))), 5.0)
 
 
-def test_quadrature_caches_legendre_rules(monkeypatch):
+def test_boundary_rule_caches_legendre_rules(monkeypatch):
     """Each Gauss-Legendre node count is built once, and the cached,
-    read-only rules give the same nodes and weights bit for bit as a
-    fresh leggauss per panel."""
+    read-only rules give the same nodes and tangents bit for bit as a
+    fresh leggauss per edge."""
     import numpy.polynomial.legendre as legendre
     import wigner_bounds.regions as regions
 
@@ -205,19 +204,44 @@ def test_quadrature_caches_legendre_rules(monkeypatch):
 
     monkeypatch.setattr(legendre, "leggauss", counting)
     regions._legendre_rule.cache_clear()
-    cached = [quadrature(s, d) for d in (0.75, 5.0) for s in regions_under_test]
+    cached = [boundary_rule(s, d) for d in (0.75, 5.0) for s in regions_under_test]
     assert counts and len(counts) == len(set(counts))
     first = len(counts)
-    again = [quadrature(s, d) for d in (0.75, 5.0) for s in regions_under_test]
+    again = [boundary_rule(s, d) for d in (0.75, 5.0) for s in regions_under_test]
     assert len(counts) == first
     t, w = regions._legendre_rule(counts[0])
     assert not t.flags.writeable and not w.flags.writeable
 
     monkeypatch.setattr(regions, "_legendre_rule", fresh)
-    uncached = [quadrature(s, d) for d in (0.75, 5.0) for s in regions_under_test]
+    uncached = [boundary_rule(s, d) for d in (0.75, 5.0) for s in regions_under_test]
     for a, b, c in zip(cached, again, uncached):
         for x, y, z in zip(a, b, c):
             assert np.array_equal(x, z) and np.array_equal(y, z)
+
+
+def test_boundary_rule_splits_long_edges_into_panels(monkeypatch):
+    """At 320 nodes per unit length, as check takes on a 0.05 grid, every
+    edge of the quadrilateral needs more than 12 + 128 nodes: it is
+    split into equal panels, so no Legendre rule is built past that size,
+    and the panels still integrate q^2 dp (a cubic along each edge)
+    around the region to the area integral of 2 q."""
+    import numpy.polynomial.legendre as legendre
+    import wigner_bounds.regions as regions
+
+    fresh = legendre.leggauss
+    counts = []
+
+    def counting(count):
+        counts.append(count)
+        return fresh(count)
+
+    monkeypatch.setattr(legendre, "leggauss", counting)
+    regions._legendre_rule.cache_clear()
+    q, p, dq, dp = boundary_rule(QUADRILATERAL, 320.0)
+    assert counts and max(counts) <= 12 + 128
+    assert abs(np.sum(q * dp - p * dq) - 2.0 * area(QUADRILATERAL)) < 1e-13
+    qa, _, wa = quadrature(QUADRILATERAL, 5.0)
+    assert abs(np.sum(q * q * dp) - np.sum(2.0 * qa * wa)) < 1e-13
 
 
 def about_box_centre(region):

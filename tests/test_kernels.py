@@ -12,7 +12,7 @@ from wigner_bounds import (
     Graph,
     PiecewiseLinear,
     RegionUnion,
-    disk_eigenvalue,
+    disk_spectrum,
 )
 from oracle import apply_kernel, assemble, coherent_state, kernel_eval, oscillator_state
 
@@ -117,7 +117,7 @@ def test_translation_covariance():
 def test_apply_kernel_eigenrelation():
     psi = oscillator_state(0)
     out = apply_kernel(Disk((0.0, 0.0), 1.0), psi)
-    lam = disk_eigenvalue(0, 1.0)
+    lam = disk_spectrum(1.0, 0)[0]
     resid = math.sqrt(float(np.sum(np.abs(out.values - lam * psi.values) ** 2)) * psi.dx)
     assert resid < 1e-4
 
@@ -158,6 +158,6 @@ def test_assemble_disk_spectrum_many_modes():
     curve values for n <= 10."""
     eigs = np.linalg.eigvalsh(assemble(Disk((0.0, 0.0), 1.0), -6.0, 12.0 / 960, 961))
     for n in range(11):
-        lam = disk_eigenvalue(n, 1.0)
+        lam = disk_spectrum(1.0, n)[n]
         assert np.min(np.abs(eigs - lam)) < 1e-4
 

@@ -14,7 +14,6 @@ from wigner_bounds import (
     bounds,
     crossing_radius,
     disk_curves,
-    disk_eigenvalue,
     disk_spectrum,
     fock_extremes,
     region_from_dict,
@@ -43,16 +42,16 @@ def lam_closed(n, a):
 def test_disk_eigenvalue_closed_forms():
     for a in (0.3, 1.0, 2.0, 3.0):
         for n in range(4):
-            assert abs(disk_eigenvalue(n, a) - lam_closed(n, a)) < 1e-12
+            assert abs(disk_spectrum(a, n)[n] - lam_closed(n, a)) < 1e-12
 
 
 def test_disk_eigenvalue_edge_cases():
     for n in (0, 3, 17):
-        assert disk_eigenvalue(n, 0.0) == 0.0
+        assert disk_spectrum(0.0, n)[n] == 0.0
     with pytest.raises(ValueError):
-        disk_eigenvalue(-1, 1.0)
+        disk_spectrum(1.0, -1)
     with pytest.raises(ValueError):
-        disk_eigenvalue(0, -0.5)
+        disk_spectrum(-0.5, 0)
 
 
 def test_disk_eigenvalue_saturates_for_large_disk():
@@ -60,27 +59,28 @@ def test_disk_eigenvalue_saturates_for_large_disk():
     # classical turning point sqrt(2n+1) plus four units of tail
     for n in range(21):
         for a in (math.sqrt(2 * n + 1) + 4.0, 12.0, 15.0, 20.0):
-            assert abs(disk_eigenvalue(n, a) - 1.0) < 1e-10
+            assert abs(disk_spectrum(a, n)[n] - 1.0) < 1e-10
 
 
-def quadrature_eigenvalue(n, a):
-    """(-1)^n Integral_0^{a^2} L_n(2u) e^{-u} du by an (n+32)-node
-    Gauss-Legendre rule: an oracle independent of the Laguerre sweep."""
-    x, w = leggauss(n + 32)
+def quadrature_eigenvalues(a, n_top):
+    """(-1)^n Integral_0^{a^2} L_n(2u) e^{-u} du for n = 0 .. n_top, all
+    on one (n_top + 32)-node Gauss-Legendre rule: an oracle independent
+    of the Laguerre sweep."""
+    x, w = leggauss(n_top + 32)
     u = 0.5 * a * a * (x + 1.0)
-    return (-1) ** n * 0.5 * a * a * float(np.dot(w, eval_laguerre(n, 2.0 * u) * np.exp(-u)))
+    n = np.arange(n_top + 1)
+    return (-1.0) ** n * 0.5 * a * a * (eval_laguerre(n[:, None], 2.0 * u) @ (w * np.exp(-u)))
 
 
 def test_disk_spectrum_matches_quadrature():
-    # leggauss nodes and weights for ~670 points cap this oracle at about
-    # 1.2e-12 for a = 8, n = 635 against an exact-arithmetic reference,
-    # where the sweep itself is off by 6e-16
+    # leggauss nodes and weights for 672 points cap this oracle at about
+    # 1.2e-12 for a = 8 (at n = 1 and n = 300) against a 60-digit
+    # reference, where the sweep itself is off by 4e-16
     for a in (0.5, 2.0, 5.0, 8.0):
         n_top = max(50, math.ceil(10.0 * a * a))
         spec = disk_spectrum(a, n_top)
         assert spec.shape == (n_top + 1,)
-        for n in range(n_top + 1):
-            assert abs(spec[n] - quadrature_eigenvalue(n, a)) < 3e-12
+        assert np.max(np.abs(spec - quadrature_eigenvalues(a, n_top))) < 3e-12
 
 
 def test_disk_spectrum_array_radii():
@@ -123,7 +123,7 @@ def test_disk_spectrum_refuses_out_of_range():
 def test_annulus_eigenvalue_values():
     """An annulus with no hole is the disk, and a small hole takes
     lambda_0(r) off the top eigenvalue, n = 0, in closed form."""
-    assert rings_envelope([(0.0, 1.0)]).lambda_max == disk_eigenvalue(0, 1.0)
+    assert rings_envelope([(0.0, 1.0)]).lambda_max == disk_spectrum(1.0, 0)[0]
     env = rings_envelope([(0.1, 1.0)])
     assert env.n_max == 0
     assert abs(env.lambda_max - (math.exp(-0.01) - math.exp(-1.0))) < 1e-14
@@ -143,7 +143,7 @@ def test_disk_envelope_lambda_max_is_lambda0():
     for a in np.linspace(0.1, 3.0, 12):
         env = rings_envelope([(0.0, float(a))])
         assert env.n_max == 0
-        assert abs(env.lambda_max - disk_eigenvalue(0, float(a))) < 1e-15
+        assert abs(env.lambda_max - disk_spectrum(float(a), 0)[0]) < 1e-15
 
 
 def test_disk_envelope_cutoff_warning():
@@ -161,12 +161,12 @@ def test_crossing_radii():
     radii = [crossing_radius(n) for n in range(1, 11)]
     assert all(r1 < r2 < r1 + 1.0 for r1, r2 in zip(radii, radii[1:]))
     for n, r in enumerate(radii, start=1):
-        assert abs(disk_eigenvalue(n + 1, r) - disk_eigenvalue(n, r)) < 1e-9
+        assert abs(disk_spectrum(r, n + 1)[n + 1] - disk_spectrum(r, n)[n]) < 1e-9
     with pytest.raises(ValueError):
         crossing_radius(0)
     for n in (23, 40, 60):
         r = crossing_radius(n)
-        diff = [disk_eigenvalue(n + 1, a) - disk_eigenvalue(n, a) for a in (r - 1e-7, r + 1e-7)]
+        diff = [disk_spectrum(a, n + 1)[n + 1] - disk_spectrum(a, n)[n] for a in (r - 1e-7, r + 1e-7)]
         assert diff[0] * diff[1] < 0
 
 

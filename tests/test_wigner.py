@@ -16,6 +16,7 @@ from wigner_bounds import (
     pointwise_bound_report,
     quasiprobability,
     read_wigner_csv,
+    rings_envelope,
     wigner_transform,
     write_wigner_csv,
 )
@@ -169,12 +170,29 @@ def test_quasiprobability_whole_state():
 
 
 def test_quasiprobability_disk_eigenvalue():
-    from wigner_bounds import disk_eigenvalue
+    from wigner_bounds import disk_spectrum
 
     qs = -6.0 + 0.0125 * (np.arange(961) + 0.381966)
     w = wigner_transform(oscillator_state(1, -8.0, 0.01, 1601), qs, qs)
     got = quasiprobability(w, Disk((0.0, 0.0), 1.0))
-    assert abs(got - disk_eigenvalue(1, 1.0)) < 5e-4
+    assert abs(got - disk_spectrum(1.0, 1)[1]) < 5e-4
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
+def test_quasiprobability_keeps_disk_eigenstates_inside_the_bounds(radius):
+    """The exact grids of a disk's two extreme eigenstates integrate to
+    their eigenvalue within half of check's 2 dq dp margin, and never
+    past it, at every spacing: an error that shrinks slower than dq dp
+    would turn these states into false alarms on fine grids."""
+    env = rings_envelope([(0.0, radius)])
+    disk = Disk((0.0, 0.0), radius)
+    for n, lam in ((env.n_min, env.lambda_min), (env.n_max, env.lambda_max)):
+        for h in (0.1, 0.05, 0.025, 0.02, 0.0125):
+            axis = small_axes(h, radius + h)
+            w = WignerGrid(axis, axis, number_state_wigner(n, axis[:, None], axis[None, :]))
+            got = quasiprobability(w, disk)
+            assert abs(got - lam) <= 0.5 * 2.0 * h * h, (n, h)
+            assert env.lambda_min <= got <= env.lambda_max, (n, h)
 
 
 def test_quasiprobability_union_additivity():
