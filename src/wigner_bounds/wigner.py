@@ -217,7 +217,8 @@ def quasiprobability(w: WignerGrid, s: Region) -> float:
     stayed below 0.23 (2 dq dp), under a quarter of check's margin.
     s must lie inside the rectangle the grid spans,
     [qs[0], qs[-1]] x [ps[0], ps[-1]]; a region that sticks out past it
-    is refused, not truncated.
+    is refused, not truncated.  Cells near the float limit can overflow
+    the sums; Q is then inf or NaN, without a numpy warning.
     """
     bq0, bq1, bp0, bp1 = bounding_box(s)
     overhang = max(w.qs[0] - bq0, bq1 - w.qs[-1], w.ps[0] - bp0, bp1 - w.ps[-1], 0.0)
@@ -234,17 +235,20 @@ def quasiprobability(w: WignerGrid, s: Region) -> float:
     j0 = int(j.min())
     block = w.w[: int(i.max()) + 2, j0 : int(j.max()) + 2]
     j -= j0
-    # twice the trapezoid cumsum along q, per column
-    c = np.empty(block.shape)
-    c[0] = 0.0
-    np.add(block[:-1], block[1:], out=c[1:])
-    np.cumsum(c, axis=0, out=c)
-    # F / dq at each node, linear in p between columns j and j + 1
-    f = 0.0
-    for col, weight in ((j, 1.0 - u), (j + 1, u)):
-        lo, hi = block[i, col], block[i + 1, col]
-        f = f + weight * (0.5 * c[i, col] + t * (lo + 0.5 * t * (hi - lo)))
-    return float(np.dot(f, dp) * w.dq)
+    # cells near the float limit overflow these sums; the caller sees a
+    # non-finite Q, and numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        # twice the trapezoid cumsum along q, per column
+        c = np.empty(block.shape)
+        c[0] = 0.0
+        np.add(block[:-1], block[1:], out=c[1:])
+        np.cumsum(c, axis=0, out=c)
+        # F / dq at each node, linear in p between columns j and j + 1
+        f = 0.0
+        for col, weight in ((j, 1.0 - u), (j + 1, u)):
+            lo, hi = block[i, col], block[i + 1, col]
+            f = f + weight * (0.5 * c[i, col] + t * (lo + 0.5 * t * (hi - lo)))
+        return float(np.dot(f, dp) * w.dq)
 
 
 class BoundReport(NamedTuple):

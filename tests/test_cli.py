@@ -20,7 +20,8 @@ from wigner_bounds import (
     rings_envelope,
     wigner_transform,
 )
-from wigner_bounds.cli import main
+from wigner_bounds import cli
+from wigner_bounds.cli import build_parser, main
 from oracle import coherent_state, oscillator_state
 
 
@@ -243,6 +244,54 @@ def test_bounds_refuses_unbounded_non_bands(tmp_path, capsys):
     assert captured.out == "" and captured.err == WINDOW_IGNORED + REFUSAL
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["curves", "--steps", "2"], ["curves", "--a-max", "1", "--steps", "3"]) * 2:
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_main_runs_the_cmd_patched_onto_the_module(monkeypatch, capsys):
+    """The cached parser names the subcommand; main looks its cmd_*
+    function up on the module per call, so a wrapper patched in after
+    the first call (a tracer's, say) still runs."""
+    assert main(["curves", "--steps", "2"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_curves", lambda args: seen.append(args.steps) or 0)
+    assert main(["curves", "--steps", "3"]) == 0
+    assert seen == [3]
+    capsys.readouterr()
+
+
+def test_repeated_main_calls_carry_no_flags_over(tmp_path, capsys):
+    """One cached parser serves every call in a process; a flag given to
+    one call must not leak into the next."""
+    disk = disk_json(tmp_path)
+    assert main(["bounds", disk, "--numeric"]) == 0
+    assert "method=fock" in capsys.readouterr().out
+    assert main(["bounds", disk]) == 0
+    assert capsys.readouterr().out == "lambda_min=-0.103638324 lambda_max=0.632120559 method=exact\n"
+
+    grid = str(tmp_path / "w0.csv")
+    assert main(["wigner", "oscillator:0", "--out", grid]) == 0
+    assert main(["check", grid, disk, "--margin", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["margin"] == float("%.9g" % (0.5 + 2 * 0.05 * 0.05))
+    assert main(["check", grid, disk]) == 0
+    assert json.loads(capsys.readouterr().out)["margin"] == float("%.9g" % (2 * 0.05 * 0.05))
+
+
 def test_curves_output(capsys):
     assert main(["curves", "--a-max", "1.5", "--steps", "16", "--n-max", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -375,17 +424,29 @@ def test_check_rejects_non_finite_cells(tmp_path, capsys, column, bad):
 
 def test_check_rejects_overflowing_grid(tmp_path, capsys):
     """Finite cells of +-1e308 can sum to inf - inf; a NaN mass would
-    compare as within, so it is refused."""
+    compare as within and an infinite one is no JSON number, so both are
+    refused, with one error line and no numpy warning."""
     rows = ["q,p,w"]
     for i, q in enumerate(np.linspace(-1.0, 1.0, 21)):
         for j, p in enumerate(np.linspace(-1.0, 1.0, 21)):
             rows.append("%.17g,%.17g,%s" % (q, p, "1e308" if (21 * i + j) % 2 else "-1e308"))
     grid = tmp_path / "huge.csv"
     grid.write_text("\n".join(rows) + "\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["check", str(grid), disk_json(tmp_path, radius=0.5)]) == 2
+    assert main(["check", str(grid), disk_json(tmp_path, radius=0.5)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "grid mass over the region is NaN" in captured.err
+    assert captured.out == ""
+    assert captured.err == "error: grid mass over the region is not finite: the grid values overflow\n"
+
+
+def test_check_refuses_an_infinite_mass(tmp_path, capsys, monkeypatch):
+    """An infinite Q has no JSON form; check refuses it like a NaN."""
+    grid = str(tmp_path / "w0.csv")
+    assert main(["wigner", "oscillator:0", "--out", grid]) == 0
+    for q_value in (math.inf, -math.inf):
+        monkeypatch.setattr(cli, "quasiprobability", lambda w, s: q_value)
+        assert main(["check", grid, disk_json(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: grid mass over the region is not finite")
 
 
 def test_check_uncovered_region(tmp_path, capsys):

@@ -147,9 +147,27 @@ def test_disk_envelope_lambda_max_is_lambda0():
 
 
 def test_disk_envelope_cutoff_warning():
-    env = spectra._envelope(disk_spectrum(1.0, 1))
+    (env,) = spectra._envelope(disk_spectrum(1.0, 1)[None], [1])
     assert env.n_min == 1
     assert any("cutoff" in w for w in env.warnings)
+
+
+def test_disk_curves_envelopes_equal_rings_envelope_field_by_field():
+    """The one envelope scan over a disk_curves table gives, row by row,
+    the SpectrumResult of rings_envelope on that radius alone: at a = 0,
+    at the crossings where the lower envelope changes hands, and at the
+    largest radius the exact route takes."""
+    radii = [0.0, 1.0, *(crossing_radius(n) for n in range(1, 6)), DISK_RADIUS_LIMIT]
+    _, envelopes = disk_curves(radii, 3)
+    assert len(envelopes) == len(radii)
+    for a, got in zip(radii, envelopes):
+        want = rings_envelope([(0.0, a)])
+        assert got.method == want.method == "exact"
+        assert got.lambda_min == want.lambda_min
+        assert got.lambda_max == want.lambda_max
+        assert got.n_min == want.n_min
+        assert got.n_max == want.n_max
+        assert got.warnings == want.warnings
 
 
 def test_crossing_radii():
