@@ -12,16 +12,21 @@ Laguerre recurrence runs on those radii instead of on every node.
 boundary_wigner_matrix is the same build for the radial mean
 int_0^1 W(u q, u p) u du, which Green's theorem integrates around the
 region's boundary instead of over its area: one more product, with a
-table that depends only on the number of radii.
+table that depends only on the number of radii.  Both builds step the
+recurrence one column of the matrix at a time; boundary_wigner_columns
+yields those columns as they are made, so a caller that reads leading
+blocks computes no column past the last block it reads.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 __all__ = [
+    "boundary_wigner_columns",
     "boundary_wigner_matrix",
     "cross_wigner_matrix",
 ]
@@ -57,7 +62,7 @@ def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
     added margin.  The second term covers a Gaussian tail reaching far
     past the turning radius: at n_top = 0 with nodes out to radius 12 the
     first term alone leaves 2e-12.  On the Fock route the basis always
-    reaches past the nodes, s_max < sqrt(4 n_top + 2), and L is 43-97 on
+    reaches past the nodes, s_max < sqrt(4 n_top + 2), and L is 53-97 on
     the benchmark regions.  With ell_l the barycentric
     Lagrange basis of those points (a node on a point takes that
     point's unit row),
@@ -72,10 +77,15 @@ def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
               - sqrt((n-1)(n-1+j) / (n(n+j))) u_{n-2},
         u_0 = s^j e^{-s^2/2} / sqrt(j!),
 
-    runs on the L radii alone, all offsets j advancing together.  No
-    working array exceeds max(L, n_top + 1) x _POINT_BLOCK entries.
+    runs on the L radii alone.  It steps one column s = n + j at a time,
+    advancing every offset j together: with n = s - j the n (n + j) of
+    its coefficients is n s, and u_n^(j) needs only the same offset j in
+    columns s - 1 and s - 2.  The n_top + 1 columns of the upper
+    triangle are mirrored once into the lower.  Beside the output and the
+    recurrence's (n_top + 1)^2 factor tables, no working array exceeds
+    max(L, n_top + 1) x _POINT_BLOCK entries.
     """
-    return _chebyshev_sums(n_top, q, p, w, lambda g: g)
+    return _hermitian(_chebyshev_columns(n_top, q, p, w, lambda g: g))
 
 
 def boundary_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
@@ -102,7 +112,20 @@ def boundary_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
 
     so the build is cross_wigner_matrix's with G replaced by C_L^T G.
     """
-    return _chebyshev_sums(n_top, q, p, w, lambda g: _radial_mean(len(g)).T @ g)
+    return _hermitian(boundary_wigner_columns(n_top, q, p, w))
+
+
+def boundary_wigner_columns(n_top: int, q, p, w) -> Iterator[np.ndarray]:
+    """B_{0..s, s} for s = 0..n_top, the upper-triangle columns of
+    boundary_wigner_matrix, one complex array of s + 1 entries per step.
+
+    The input is checked and the node sums G are formed at the call; each
+    step runs the Laguerre recurrence one column further, so the leading
+    N x N block is known once N columns are drawn, and no later column is
+    computed until it is asked for.  The columns are the ones
+    boundary_wigner_matrix mirrors, bit for bit.
+    """
+    return _chebyshev_columns(n_top, q, p, w, lambda g: _radial_mean(len(g)).T @ g)
 
 
 def _chebyshev_points(size: int, top: float) -> np.ndarray:
@@ -133,7 +156,7 @@ def _radial_mean(size: int) -> np.ndarray:
     # tau of [0, 1]; the integrand has degree size in u, which a Gauss
     # rule of size // 2 + 1 nodes integrates exactly.  Rows l are built in
     # blocks of at most _POINT_BLOCK points tau_l u_i, so the barycentric
-    # rows stay within size x _POINT_BLOCK entries, as in _chebyshev_sums
+    # rows stay within size x _POINT_BLOCK entries, as in _chebyshev_columns
     # (size // 2 + 1 < _POINT_BLOCK for every size the Fock route reaches).
     # Read-only, since every caller shares the cached table.
     from numpy.polynomial.legendre import leggauss
@@ -152,10 +175,21 @@ def _radial_mean(size: int) -> np.ndarray:
     return table
 
 
-def _chebyshev_sums(n_top: int, q, p, w, radial) -> np.ndarray:
+def _hermitian(columns) -> np.ndarray:
+    # the whole matrix from its upper-triangle columns, mirrored once
+    cols = list(columns)
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    for s, col in enumerate(cols):
+        out[: s + 1, s] = col
+    out += np.triu(out, 1).conj().T
+    return out
+
+
+def _chebyshev_columns(n_top: int, q, p, w, radial) -> Iterator[np.ndarray]:
     # the build of cross_wigner_matrix; radial(G) gives the sums that
     # pair with R at the Chebyshev radii: G itself for point values,
-    # C_L^T G for the radial mean
+    # C_L^T G for the radial mean.  Checks the input and forms G at the
+    # call; the Laguerre steps run as the columns are drawn.
     if n_top < 0:
         raise ValueError("degree must be nonnegative")
     q, p, w = (np.ravel(np.asarray(v, dtype=float)) for v in (q, p, w))
@@ -171,7 +205,7 @@ def _chebyshev_sums(n_top: int, q, p, w, radial) -> np.ndarray:
     if s_max == 0.0:
         # no nodes, or all at the centre: one radius, 0, where only
         # R_n^(0) = 1 is nonzero
-        return np.diag(sign * radial(np.full((1, 1), np.sum(w)))[0, 0]).astype(complex)
+        return _diagonal_columns(sign * radial(np.full((1, 1), np.sum(w)))[0, 0])
     size = math.ceil(max(math.sqrt(4.0 * n_top + 2.0), 0.25 * s_max) * s_max) + 24
     sigma = _chebyshev_points(size, s_max)
     # e^{-i theta}; a node at the centre takes 0, which R^(j)(0) = 0 for j > 0 ignores
@@ -187,27 +221,48 @@ def _chebyshev_sums(n_top: int, q, p, w, radial) -> np.ndarray:
         np.cumprod(phase, axis=1, out=phase)
         g += (ell.T @ phase.view(float)).view(complex)
     g = radial(g)
-    g_re, g_im = np.ascontiguousarray(g.real.T), np.ascontiguousarray(g.imag.T)
+    return _laguerre_columns(sign, sigma, g)
+
+
+def _diagonal_columns(diagonal: np.ndarray) -> Iterator[np.ndarray]:
+    for s, value in enumerate(diagonal.tolist()):
+        col = np.zeros(s + 1, dtype=complex)
+        col[s] = value
+        yield col
+
+
+def _laguerre_columns(sign, sigma, g) -> Iterator[np.ndarray]:
+    # column s holds the entries (n, s) at offsets j = s - n, kept in
+    # order of j: u_n^(j) comes from u_{n-1}^(j) and u_{n-2}^(j), the
+    # same offset j in columns s - 1 and s - 2, and n (n + j) = n s.
+    # Three buffers of rows take turns as columns s - 2, s - 1 and s.
+    size, count = g.shape
     x = sigma * sigma
-    uc = np.empty((count, size))
-    uc[0] = np.exp(-0.5 * x)
-    for k in range(1, count):
-        uc[k] = uc[k - 1] * (sigma / np.sqrt(k))
-    um = np.zeros_like(uc)
-    j = np.arange(count, dtype=float)[:, None]
-    shift = j - x
-    a = np.empty_like(shift)
-    out = np.zeros((count, count), dtype=complex)
-    for n in range(count):
-        if n:
-            jn = j[: count - n]
-            an = np.add(shift[: count - n], 2 * n - 1, out=a[: count - n])
-            an /= np.sqrt(n * (n + jn))
-            un = an * uc[: count - n]
-            un -= np.sqrt((n - 1) * (n - 1 + jn) / (n * (n + jn))) * um[: count - n]
-            um, uc = uc, un
-        out.real[n, n:] = np.einsum("jl,jl->j", uc, g_re[: count - n])
-        out.imag[n, n:] = np.einsum("jl,jl->j", uc, g_im[: count - n])
-    out *= sign[:, None]
-    upper = np.triu(out, 1)
-    return np.triu(out) + upper.conj().T
+    rows = np.arange(count, dtype=float)
+    shift = rows[:, None] - x
+    # the recurrence's factors at column s (row) and offset j < s (column),
+    # n = s - j; the unused entries j >= s are clipped to n = 1, s = 1
+    col_s = rows[:, None]
+    n = np.maximum(col_s - rows, 1.0)
+    odd = 2.0 * n - 1.0
+    root = np.sqrt(n * col_s)
+    back = np.sqrt((n - 1.0) * np.maximum(col_s - 1.0, 0.0) / (n * np.maximum(col_s, 1.0)))
+    grow = sigma / np.sqrt(np.maximum(col_s, 1.0))
+    g_re, g_im = np.ascontiguousarray(g.real.T), np.ascontiguousarray(g.imag.T)
+    prev, cur, new = np.zeros((3, count, size))
+    a = np.empty((count, size))
+    cur[0] = np.exp(-0.5 * x)
+    for s in range(count):
+        if s:
+            np.multiply(cur[s - 1], grow[s], out=new[s])
+            np.add(shift[:s], odd[s, :s, None], out=a[:s])
+            a[:s] /= root[s, :s, None]
+            np.multiply(a[:s], cur[:s], out=new[:s])
+            np.multiply(back[s, : s - 1, None], prev[: s - 1], out=a[: s - 1])
+            new[: s - 1] -= a[: s - 1]
+            prev, cur, new = cur, new, prev
+        col = np.empty(s + 1, dtype=complex)
+        col.real[::-1] = np.einsum("jl,jl->j", cur[: s + 1], g_re[: s + 1])
+        col.imag[::-1] = np.einsum("jl,jl->j", cur[: s + 1], g_im[: s + 1])
+        col *= sign[: s + 1]
+        yield col

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, boundary_rule, bounding_box
-from .specfun import boundary_wigner_matrix
+from .specfun import boundary_wigner_columns
 
 __all__ = [
     "DISK_RADIUS_LIMIT",
@@ -62,8 +62,11 @@ __all__ = [
 DISK_RADIUS_LIMIT = 26.0
 
 # the Fock route stops once the extremes of two leading blocks FOCK_STEP
-# states apart differ by less than FOCK_TOL; a matrix whose blocks have
-# not settled is rebuilt FOCK_GROWTH times larger, up to FOCK_MAX_BASIS
+# states apart differ by less than FOCK_TOL; the blocks it reads stop at
+# growing sizes FOCK_GROWTH apart, up to FOCK_MAX_BASIS.  Its one matrix
+# is sized two growths past the first stop and grown column by column as
+# far as the block read; a reading past that size rebuilds it
+# FOCK_GROWTH times larger
 FOCK_TOL = 1e-10
 FOCK_STEP = 8
 FOCK_MAX_BASIS = 400
@@ -237,19 +240,25 @@ def fock_extremes(s: Region) -> SpectrumResult:
 
     The basis is centred on the region's bounding-box centre (q0, p0),
     whose half-diagonal is the reach r.  M_mn = integral over S of
-    W_mn(q - q0, p - p0) is built once for N = (r + 8)^2 / 2 states,
-    by Green's theorem from nodes on the boundary of S alone, weighted
-    (q - q0) dp - (p - p0) dq (regions.boundary_rule,
-    specfun.boundary_wigner_matrix); by Cauchy interlacing the extremes
-    of its leading blocks move outward as the block grows.  Blocks are
-    read from (r + 4)^2 / 2 states, where the basis first covers the
-    region, in steps of FOCK_STEP until both extremes change by less
-    than FOCK_TOL.  The extremes of that settled block are the result,
-    with no eigenvectors, and their change is the error_estimate.  If
-    they have not settled by N, M is rebuilt FOCK_GROWTH times larger
-    and the reading goes on from N, up to FOCK_MAX_BASIS states; past
-    that a RuntimeError is raised rather than an unconverged bound
-    returned.  A first N past FOCK_MAX_BASIS is refused with a
+    W_mn(q - q0, p - p0) comes by Green's theorem from nodes on the
+    boundary of S alone, weighted (q - q0) dp - (p - p0) dq
+    (regions.boundary_rule, specfun.boundary_wigner_columns); by Cauchy
+    interlacing the extremes of its leading blocks move outward as the
+    block grows.  Blocks are read from (r + 4)^2 / 2 states, where the
+    basis first covers the region, in steps of FOCK_STEP until both
+    extremes change by less than FOCK_TOL.  The steps stop at
+    N = (r + 8)^2 / 2 states, then at FOCK_GROWTH N, FOCK_GROWTH^2 N and
+    so on, up to FOCK_MAX_BASIS.  The extremes of the settled block are
+    the result, with no eigenvectors, and their change is the
+    error_estimate.
+
+    M is built once, with its boundary nodes and Chebyshev radii sized
+    for FOCK_GROWTH^2 N states (at most FOCK_MAX_BASIS), but its columns
+    are computed only as far as the block being read, so no column past
+    the settled block is made.  A region whose reading passes that size
+    is rebuilt FOCK_GROWTH times larger.  A region that has not settled
+    by FOCK_MAX_BASIS states raises RuntimeError rather than return an
+    unconverged bound, and an N past FOCK_MAX_BASIS is refused with a
     ValueError before any quadrature runs.
     """
     qmin, qmax, pmin, pmax = bounding_box(s)
@@ -262,30 +271,44 @@ def fock_extremes(s: Region) -> SpectrumResult:
     if top > FOCK_MAX_BASIS:
         msg = "the Fock route needs %d states for this region, past its limit of %d"
         raise ValueError(msg % (top, FOCK_MAX_BASIS))
+    states = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * math.ceil(FOCK_GROWTH * top)))
     while True:
-        density = FOCK_DENSITY * math.sqrt(2.0 * top + 1.0)
+        density = FOCK_DENSITY * math.sqrt(2.0 * states + 1.0)
         q, p, dq, dp = boundary_rule(s, density)
         q, p = q - center[0], p - center[1]
-        m = boundary_wigner_matrix(top - 1, q, p, q * dp - p * dq)
-        prev = np.linalg.eigvalsh(m[:size, :size])
-        while size < top:
-            size = min(size + FOCK_STEP, top)
-            vals = np.linalg.eigvalsh(m[:size, :size])
-            change = max(abs(vals[0] - prev[0]), abs(vals[-1] - prev[-1]))
-            prev = vals
-            if change < FOCK_TOL:
-                return SpectrumResult(
-                    lambda_min=float(vals[0]),
-                    lambda_max=float(vals[-1]),
-                    method="fock",
-                    basis_size=size,
-                    error_estimate=float(change),
+        columns = boundary_wigner_columns(states - 1, q, p, q * dp - p * dq)
+        m = np.zeros((states, states), dtype=complex)
+        prev = _leading_block(m, columns, 0, size)
+        while top <= states:
+            while size < top:
+                size, read = min(size + FOCK_STEP, top), size
+                vals = _leading_block(m, columns, read, size)
+                change = max(abs(vals[0] - prev[0]), abs(vals[-1] - prev[-1]))
+                prev = vals
+                if change < FOCK_TOL:
+                    return SpectrumResult(
+                        lambda_min=float(vals[0]),
+                        lambda_max=float(vals[-1]),
+                        method="fock",
+                        basis_size=size,
+                        error_estimate=float(change),
+                    )
+            if top >= FOCK_MAX_BASIS:
+                raise RuntimeError(
+                    "Fock basis did not settle to %g within %d states" % (FOCK_TOL, FOCK_MAX_BASIS)
                 )
-        if top >= FOCK_MAX_BASIS:
-            raise RuntimeError(
-                "Fock basis did not settle to %g within %d states" % (FOCK_TOL, FOCK_MAX_BASIS)
-            )
-        top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
+            top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
+        # the reading has passed this build
+        states = top
+
+
+def _leading_block(m: np.ndarray, columns, read: int, size: int) -> np.ndarray:
+    """Eigenvalues of m's leading size x size block, after filling rows
+    read..size - 1 of its lower triangle, the one eigvalsh reads, from
+    the next upper-triangle columns drawn from columns."""
+    for k, col in zip(range(read, size), columns):
+        m[k, : k + 1] = col.conj()
+    return np.linalg.eigvalsh(m[:size, :size], UPLO="L")
 
 
 def _band_bounds(s: Region) -> SpectrumResult | None:

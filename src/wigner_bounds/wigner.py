@@ -180,7 +180,10 @@ def coherent_wigner(q0: float, p0: float, q, p):
     """Closed form exp(-(q-q0)^2 - (p-p0)^2) / pi of the coherent state at (q0, p0)."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    out = np.exp(-((q - q0) ** 2) - (p - p0) ** 2) / np.pi
+    # an offset whose square overflows to inf is one where W is 0, which
+    # exp(-inf) gives exactly
+    with np.errstate(over="ignore"):
+        out = np.exp(-((q - q0) ** 2) - (p - p0) ** 2) / np.pi
     return out if out.ndim else float(out)
 
 

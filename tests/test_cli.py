@@ -14,6 +14,7 @@ from scipy.special import eval_laguerre
 
 import wigner_bounds
 from wigner_bounds import (
+    coherent_wigner,
     disk_spectrum,
     read_state_csv,
     read_wigner_csv,
@@ -486,6 +487,22 @@ def test_wigner_mix_and_coherent_specs(tmp_path):
     i, j = np.unravel_index(np.argmax(grid2.w), grid2.w.shape)
     assert abs(grid2.qs[i] - 1.5) <= grid2.dq
     assert abs(grid2.ps[j] + 0.5) <= grid2.dp
+
+
+def test_wigner_far_coherent_state_is_zero_without_warnings(tmp_path, capsys):
+    """A coherent state 1e200 from the grid used to leak an overflow
+    RuntimeWarning from squaring that distance; its grid is exactly 0,
+    and so is coherent_wigner wherever the square overflows."""
+    out = tmp_path / "c.csv"
+    argv = ["wigner", "coherent:1e200,0", "--q-min", "-1", "--q-max", "1", "--p-min", "-1", "--p-max", "1",
+            "--dq", "0.5", "--dp", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    grid = read_wigner_csv(str(out))
+    assert grid.w.shape == (5, 5) and np.all(grid.w == 0.0)
+    assert coherent_wigner(-1.7e308, 1e300, 1.7e308, -1e300) == 0.0
+    far = coherent_wigner(0.0, 1e160, np.array([0.0, 1e160]), np.array([1e160, 1e160]))
+    assert np.array_equal(far, [1.0 / math.pi, 0.0])
 
 
 def test_wigner_csv_state_round_trip(tmp_path):

@@ -20,7 +20,7 @@ from wigner_bounds import (
 from wigner_bounds.cli import main
 from wigner_bounds.regions import boundary_rule
 from wigner_bounds.spectra import FOCK_DENSITY
-from wigner_bounds.specfun import boundary_wigner_matrix, cross_wigner_matrix
+from wigner_bounds.specfun import boundary_wigner_columns, boundary_wigner_matrix, cross_wigner_matrix
 from oracle import assemble, quadrature
 from test_acceptance import random_regions
 
@@ -119,6 +119,82 @@ def test_fock_leading_blocks_interlace():
     assert np.all(np.diff(ext[:, 0]) <= 1e-14)
     assert np.all(np.diff(ext[:, 1]) >= -1e-14)
     assert ext[-1, 0] < ext[10, 0] - 1e-4  # the blocks really do move
+
+
+def counting_builds(monkeypatch):
+    """[states, columns drawn] for every build fock_extremes makes."""
+    import wigner_bounds.spectra as spectra
+
+    builds = []
+    inner = spectra.boundary_wigner_columns
+
+    def counting(n_top, q, p, w):
+        builds.append([n_top + 1, 0])
+        for col in inner(n_top, q, p, w):
+            builds[-1][1] += 1
+            yield col
+
+    monkeypatch.setattr(spectra, "boundary_wigner_columns", counting)
+    return builds
+
+
+# (states built, basis_size settled at); the settled sizes are pinned,
+# since sizing the one build larger and reading it by columns must not
+# move them
+@pytest.mark.parametrize("region, states, basis", [
+    (DIAMOND, 102, 39),
+    (QUADRILATERAL, 108, 56),
+    (UNION, 122, 105),
+])
+def test_fock_builds_once_and_computes_no_column_past_the_settled_block(region, states, basis, monkeypatch):
+    builds = counting_builds(monkeypatch)
+    res = fock_extremes(region)
+    assert res.basis_size == basis
+    assert builds == [[states, basis]]
+
+
+def test_fock_rebuilds_a_region_that_reads_past_its_first_build(monkeypatch):
+    """A 4 x 0.5 bar starts at 51 states, is built for 116 and has not
+    settled there, so it is rebuilt 1.5 times larger and settles at 148.
+    The bar is the diamond squeezed and turned, a canonical map, so its
+    extremes are the diamond's."""
+    bar = Graph(-2.0, 2.0, polyline((-2, -0.25), (2, -0.25)), polyline((-2, 0.25), (2, 0.25)))
+    builds = counting_builds(monkeypatch)
+    res = fock_extremes(bar)
+    assert builds == [[116, 116], [174, 148]] and res.basis_size == 148
+    assert abs(res.lambda_min - -0.197566043) < 1e-9
+    assert abs(res.lambda_max - 0.466612775) < 1e-9
+
+
+@pytest.mark.parametrize("n_top", [30, 70])
+def test_column_reads_match_the_full_builds(n_top):
+    """The lower triangle read column by column, as fock_extremes reads
+    it, is the full build's on boundary and area nodes alike; its leading
+    blocks have the full build's eigenvalues, and the full builds are
+    exactly Hermitian."""
+    import wigner_bounds.specfun as specfun
+
+    q0, p0 = box_centre(QUADRILATERAL)
+    q, p, dq, dp = boundary_rule(QUADRILATERAL, FOCK_DENSITY * math.sqrt(2.0 * n_top + 3.0))
+    q, p = q - q0, p - p0
+    qa, pa, wa = quadrature(QUADRILATERAL, 8.0)
+    cases = [
+        (boundary_wigner_columns(n_top, q, p, q * dp - p * dq), boundary_wigner_matrix(n_top, q, p, q * dp - p * dq)),
+        (specfun._chebyshev_columns(n_top, qa - q0, pa - p0, wa, lambda g: g), cross_wigner_matrix(n_top, qa - q0, pa - p0, wa)),
+    ]
+    for columns, full in cases:
+        assert np.array_equal(full - full.conj().T, np.zeros_like(full))
+        read = np.zeros_like(full)
+        for k, col in enumerate(columns):
+            assert col.shape == (k + 1,)
+            read[k, : k + 1] = col.conj()
+        assert k == n_top
+        assert np.max(np.abs(read - np.tril(full))) < 1e-15
+        for size in (1, n_top // 2, n_top + 1):
+            got = np.linalg.eigvalsh(read[:size, :size], UPLO="L")
+            assert np.array_equal(got, np.linalg.eigvalsh(full[:size, :size]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        boundary_wigner_columns(-1, q, p, q * dp - p * dq)
 
 
 def test_fock_against_nystrom_on_random_regions():
