@@ -22,9 +22,9 @@ the first call and parses every later argv with that same parser, which
 keeps no state between calls; build_parser() still returns a fresh one.
 Each call then looks up cmd_<subcommand> on this module.
 
-Exit codes: 0 success (check: within bounds), 1 bound violation,
-2 usage or data error.  Report numbers carry 9 significant digits;
-grid and curve data files carry full precision so they round-trip.
+Exit codes: 0 success (check: within bounds), 1 bound violation, 2
+usage, data or out-of-memory error.  Report numbers carry 9 significant
+digits; grid and curve data files carry full precision so they round-trip.
 """
 from __future__ import annotations
 
@@ -271,8 +271,8 @@ def main(argv=None) -> int:
     cmd = globals()["cmd_" + args.command]
     try:
         return cmd(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

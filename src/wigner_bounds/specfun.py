@@ -15,11 +15,13 @@ region's boundary instead of over its area: one more product, with a
 table that depends only on the number of radii.  Both builds step the
 recurrence one column of the matrix at a time; boundary_wigner_columns
 yields those columns as they are made, so a caller that reads leading
-blocks computes no column past the last block it reads.
+blocks computes no column past the last block it reads.  _laguerre_terms
+sweeps e^{-x/2} L_k(x), of which disk eigenvalues and number states are made.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -34,6 +36,9 @@ __all__ = [
 # quadrature points per block in cross_wigner_matrix; bounds its working
 # arrays to max(Chebyshev radii, basis size) x (block) entries
 _POINT_BLOCK = 2048
+
+_NORMAL_EXP = 700.0
+_SHED = 200.0 * np.log(10.0)
 
 
 def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
@@ -266,3 +271,30 @@ def _laguerre_columns(sign, sigma, g) -> Iterator[np.ndarray]:
         col.imag[::-1] = np.einsum("jl,jl->j", cur[: s + 1], g_im[: s + 1])
         col *= sign[: s + 1]
         yield col
+
+
+def _laguerre_terms(x) -> Iterator[tuple]:
+    # (l_k, c_k), k = 0, 1, ..., with e^{-x/2} L_k(x) = l_k e^{-c_k} in [-1, 1]
+    # at x >= 0, by (k+1) l_{k+1} = (2k+1-x) l_k - k l_{k-1}, l_0 = e^{-x/2}.
+    # c_k is None while every e^{-x/2} >= e^{-_NORMAL_EXP}, a normal float.
+    # Past it l_0 carries e^c, c = x/2 - _NORMAL_EXP, shed by exp(-_SHED) ~
+    # 1e-200 (1e-200 itself errs by 2.2e-14) where a term passes 1e200; x <
+    # 2e98 keeps steps under 1e299.  Steps work in place, holding x and three
+    # terms; the array of l_k is overwritten while l_{k+2} is made.
+    far = bool(np.any(x > 2.0 * _NORMAL_EXP))
+    carry = np.maximum(0.5 * x - _NORMAL_EXP, 0.0) if far else None
+    lc = np.exp(carry - 0.5 * x) if far else np.exp(-0.5 * x)
+    lm = np.zeros_like(lc)
+    yield lc, carry
+    for k in itertools.count():
+        new = (2 * k + 1) - x
+        new *= lc
+        lm *= k
+        new -= lm
+        new /= k + 1
+        lm, lc = lc, new
+        if far:
+            shed = np.abs(lc) > 1e200
+            lc, lm = (np.where(shed, np.exp(-_SHED) * t, t) for t in (lc, lm))
+            carry = carry - _SHED * shed
+        yield lc, carry

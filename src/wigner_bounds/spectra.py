@@ -7,8 +7,8 @@ The eigenvalues of a disk kernel of radius a are
 with L_n the Laguerre polynomials; eigenvalue n belongs to the n-th
 oscillator eigenfunction.  The generating function
 Sum t^n L_n(x) = e^{-xt/(1-t)} / (1-t) turns the integral into a
-closed form that one Laguerre recurrence sweeps for every n at once
-(disk_spectrum).  The largest is always lambda_0(a) and the most
+closed form that one sweep of e^{-a^2} L_n(2a^2) gives for every n at
+once (disk_spectrum).  The largest is always lambda_0(a) and the most
 negative scallops between consecutive odd-indexed curves as a grows,
 so the sharp bounds on the disk integral of any Wigner function come
 from scanning these curves.  Concentric rings r_in < r_out share that
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, boundary_rule, bounding_box
-from .specfun import boundary_wigner_columns
+from .specfun import _laguerre_terms, boundary_wigner_columns
 
 __all__ = [
-    "DISK_RADIUS_LIMIT",
+    "DISK_MAX_TERMS",
     "FOCK_MAX_BASIS",
     "FOCK_TOL",
     "SpectrumResult",
@@ -57,9 +57,9 @@ __all__ = [
     "rings_envelope",
 ]
 
-# past this radius e^{-a^2} leaves the normal float range and the sweep
-# loses digits (2e-15 at a = 26, 1e-8 at a = 27, order one at a = 27.5)
-DISK_RADIUS_LIMIT = 26.0
+# the exact route scans max(50, ceil(10 a^2)) eigenvalues of a disk of radius
+# a, and refuses a scan past DISK_MAX_TERMS (radius 40), whose time it bounds
+DISK_MAX_TERMS = 16000
 
 # the Fock route stops once the extremes of two leading blocks FOCK_STEP
 # states apart differ by less than FOCK_TOL; the blocks it reads stop at
@@ -118,34 +118,33 @@ def disk_spectrum(a, n_top: int) -> np.ndarray:
 
     is swept forward as lambda_n = lambda_{n-1} - (-1)^n (l_n - l_{n-1})
     with l_n = e^{-a^2} L_n(2a^2), which gathers rounding only while
-    lambda_n is near 1.  e^{-a^2} is folded into the starting Laguerre
-    values, so every l_n stays within [-1, 1].  a may be a scalar or an
-    array; the result has shape a.shape + (n_top + 1,).  Radii above
-    DISK_RADIUS_LIMIT are refused.
+    lambda_n is near 1.  specfun's sweep keeps each l_n in [-1, 1] and
+    finite past e^{-a^2} = 1e-304.  a may be a scalar or an array; the
+    result has shape a.shape + (n_top + 1,).  A radius whose own scan
+    passes DISK_MAX_TERMS, NaN or inf is refused.
     """
     if n_top < 0:
         raise ValueError("eigenvalue scan cutoff must be nonnegative")
     a = np.asarray(a, dtype=float)
     if np.any(a < 0):
         raise ValueError("radius must be nonnegative")
-    if not np.all(a <= DISK_RADIUS_LIMIT):
-        raise ValueError("exact disk spectrum needs radius <= %g" % DISK_RADIUS_LIMIT)
-    x = 2.0 * a * a
+    _cutoff(np.max(a, initial=0.0))  # the cap check
     out = np.empty(a.shape + (n_top + 1,))
-    lm = np.zeros_like(x)
-    lc = np.exp(-a * a)
-    out[..., 0] = 1.0 - lc
-    for n in range(1, n_top + 1):
-        # n L_n = (2n - 1 - x) L_{n-1} - (n - 1) L_{n-2}
-        lm, lc = lc, ((2 * n - 1 - x) * lc - (n - 1) * lm) / n
-        out[..., n] = out[..., n - 1] + (lc - lm if n % 2 else lm - lc)
+    lam, prev = 1.0, 0.0
+    for n, (term, carry) in zip(range(n_top + 1), _laguerre_terms(2.0 * a * a)):
+        term = term if carry is None else term * np.exp(-carry)
+        lam = lam + (term - prev if n % 2 else prev - term)
+        out[..., n] = lam
+        prev = term
     return out
 
 
-def _cutoff(radius: float) -> int:
-    if not radius <= DISK_RADIUS_LIMIT:
-        raise ValueError("exact disk spectrum needs radius <= %g" % DISK_RADIUS_LIMIT)
-    return max(50, math.ceil(10.0 * radius * radius))
+def _cutoff(radius) -> int:
+    terms = 10.0 * float(radius) * float(radius)  # inf, not a warning, past 1e154
+    if not terms <= DISK_MAX_TERMS:
+        msg = "exact disk spectrum scans at most %d terms, radius <= %g"
+        raise ValueError(msg % (DISK_MAX_TERMS, math.sqrt(DISK_MAX_TERMS / 10.0)))
+    return max(50, math.ceil(terms))
 
 
 def _envelope(table: np.ndarray, tops) -> list[SpectrumResult]:
@@ -186,8 +185,8 @@ def rings_envelope(rings) -> SpectrumResult:
     Eigenvalue n is the sum of lambda_n(r_outer) - lambda_n(r_inner) over
     the rings.  Both extremes come from one scan over n up to
     max(50, ceil(10 r^2)) for the largest radius r (the largest need not
-    be n = 0), with a warning if the scan ends on that cutoff.  Radii
-    above DISK_RADIUS_LIMIT are refused, as by disk_spectrum.
+    be n = 0), with a warning if the scan ends on that cutoff.  A scan
+    past DISK_MAX_TERMS (radius 40) is refused, as by disk_spectrum.
     """
     if len(rings) == 0 or not all(0 <= r_in <= r_out for r_in, r_out in rings):
         raise ValueError("need 0 <= r_inner <= r_outer for at least one ring")

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .regions import Region, boundary_rule, bounding_box
+from .specfun import _laguerre_terms
 from .states import WavefunctionGrid, _read_csv, _uniform_step
 
 __all__ = [
@@ -49,11 +50,6 @@ __all__ = [
     "wigner_transform",
     "write_wigner_csv",
 ]
-
-# number_state_wigner folds e^{-r^2} into its start up to r^2 = _NORMAL_EXP,
-# where e^{-r^2} is still a normal float, and sheds e^{_SHED} per 1e-200 step
-_NORMAL_EXP = 700.0
-_SHED = 200.0 * np.log(10.0)
 
 # quasiprobability's boundary nodes per grid step of boundary length: F
 # has kinks at the grid lines, so uniform angles converge like this
@@ -132,48 +128,20 @@ def wigner_transform(psi: WavefunctionGrid, qs, ps) -> WignerGrid:
 def number_state_wigner(n: int, q, p):
     """Closed form W_n(q,p) = (-1)^n pi^{-1} e^{-x/2} L_n(x), x = 2 (q^2 + p^2).
 
-    l_k = e^{-x/2} L_k(x) obeys the Laguerre recurrence
-
-        (k+1) l_{k+1} = (2k+1-x) l_k - k l_{k-1},  l_0 = e^{-x/2},
-
-    and stays within [-1, 1] for x >= 0, so e^{-x/2} is folded into the
-    starting value and no term overflows before it is scaled down.  Past
-    q^2 + p^2 = _NORMAL_EXP, where e^{-x/2} leaves the normal float range,
-    the start carries a factor e^c, c = q^2 + p^2 - _NORMAL_EXP, that the
-    recurrence sheds by 1e-200 steps whenever a term passes 1e200 and the
-    end divides out.  q and p are clipped to +-1e49, past which W_n is
-    zero to any precision, so x < 1e99 and no step grows a term past
-    1e299.
+    e^{-x/2} L_n(x) is term n of specfun._laguerre_terms, finite at any
+    (q, p).  q and p are clipped to +-1e49, past which W_n is zero to any
+    precision, so x < 1e99 stays within that sweep's reach.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    q = np.clip(np.asarray(q, dtype=float), -1e49, 1e49)
-    p = np.clip(np.asarray(p, dtype=float), -1e49, 1e49)
-    r2 = q * q + p * p
-    far = bool(np.any(r2 > _NORMAL_EXP))
-    carry = np.maximum(r2 - _NORMAL_EXP, 0.0) if far else 0.0
-    lc = np.exp(carry - r2)
-    lm = np.zeros_like(lc)
-    # x = 2 r^2 takes r^2's place and the loop works in place, so only
-    # x, lm, lc and one new term are held
-    x = r2
-    x *= 2.0
-    for k in range(n):
-        new = (2 * k + 1) - x
-        new *= lc
-        lm *= k
-        new -= lm
-        new /= k + 1
-        lm, lc = lc, new
-        if far:
-            shed = np.abs(lc) > 1e200
-            lc = np.where(shed, 1e-200 * lc, lc)
-            lm = np.where(shed, 1e-200 * lm, lm)
-            carry = carry - _SHED * shed
-    lc *= (-1) ** n / np.pi
-    if far:
-        lc *= np.exp(-carry)
-    return lc if lc.ndim else float(lc)
+    q, p = (np.clip(np.asarray(v, dtype=float), -1e49, 1e49) for v in (q, p))
+    x = q * q + p * p
+    x *= 2.0  # in place: the sweep then holds x and its three terms alone
+    term, carry = next(itertools.islice(_laguerre_terms(x), n, None))
+    term *= (-1) ** n / np.pi
+    if carry is not None:
+        term *= np.exp(-carry)
+    return term if term.ndim else float(term)
 
 
 def coherent_wigner(q0: float, p0: float, q, p):

@@ -213,7 +213,7 @@ def test_A8_area_bound():
         basis = np.array([oscillator_fn(n, xs) for n in range(10)])
         states = coeffs @ basis
         states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1) * 0.01)[:, None]
-        qvals = np.real(np.einsum("si,ij,sj->s", states.conj(), a, states)) * 0.01
+        qvals = np.real(np.einsum("si,ij,sj->s", states.conj(), a, states, optimize=True)) * 0.01
         worst_q = max(worst_q, float(np.max(np.abs(qvals))) - cap)
         eigs = np.linalg.eigvalsh(a)
         worst_spec = max(worst_spec, float(np.max(np.abs(eigs))) - cap)

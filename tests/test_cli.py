@@ -141,14 +141,19 @@ def test_union_with_ellipse_part(tmp_path, capsys):
 
 def test_bounds_exact_scan_range(tmp_path, capsys):
     """The scan always reaches the radius's own cutoff, so a large disk
-    finds its lambda_min deep in the curves (n = 119 at radius 15);
-    past the sweep's radius limit the exact route refuses with exit 2.
-    Neither --nmax nor --exact is an option."""
+    finds its lambda_min deep in the curves (n = 119 at radius 15).  At
+    radius 27 e^{-a^2} is below the normal float range and the sweep's
+    guard carries it; past the scan cap of 16000 terms (radius 40)
+    bounds and curves refuse with one error line and exit 2.  Neither
+    --nmax nor --exact is an option."""
     assert main(["bounds", disk_json(tmp_path, 15.0)]) == 0
     assert capsys.readouterr().out == "lambda_min=-0.271433978 lambda_max=1 method=exact\n"
-    assert main(["bounds", disk_json(tmp_path, 27.0)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "radius" in captured.err
+    assert main(["bounds", disk_json(tmp_path, 27.0)]) == 0
+    assert capsys.readouterr().out == "lambda_min=-0.270235175 lambda_max=1 method=exact\n"
+    refusal = "error: exact disk spectrum scans at most 16000 terms, radius <= 40\n"
+    for argv in (["bounds", disk_json(tmp_path, 40.5)], ["curves", "--a-max", "40.5"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", refusal)
     for flags in (["--nmax", "5"], ["--exact"]):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", disk_json(tmp_path), *flags])
@@ -274,6 +279,26 @@ def test_main_runs_the_cmd_patched_onto_the_module(monkeypatch, capsys):
     assert main(["curves", "--steps", "3"]) == 0
     assert seen == [3]
     capsys.readouterr()
+
+
+def test_main_maps_memory_error_to_exit_2(tmp_path, monkeypatch, capsys):
+    """A grid too large to allocate (wigner oscillator:0 at --dq 1e-5)
+    makes numpy raise MemoryError.  That is a data error: one line and
+    exit 2, not a traceback with exit 1, the bound-violation code.  The
+    cmd is patched to raise, so nothing is allocated."""
+    out = str(tmp_path / "x.csv")
+    argv = ["wigner", "oscillator:0", "--dq", "1e-5", "--dp", "1e-5", "--out", out]
+    for exc, line in (
+        (MemoryError("Unable to allocate 4.66 TiB for an array"), "Unable to allocate 4.66 TiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ):
+        def cmd_wigner(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_wigner", cmd_wigner)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % line)
+    assert not os.path.exists(out)
 
 
 def test_repeated_main_calls_carry_no_flags_over(tmp_path, capsys):

@@ -20,12 +20,17 @@ from wigner_bounds import (
     rings_envelope,
 )
 from wigner_bounds import spectra
-from wigner_bounds.spectra import DISK_RADIUS_LIMIT
+from wigner_bounds.spectra import DISK_MAX_TERMS
 from oracle import CanonicalMap, apply_canonical, nystrom_extremes, reduce_ellipse
 
 # greatest root of lambda_3(a) = lambda_4(a), frozen from a dense scan
 # of the quadrature curves refined by bisection
 A3_CROSSING = 1.9696155060244161
+
+# the largest radius the exact route takes: its scan of ceil(10 a^2)
+# eigenvalues is DISK_MAX_TERMS long
+CAP_RADIUS = math.sqrt(DISK_MAX_TERMS / 10.0)
+CAP_REFUSAL = "^exact disk spectrum scans at most %d terms, radius <= %g$" % (DISK_MAX_TERMS, CAP_RADIUS)
 
 
 def lam_closed(n, a):
@@ -83,6 +88,52 @@ def test_disk_spectrum_matches_quadrature():
         assert np.max(np.abs(spec - quadrature_eigenvalues(a, n_top))) < 3e-12
 
 
+def incomplete_gamma_eigenvalues(mpmath, radius, ns):
+    """lambda_n(radius) for each n in ns from the binomial expansion of
+    L_n, lambda_n = (-1)^n sum_k C(n, k) (-2)^k P(k + 1, a^2), with P the
+    regularized lower incomplete gamma function from its exponential
+    series.  The P are rounded to fixed point with enough fraction bits
+    to cover the 3^n cancellation and summed in exact integers, so no
+    Laguerre recurrence and no float sweep runs."""
+    top = max(ns)
+    bits = math.ceil(top * math.log2(3.0)) + 96
+    with mpmath.workprec(bits + 64):
+        big_a = mpmath.mpf(radius) ** 2
+        decay = mpmath.exp(-big_a)
+        term = partial = mpmath.mpf(1)
+        fixed = []
+        for k in range(top + 1):
+            fixed.append(int(mpmath.nint(mpmath.ldexp(1 - decay * partial, bits))))
+            term = term * big_a / (k + 1)
+            partial += term
+    out = []
+    for n in ns:
+        total, coeff = 0, 1  # coeff = C(n, k) (-2)^k
+        for k in range(n + 1):
+            total += coeff * fixed[k]
+            coeff = -2 * (coeff * (n - k) // (k + 1))
+        out.append((-1) ** n * total / (1 << bits))
+    return out
+
+
+def test_disk_spectrum_past_the_float_range_of_its_start():
+    """Past radius 26.46, e^{-a^2} is below the normal float range and
+    the sweep carries a scale factor until its terms come back into it.
+    At radii 27, 30 and the cap's 40, lambda_n matches the incomplete
+    gamma sums to 1e-14 at the envelope's n_min, at the turning point
+    a^2 / 2 where the terms stop growing, at 2 a^2 and past it.  Shedding
+    by 1e-200 instead of exp(-_SHED) errs by 2.9e-14 at radius 40."""
+    mpmath = pytest.importorskip("mpmath")
+    for a, n_min in ((27.0, 375), (30.0, 461), (CAP_RADIUS, 813)):
+        a2 = round(a * a)
+        ns = [n_min, a2 // 2, 2 * a2, 2 * a2 + 75]
+        got = disk_spectrum(a, max(ns))
+        assert np.argmin(got) == n_min
+        want = incomplete_gamma_eigenvalues(mpmath, a, ns)
+        for n, value in zip(ns, want):
+            assert abs(got[n] - value) < 1e-14, (a, n, got[n] - value)
+
+
 def test_disk_spectrum_array_radii():
     radii = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
     spec = disk_spectrum(radii, 40)
@@ -93,23 +144,26 @@ def test_disk_spectrum_array_radii():
 
 
 def test_disk_spectrum_refuses_out_of_range():
-    assert disk_spectrum(DISK_RADIUS_LIMIT, 10).shape == (11,)
+    assert disk_spectrum(CAP_RADIUS, 10).shape == (11,)
     with pytest.raises(ValueError):
-        disk_spectrum(DISK_RADIUS_LIMIT + 0.5, 10)
+        disk_spectrum(CAP_RADIUS + 0.5, 10)
     with pytest.raises(ValueError):
-        disk_spectrum(np.array([1.0, 27.0]), 10)
+        disk_spectrum(np.array([1.0, CAP_RADIUS + 1.0]), 10)
     with pytest.raises(ValueError):
         disk_spectrum(1.0, -1)
     with pytest.raises(ValueError):
         disk_spectrum(-0.5, 3)
+    for bad in (float("nan"), float("inf"), np.array([1.0, np.nan]), np.array([[1.0], [np.inf]])):
+        with pytest.raises(ValueError, match=CAP_REFUSAL):
+            disk_spectrum(bad, 3)
     with pytest.raises(ValueError):
-        rings_envelope([(0.0, 30.0)])
+        rings_envelope([(0.0, CAP_RADIUS + 1.0)])
     with pytest.raises(ValueError):
-        rings_envelope([(0.0, 1.0), (2.0, 30.0)])
-    with pytest.raises(ValueError, match="^exact disk spectrum needs radius <= 26$"):
+        rings_envelope([(0.0, 1.0), (2.0, CAP_RADIUS + 1.0)])
+    with pytest.raises(ValueError, match=CAP_REFUSAL):
         rings_envelope([(0.0, float("inf"))])
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="^exact disk spectrum needs radius <= 26$"):
+    for bad in (float("inf"), float("nan"), 1e200):
+        with pytest.raises(ValueError, match=CAP_REFUSAL):
             disk_curves([1.0, bad], 3)
     for rings in ([(1.0, 0.5)], [(-0.1, 1.0)], [(0.0, 0.5), (1.5, 1.2)], [(0.0, float("nan"))], []):
         with pytest.raises(ValueError, match="need 0 <= r_inner <= r_outer"):
@@ -157,7 +211,7 @@ def test_disk_curves_envelopes_equal_rings_envelope_field_by_field():
     the SpectrumResult of rings_envelope on that radius alone: at a = 0,
     at the crossings where the lower envelope changes hands, and at the
     largest radius the exact route takes."""
-    radii = [0.0, 1.0, *(crossing_radius(n) for n in range(1, 6)), DISK_RADIUS_LIMIT]
+    radii = [0.0, 1.0, *(crossing_radius(n) for n in range(1, 6)), CAP_RADIUS]
     _, envelopes = disk_curves(radii, 3)
     assert len(envelopes) == len(radii)
     for a, got in zip(radii, envelopes):
