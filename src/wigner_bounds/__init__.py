@@ -36,13 +36,9 @@ from .spectra import (
 )
 from .states import WavefunctionGrid, normalize, read_state_csv
 from .wigner import (
-    BoundReport,
-    Identities,
     WignerGrid,
     coherent_wigner,
-    integral_identities,
     number_state_wigner,
-    pointwise_bound_report,
     quasiprobability,
     read_wigner_csv,
     wigner_transform,
@@ -53,11 +49,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Annulus",
-    "BoundReport",
     "Disk",
     "Ellipse",
     "Graph",
-    "Identities",
     "PiecewiseLinear",
     "Region",
     "RegionUnion",
@@ -73,11 +67,9 @@ __all__ = [
     "disk_spectrum",
     "fock_extremes",
     "indicator",
-    "integral_identities",
     "load_region",
     "normalize",
     "number_state_wigner",
-    "pointwise_bound_report",
     "quasiprobability",
     "read_state_csv",
     "read_wigner_csv",

@@ -59,7 +59,8 @@ __all__ = [
 ]
 
 def _fmt(x: float) -> str:
-    return "%.9g" % float(x)
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
+    return "%.9g" % (float(x) + 0.0)
 
 
 def cmd_bounds(args) -> int:

@@ -206,11 +206,9 @@ def _chebyshev_columns(n_top: int, q, p, w, radial) -> Iterator[np.ndarray]:
     # a node this close to the centre is on it to rounding in every W_mn;
     # putting it there keeps its barycentric weights and phase finite
     r[r < 1e-150] = 0.0
-    s_max = np.sqrt(2.0) * np.max(r, initial=0.0)
-    if s_max == 0.0:
-        # no nodes, or all at the centre: one radius, 0, where only
-        # R_n^(0) = 1 is nonzero
-        return _diagonal_columns(sign * radial(np.full((1, 1), np.sum(w)))[0, 0])
+    # no nodes, or all at the centre, leave s_max = 0: any span serves,
+    # since every node takes the unit row of the radius 0
+    s_max = np.sqrt(2.0) * np.max(r, initial=0.0) or 1.0
     size = math.ceil(max(math.sqrt(4.0 * n_top + 2.0), 0.25 * s_max) * s_max) + 24
     sigma = _chebyshev_points(size, s_max)
     # e^{-i theta}; a node at the centre takes 0, which R^(j)(0) = 0 for j > 0 ignores
@@ -227,13 +225,6 @@ def _chebyshev_columns(n_top: int, q, p, w, radial) -> Iterator[np.ndarray]:
         g += (ell.T @ phase.view(float)).view(complex)
     g = radial(g)
     return _laguerre_columns(sign, sigma, g)
-
-
-def _diagonal_columns(diagonal: np.ndarray) -> Iterator[np.ndarray]:
-    for s, value in enumerate(diagonal.tolist()):
-        col = np.zeros(s + 1, dtype=complex)
-        col[s] = value
-        yield col
 
 
 def _laguerre_columns(sign, sigma, g) -> Iterator[np.ndarray]:

@@ -61,12 +61,11 @@ __all__ = [
 # a, and refuses a scan past DISK_MAX_TERMS (radius 40), whose time it bounds
 DISK_MAX_TERMS = 16000
 
-# the Fock route stops once the extremes of two leading blocks FOCK_STEP
-# states apart differ by less than FOCK_TOL; the blocks it reads stop at
-# growing sizes FOCK_GROWTH apart, up to FOCK_MAX_BASIS.  Its one matrix
-# is sized two growths past the first stop and grown column by column as
-# far as the block read; a reading past that size rebuilds it
-# FOCK_GROWTH times larger
+# the Fock route reads leading blocks FOCK_STEP states apart and stops
+# once the extremes of two consecutive ones differ by less than FOCK_TOL,
+# within FOCK_MAX_BASIS states.  Its one matrix is grown column by column
+# as far as the block read; a block past it rebuilds it FOCK_GROWTH times
+# larger
 FOCK_TOL = 1e-10
 FOCK_STEP = 8
 FOCK_MAX_BASIS = 400
@@ -85,10 +84,11 @@ class SpectrumResult:
     a band) or "fock" (number basis matrix).  n_min/n_max index the
     eigenvalue curves of concentric rings on the exact route; a band has
     none and leaves them None.  The Fock route reports its basis_size
-    and, as error_estimate, the last change of the extremes as the basis
-    grew; that change is a convergence signal, not a bound on the error,
-    which can be larger (1.2e-10 against an estimate of 7.7e-11 on two
-    radius-0.7 disks at (+-1.8, 0)).  No route returns eigenvectors.
+    and, as error_estimate, the change of the extremes between its last
+    two blocks, FOCK_STEP states apart; that change is a convergence
+    signal, not a bound on the error, which can be larger (1.2e-10 from
+    a 260-state build, against an estimate of 7.7e-11, on two radius-0.7
+    disks at (+-1.8, 0)).  No route returns eigenvectors.
     """
 
     lambda_min: float
@@ -244,21 +244,21 @@ def fock_extremes(s: Region) -> SpectrumResult:
     (regions.boundary_rule, specfun.boundary_wigner_columns); by Cauchy
     interlacing the extremes of its leading blocks move outward as the
     block grows.  Blocks are read from (r + 4)^2 / 2 states, where the
-    basis first covers the region, in steps of FOCK_STEP until both
-    extremes change by less than FOCK_TOL.  The steps stop at
-    N = (r + 8)^2 / 2 states, then at FOCK_GROWTH N, FOCK_GROWTH^2 N and
-    so on, up to FOCK_MAX_BASIS.  The extremes of the settled block are
-    the result, with no eigenvectors, and their change is the
-    error_estimate.
+    basis first covers the region, in steps of exactly FOCK_STEP until
+    both extremes change by less than FOCK_TOL.  The extremes of the
+    settled block are the result, with no eigenvectors, and their change
+    is the error_estimate.
 
-    M is built once, with its boundary nodes and Chebyshev radii sized
-    for FOCK_GROWTH^2 N states (at most FOCK_MAX_BASIS), but its columns
-    are computed only as far as the block being read, so no column past
-    the settled block is made.  A region whose reading passes that size
-    is rebuilt FOCK_GROWTH times larger.  A region that has not settled
-    by FOCK_MAX_BASIS states raises RuntimeError rather than return an
-    unconverged bound, and an N past FOCK_MAX_BASIS is refused with a
-    ValueError before any quadrature runs.
+    M is built for FOCK_GROWTH^2 N states, N = (r + 8)^2 / 2 (at most
+    FOCK_MAX_BASIS), with boundary nodes and Chebyshev radii sized for
+    that many, but its columns are computed only as far as the block
+    being read, so no column past the settled block is made.  A block
+    that would pass the build rebuilds it FOCK_GROWTH times larger, and
+    the block last read is read again from the new build before the
+    steps go on.  A block that would pass FOCK_MAX_BASIS raises
+    RuntimeError rather than return an unconverged bound, and an N past
+    FOCK_MAX_BASIS is refused with a ValueError before any quadrature
+    runs.
     """
     qmin, qmax, pmin, pmax = bounding_box(s)
     if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
@@ -278,27 +278,23 @@ def fock_extremes(s: Region) -> SpectrumResult:
         columns = boundary_wigner_columns(states - 1, q, p, q * dp - p * dq)
         m = np.zeros((states, states), dtype=complex)
         prev = _leading_block(m, columns, 0, size)
-        while top <= states:
-            while size < top:
-                size, read = min(size + FOCK_STEP, top), size
-                vals = _leading_block(m, columns, read, size)
-                change = max(abs(vals[0] - prev[0]), abs(vals[-1] - prev[-1]))
-                prev = vals
-                if change < FOCK_TOL:
-                    return SpectrumResult(
-                        lambda_min=float(vals[0]),
-                        lambda_max=float(vals[-1]),
-                        method="fock",
-                        basis_size=size,
-                        error_estimate=float(change),
-                    )
-            if top >= FOCK_MAX_BASIS:
-                raise RuntimeError(
-                    "Fock basis did not settle to %g within %d states" % (FOCK_TOL, FOCK_MAX_BASIS)
+        while size + FOCK_STEP <= states:
+            size += FOCK_STEP
+            vals = _leading_block(m, columns, size - FOCK_STEP, size)
+            change = max(abs(vals[0] - prev[0]), abs(vals[-1] - prev[-1]))
+            prev = vals
+            if change < FOCK_TOL:
+                return SpectrumResult(
+                    lambda_min=float(vals[0]),
+                    lambda_max=float(vals[-1]),
+                    method="fock",
+                    basis_size=size,
+                    error_estimate=float(change),
                 )
-            top = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * top))
-        # the reading has passed this build
-        states = top
+        if size + FOCK_STEP > FOCK_MAX_BASIS:
+            raise RuntimeError("Fock basis did not settle to %g within %d states" % (FOCK_TOL, FOCK_MAX_BASIS))
+        # the next block passes this build
+        states = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * states))
 
 
 def _leading_block(m: np.ndarray, columns, read: int, size: int) -> np.ndarray:

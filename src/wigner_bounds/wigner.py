@@ -19,17 +19,16 @@ construction.
 Number and coherent states skip the transform: number_state_wigner and
 coherent_wigner evaluate their closed forms at any (q, p), exact to
 rounding where the transform's interpolation errs off the sample grid.
-Also here: the two integral identities (total mass 1, purity
-1/(2 pi)), the region functional Q_S of a grid (the integral of its
+Also here: the region functional Q_S of a grid (the integral of its
 bilinear interpolant, taken around the region's boundary by Green's
-theorem, as the Fock route takes its matrix), and a report on the
-pointwise bounds +-1/pi.
+theorem, as the Fock route takes its matrix).  The integral identities
+(total mass 1, purity 1/(2 pi)) and the pointwise bounds +-1/pi, which
+only tests check, are in tests/oracle.py.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +37,9 @@ from .specfun import _laguerre_terms
 from .states import WavefunctionGrid, _read_csv, _uniform_step
 
 __all__ = [
-    "BoundReport",
-    "Identities",
     "WignerGrid",
     "coherent_wigner",
-    "integral_identities",
     "number_state_wigner",
-    "pointwise_bound_report",
     "quasiprobability",
     "read_wigner_csv",
     "wigner_transform",
@@ -155,20 +150,6 @@ def coherent_wigner(q0: float, p0: float, q, p):
     return out if out.ndim else float(out)
 
 
-class Identities(NamedTuple):
-    total: float
-    purity: float
-
-
-def integral_identities(w: WignerGrid) -> Identities:
-    """Riemann sums of W and W^2; expect 1 and 1/(2 pi) for a pure state."""
-    cell = w.dq * w.dp
-    return Identities(
-        total=float(np.sum(w.w) * cell),
-        purity=float(np.sum(w.w**2) * cell),
-    )
-
-
 def quasiprobability(w: WignerGrid, s: Region) -> float:
     """Q_S, the integral over s of w's bilinear interpolant, by Green's theorem.
 
@@ -220,25 +201,6 @@ def quasiprobability(w: WignerGrid, s: Region) -> float:
             lo, hi = block[i, col], block[i + 1, col]
             f = f + weight * (0.5 * c[i, col] + t * (lo + 0.5 * t * (hi - lo)))
         return float(np.dot(f, dp) * w.dq)
-
-
-class BoundReport(NamedTuple):
-    wmin: float
-    wmax: float
-    ok: bool
-
-
-def pointwise_bound_report(w: WignerGrid, allowance: float = 0.0) -> BoundReport:
-    """Extrema of the grid against the sharp pointwise bounds +-1/pi.
-
-    The verdict tolerates 1e-6 plus whatever discretization allowance the
-    caller supplies.
-    """
-    wmin = float(np.min(w.w))
-    wmax = float(np.max(w.w))
-    tol = 1e-6 + allowance
-    bound = 1.0 / np.pi
-    return BoundReport(wmin, wmax, wmin >= -bound - tol and wmax <= bound + tol)
 
 
 def write_wigner_csv(w: WignerGrid, path) -> None:

@@ -43,6 +43,9 @@ no route of the package needs them:
   the sampled inputs of wigner_transform, apply_kernel and the
   acceptance checks; the CLI writes these states from their closed
   forms instead;
+* integral_identities (total mass 1, purity 1/(2 pi)) and
+  pointwise_bound_report (|W| <= 1/pi), the necessary conditions a
+  Wigner grid meets, which the tests check the transform against;
 * CanonicalMap, apply_canonical and reduce_ellipse, the unit-determinant
   affine maps of the phase plane and their images of regions, which
   the tests use to check canonical invariance; the exact route reads an
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,23 +73,28 @@ from wigner_bounds.regions import (
     bounding_box,
 )
 from wigner_bounds.states import WavefunctionGrid
+from wigner_bounds.wigner import WignerGrid
 
 __all__ = [
+    "BoundReport",
     "CanonicalMap",
     "DEFAULT_COUNT",
     "DEFAULT_DX",
     "DEFAULT_POINTS_PER_UNIT",
     "DEFAULT_X0",
+    "Identities",
     "apply_canonical",
     "apply_kernel",
     "assemble",
     "coherent_state",
     "cross_wigner_direct",
+    "integral_identities",
     "kernel_eval",
     "nystrom_extremes",
     "oscillator_basis",
     "oscillator_fn",
     "oscillator_state",
+    "pointwise_bound_report",
     "quadrature",
     "reduce_ellipse",
 ]
@@ -423,6 +432,41 @@ def coherent_state(
     xs = x0 + dx * np.arange(count)
     values = np.pi ** -0.25 * np.exp(-0.5 * (xs - q0) ** 2 + 1j * p0 * xs)
     return WavefunctionGrid(x0, dx, values)
+
+
+# --- grid identities and pointwise bounds -------------------------------
+
+class Identities(NamedTuple):
+    total: float
+    purity: float
+
+
+def integral_identities(w: WignerGrid) -> Identities:
+    """Riemann sums of W and W^2; expect 1 and 1/(2 pi) for a pure state."""
+    cell = w.dq * w.dp
+    return Identities(
+        total=float(np.sum(w.w) * cell),
+        purity=float(np.sum(w.w**2) * cell),
+    )
+
+
+class BoundReport(NamedTuple):
+    wmin: float
+    wmax: float
+    ok: bool
+
+
+def pointwise_bound_report(w: WignerGrid, allowance: float = 0.0) -> BoundReport:
+    """Extrema of the grid against the sharp pointwise bounds +-1/pi.
+
+    The verdict tolerates 1e-6 plus whatever discretization allowance the
+    caller supplies.
+    """
+    wmin = float(np.min(w.w))
+    wmax = float(np.max(w.w))
+    tol = 1e-6 + allowance
+    bound = 1.0 / np.pi
+    return BoundReport(wmin, wmax, wmin >= -bound - tol and wmax <= bound + tol)
 
 
 # --- canonical maps -----------------------------------------------------

@@ -19,15 +19,21 @@ from wigner_bounds import (
     area,
     crossing_radius,
     disk_spectrum,
-    integral_identities,
-    pointwise_bound_report,
     quasiprobability,
     read_wigner_csv,
     rings_envelope,
     wigner_transform,
 )
 from wigner_bounds.cli import main
-from oracle import assemble, kernel_eval, nystrom_extremes, oscillator_fn, oscillator_state
+from oracle import (
+    assemble,
+    integral_identities,
+    kernel_eval,
+    nystrom_extremes,
+    oscillator_fn,
+    oscillator_state,
+    pointwise_bound_report,
+)
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:

@@ -67,6 +67,16 @@ def test_bounds_numeric_route(tmp_path, capsys):
     assert abs(float(fields["lambda_max"]) - (1 - math.exp(-1))) < 1e-9
 
 
+def test_bounds_prints_no_negative_zero(tmp_path, capsys):
+    """The Fock route gives a radius-1e-300 disk the extremes 0 and -0.0;
+    every printed number drops the sign of a zero, in the bounds line as
+    in the check --json numbers, which _fmt formats too."""
+    assert main(["bounds", "--numeric", disk_json(tmp_path, radius=1e-300)]) == 0
+    assert capsys.readouterr().out == "lambda_min=0 lambda_max=0 method=fock basis=16 error=0\n"
+    assert cli._fmt(-0.0) == "0" and json.dumps(float(cli._fmt(-0.0))) == "0.0"
+    assert cli._fmt(-1e-300) == "-1e-300"
+
+
 def test_bounds_graph_region(tmp_path, capsys):
     tent = write_region(
         tmp_path, "tent.json",

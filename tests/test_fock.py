@@ -15,11 +15,12 @@ from wigner_bounds import (
     area,
     bounding_box,
     fock_extremes,
+    region_from_dict,
     rings_envelope,
 )
 from wigner_bounds.cli import main
 from wigner_bounds.regions import boundary_rule
-from wigner_bounds.spectra import FOCK_DENSITY
+from wigner_bounds.spectra import FOCK_DENSITY, FOCK_STEP
 from wigner_bounds.specfun import boundary_wigner_columns, boundary_wigner_matrix, cross_wigner_matrix
 from oracle import assemble, quadrature
 from test_acceptance import random_regions
@@ -138,13 +139,31 @@ def counting_builds(monkeypatch):
     return builds
 
 
+def recording_reads(monkeypatch):
+    """The size of every leading block fock_extremes reads, in order."""
+    import wigner_bounds.spectra as spectra
+
+    sizes = []
+    inner = spectra._leading_block
+
+    def recording(m, columns, read, size):
+        sizes.append(size)
+        return inner(m, columns, read, size)
+
+    monkeypatch.setattr(spectra, "_leading_block", recording)
+    return sizes
+
+
+BAR = Graph(-2.0, 2.0, polyline((-2, -0.25), (2, -0.25)), polyline((-2, 0.25), (2, 0.25)))
+
+
 # (states built, basis_size settled at); the settled sizes are pinned,
 # since sizing the one build larger and reading it by columns must not
 # move them
 @pytest.mark.parametrize("region, states, basis", [
     (DIAMOND, 102, 39),
-    (QUADRILATERAL, 108, 56),
-    (UNION, 122, 105),
+    (QUADRILATERAL, 108, 57),
+    (UNION, 122, 101),
 ])
 def test_fock_builds_once_and_computes_no_column_past_the_settled_block(region, states, basis, monkeypatch):
     builds = counting_builds(monkeypatch)
@@ -154,16 +173,60 @@ def test_fock_builds_once_and_computes_no_column_past_the_settled_block(region, 
 
 
 def test_fock_rebuilds_a_region_that_reads_past_its_first_build(monkeypatch):
-    """A 4 x 0.5 bar starts at 51 states, is built for 116 and has not
-    settled there, so it is rebuilt 1.5 times larger and settles at 148.
-    The bar is the diamond squeezed and turned, a canonical map, so its
-    extremes are the diamond's."""
-    bar = Graph(-2.0, 2.0, polyline((-2, -0.25), (2, -0.25)), polyline((-2, 0.25), (2, 0.25)))
+    """A 4 x 0.5 bar starts at 19 states, is built for 116 and has not
+    settled at block 115, so it is rebuilt 1.5 times larger, reads block
+    115 again and settles at 155.  The bar is the diamond squeezed and
+    turned, a canonical map, so its extremes are the diamond's."""
     builds = counting_builds(monkeypatch)
-    res = fock_extremes(bar)
-    assert builds == [[116, 116], [174, 148]] and res.basis_size == 148
+    res = fock_extremes(BAR)
+    assert builds == [[116, 115], [174, 155]] and res.basis_size == 155
     assert abs(res.lambda_min - -0.197566043) < 1e-9
     assert abs(res.lambda_max - 0.466612775) < 1e-9
+
+
+@pytest.mark.parametrize("region", [DIAMOND, QUADRILATERAL, UNION, BAR], ids=["diamond", "quadrilateral", "union", "bar"])
+def test_fock_reads_blocks_exactly_one_step_apart(region, monkeypatch):
+    """Every block read is FOCK_STEP states past the one before, so each
+    stop compares blocks FOCK_STEP apart, as FOCK_TOL is set for; the one
+    repeat is the block read again from a rebuild."""
+    sizes = recording_reads(monkeypatch)
+    res = fock_extremes(region)
+    steps = np.diff(sizes)
+    box = bounding_box(region)
+    reach = 0.5 * math.hypot(box[1] - box[0], box[3] - box[2])
+    assert sizes[0] == math.ceil((reach + 4.0) ** 2 / 2.0)
+    assert sizes[-1] == res.basis_size
+    assert set(steps.tolist()) <= {0, FOCK_STEP}
+    assert np.count_nonzero(steps == 0) == (region is BAR)
+
+
+# two unions of the benchmark's graph workload (seeds 1003 and 1017),
+# with their extremes from a 260-state build, which a 320-state one
+# matches to 1e-13; comparing blocks 3 states apart stops them 4.0e-10
+# and 1.5e-9 off
+BENCH_UNIONS = [
+    ({"type": "union", "parts": [
+        {"type": "disk", "center": [-1.3195808194489516, -0.06477883304885768], "radius": 0.8717347373592663},
+        {"type": "graph", "b": -0.020276816645986878, "c": 1.9131988663776727,
+         "f1": [[-0.020276816645986878, -0.5543063570816265], [1.9131988663776727, -0.5923705867728534]],
+         "f2": [[-0.020276816645986878, 0.41225502091594957], [0.7376133964267757, 0.9119632460959202],
+                [1.9131988663776727, 0.30016943535223284]]},
+    ]}, (-0.2509378568149, 0.6910011197350)),
+    ({"type": "union", "parts": [
+        {"type": "disk", "center": [-1.3740219407798238, -0.21979036553929082], "radius": 0.8623750630615573},
+        {"type": "graph", "b": -0.08428526320887797, "c": 2.004539801347724,
+         "f1": [[-0.08428526320887797, -0.45381209915942033], [2.004539801347724, -0.6069882409087005]],
+         "f2": [[-0.08428526320887797, 0.4148980103254741], [1.190191890629921, 0.9274829558536739],
+                [2.004539801347724, 0.35052370644999536]]},
+    ]}, (-0.2289211088396, 0.7024818454799)),
+]
+
+
+@pytest.mark.parametrize("spec, want", BENCH_UNIONS, ids=["seed1003", "seed1017"])
+def test_fock_settles_the_benchmark_unions(spec, want):
+    res = fock_extremes(region_from_dict(spec))
+    assert abs(res.lambda_min - want[0]) < 1e-10
+    assert abs(res.lambda_max - want[1]) < 1e-10
 
 
 @pytest.mark.parametrize("n_top", [30, 70])
@@ -219,7 +282,7 @@ def test_fock_refuses_unsettled_and_unbounded_regions(tmp_path, capsys, monkeypa
     monkeypatch.setattr("wigner_bounds.spectra.FOCK_MAX_BASIS", 40)
     with pytest.raises(ValueError, match="^the Fock route needs 54 states for this region, past its limit of 40$"):
         fock_extremes(UNION)
-    # it settles near 105 states; with a cap of 64 it must raise, and
+    # it settles at 101 states; with a cap of 64 it must raise, and
     # the command line must print no bound
     monkeypatch.setattr("wigner_bounds.spectra.FOCK_MAX_BASIS", 64)
     with pytest.raises(RuntimeError, match="did not settle"):

@@ -1,6 +1,7 @@
 """The README's library quick tour runs and names only real functions,
-and its command line section names only real flags; the package
-exports only what its modules export."""
+its command line section names only real flags and its bounds samples
+print what the command prints; the package exports only what its
+modules export."""
 import argparse
 import ast
 import importlib
@@ -9,7 +10,7 @@ import re
 from pathlib import Path
 
 import wigner_bounds
-from wigner_bounds.cli import build_parser
+from wigner_bounds.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the rows of the README module map, lowest layer first
@@ -45,6 +46,22 @@ def test_command_line_flags_exist():
     assert "--window" in named
     missing = sorted(named - flags)
     assert not missing, "README names %s, which no subcommand takes" % missing
+
+
+def test_bounds_samples_match_the_command(tmp_path, capsys):
+    """The `bounds disk.json` and `bounds diamond.json` samples, run on
+    the region files the section shows, print their lines verbatim, so
+    the basis= and error= shown cannot drift from the code."""
+    text = section("Command line")
+    regions = {
+        "disk.json": re.search(r"^\$ cat disk\.json\n(.*?)\n", text, re.M).group(1),
+        "diamond.json": re.search(r"```json\n(\{\"type\": \"graph\".*?)```", text, re.S).group(1),
+    }
+    for name, region in regions.items():
+        (tmp_path / name).write_text(region)
+        want = re.search(r"^\$ wigner-bounds bounds %s\n(.*?)```" % re.escape(name), text, re.M | re.S).group(1)
+        assert main(["bounds", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_package_exports_match_module_exports():
@@ -94,13 +111,15 @@ def test_cli_samples_no_analytic_state():
     so cli imports neither position-grid state builder; sampled states
     reach it only as csv: members.  No package module exports the
     builders, a mixture path beside cmd_wigner's (Ensemble,
-    mixed_wigner), or a Laguerre polynomial beside number_state_wigner's
-    recurrence (laguerre_poly)."""
+    mixed_wigner), a Laguerre polynomial beside number_state_wigner's
+    recurrence (laguerre_poly), or the grid checks only tests call,
+    which tests/oracle.py holds."""
     tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds.cli")))
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "number_state_wigner" in names and "coherent_wigner" in names
     assert not names & {"oscillator_state", "coherent_state"}
-    gone = {"oscillator_state", "coherent_state", "Ensemble", "mixed_wigner", "laguerre_poly"}
+    gone = {"oscillator_state", "coherent_state", "Ensemble", "mixed_wigner", "laguerre_poly",
+            "integral_identities", "pointwise_bound_report", "Identities", "BoundReport"}
     for module in [wigner_bounds] + [importlib.import_module("wigner_bounds." + m) for m in MODULES]:
         exported = set(module.__all__)
         assert not exported & gone, "%s exports %s" % (module.__name__, sorted(exported & gone))

@@ -11,9 +11,7 @@ from wigner_bounds import (
     WavefunctionGrid,
     WignerGrid,
     coherent_wigner,
-    integral_identities,
     number_state_wigner,
-    pointwise_bound_report,
     quasiprobability,
     read_wigner_csv,
     rings_envelope,
@@ -21,7 +19,7 @@ from wigner_bounds import (
     write_wigner_csv,
 )
 from wigner_bounds import wigner
-from oracle import coherent_state, oscillator_state
+from oracle import coherent_state, integral_identities, oscillator_state, pointwise_bound_report
 
 # W_2(1, 0) = -e^{-1}/pi, from L_2(2) e^{-1} / pi with L_2(2) = -1
 W2_AT_10 = -0.11709966304863832
