@@ -14,7 +14,7 @@ that keeps indicator complements exact).  ``boundary_rule`` gives each
 bounded region nodes and weighted tangents around its boundary, exact
 in its geometry, for the area integrals that Green's theorem turns into
 line integrals: the number-basis matrix of the Fock route
-(specfun.boundary_wigner_matrix) and the mass of a Wigner grid
+(specfun.boundary_wigner_columns) and the mass of a Wigner grid
 (wigner.quasiprobability).
 """
 from __future__ import annotations
@@ -62,6 +62,18 @@ def _require_finite(what: str, *values) -> None:
         raise ValueError("%s must be finite" % what)
 
 
+def _center(center) -> tuple[float, float]:
+    # exactly two numbers (q, p); each shape checks that they are finite
+    # along with its other parameters
+    try:
+        pair = np.asarray(center, dtype=float)
+    except (TypeError, ValueError):
+        pair = None
+    if pair is None or pair.shape != (2,):
+        raise ValueError("center must be two numbers [q, p], not %r" % (center,))
+    return float(pair[0]), float(pair[1])
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
     """Polyline q -> value over strictly increasing knots."""
@@ -107,7 +119,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", _center(self.center))
         _require_finite("disk center and radius", *self.center, self.radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -121,7 +133,7 @@ class Ellipse:
     angle: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", _center(self.center))
         _require_finite(
             "ellipse center, semi-axes and angle",
             *self.center, self.semi_major, self.semi_minor, self.angle,
@@ -137,7 +149,7 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", _center(self.center))
         _require_finite("annulus center and radii", *self.center, self.r_inner, self.r_outer)
         if self.r_inner < 0 or not self.r_outer > self.r_inner:
             raise ValueError("need 0 <= r_inner < r_outer")
@@ -396,7 +408,7 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
     around s, for functions f, g of (q, p).  By Green's theorem
     sum (q dp - p dq) / 2 is then the area of s, and area integrals
     become sums over these nodes: of a radial mean of the integrand
-    (specfun.boundary_wigner_matrix), or of its antiderivative along q
+    (specfun.boundary_wigner_columns), or of its antiderivative along q
     (wigner.quasiprobability).
     Each polygon edge of a graph (f1 left to right, the side at c, f2
     right to left, the side at b) gets 12 + density * length
@@ -448,17 +460,17 @@ def region_from_dict(obj) -> Region:
     kind = obj["type"]
     try:
         if kind == "disk":
-            return Disk(center=tuple(obj.get("center", (0.0, 0.0))), radius=float(obj["radius"]))
+            return Disk(center=obj.get("center", (0.0, 0.0)), radius=float(obj["radius"]))
         if kind == "ellipse":
             return Ellipse(
-                center=tuple(obj.get("center", (0.0, 0.0))),
+                center=obj.get("center", (0.0, 0.0)),
                 semi_major=float(obj["semi_major"]),
                 semi_minor=float(obj["semi_minor"]),
                 angle=float(obj.get("angle", 0.0)),
             )
         if kind == "annulus":
             return Annulus(
-                center=tuple(obj.get("center", (0.0, 0.0))),
+                center=obj.get("center", (0.0, 0.0)),
                 r_inner=float(obj["r_inner"]),
                 r_outer=float(obj["r_outer"]),
             )

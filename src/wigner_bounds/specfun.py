@@ -1,22 +1,20 @@
-"""Number-basis matrices of the cross-Wigner functions of the oscillator basis.
+"""Number-basis columns of a region's kernel, and the scaled Laguerre sweep.
 
 All evaluation runs through three-term recurrences so no factorials or
 binomial tables are formed.
 
-cross_wigner_matrix, the number-basis matrix of a region's kernel, splits
-each cross-Wigner function W_{n,n+j}(q, p) into a phase e^{-ij theta}
-and a real radial function R_n^(j)(s) of s = sqrt(2 (q^2 + p^2)), and
-interpolates R from a few dozen Chebyshev radii.  The quadrature nodes
-then enter through one matrix product per block of nodes, and the
-Laguerre recurrence runs on those radii instead of on every node.
-boundary_wigner_matrix is the same build for the radial mean
-int_0^1 W(u q, u p) u du, which Green's theorem integrates around the
-region's boundary instead of over its area: one more product, with a
-table that depends only on the number of radii.  Both builds step the
-recurrence one column of the matrix at a time; boundary_wigner_columns
-yields those columns as they are made, so a caller that reads leading
-blocks computes no column past the last block it reads.  _laguerre_terms
-sweeps e^{-x/2} L_k(x), of which disk eigenvalues and number states are made.
+boundary_wigner_columns yields the number-basis matrix of a region's
+kernel from nodes around the region's boundary.  It splits each
+cross-Wigner function W_{n,n+j}(q, p) into a phase e^{-ij theta} and a
+real radial function of s = sqrt(2 (q^2 + p^2)), takes the radial mean
+that Green's theorem integrates around the boundary, and interpolates it
+from a few dozen Chebyshev radii.  The nodes then enter through one
+matrix product per block of nodes, and the Laguerre recurrence runs on
+those radii instead of on every node.  The recurrence steps one column
+of the matrix at a time, and each column is yielded as it is made, so a
+caller that reads leading blocks computes no column past the last block
+it reads.  _laguerre_terms sweeps e^{-x/2} L_k(x), of which disk
+eigenvalues and number states are made.
 """
 from __future__ import annotations
 
@@ -27,37 +25,49 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = [
-    "boundary_wigner_columns",
-    "boundary_wigner_matrix",
-    "cross_wigner_matrix",
-]
+__all__ = ["boundary_wigner_columns"]
 
-# quadrature points per block in cross_wigner_matrix; bounds its working
-# arrays to max(Chebyshev radii, basis size) x (block) entries
+# nodes per block in _node_sums; bounds its working arrays to
+# max(Chebyshev radii, basis size) x (block) entries
 _POINT_BLOCK = 2048
 
 _NORMAL_EXP = 700.0
 _SHED = 200.0 * np.log(10.0)
 
 
-def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
-    """M_mn = sum_k w_k W_mn(q_k, p_k) for m, n = 0..n_top, Hermitian.
+def boundary_wigner_columns(n_top: int, q, p, w) -> Iterator[np.ndarray]:
+    """B_{0..s, s} for s = 0..n_top, the upper-triangle columns of the
+    Hermitian B_mn = sum_k w_k Phi_mn(q_k, p_k), m, n = 0..n_top, one
+    complex array of s + 1 entries per step.
 
     W_mn(q, p) = (1/pi) int psi_m*(q+x) psi_n(q-x) e^{2ipx} dx is the
-    cross-Wigner function of oscillator eigenfunctions m and n.  With
-    s = sqrt(2 (q^2 + p^2)), e^{-i theta} = sqrt(2) (q - ip) / s and
-    j >= 0 it is (Cahill & Glauber 1969)
+    cross-Wigner function of oscillator eigenfunctions m and n, and
+    Phi_mn(x) = int_0^1 W_mn(u x) u du is its radial mean, which turns
+    an area integral into a boundary one: 2 Phi + r d(Phi)/dr = W_mn, so
+    by Green's theorem
+
+        int_S W_mn dq dp = oint_{boundary of S} Phi_mn (q dp - p dq).
+
+    With the nodes of regions.boundary_rule and w_k = q_k dp_k - p_k dq_k,
+    B is the region's matrix M_mn = int_S W_mn dq dp from a few hundred
+    boundary nodes instead of a few thousand area nodes.
+
+    With s = sqrt(2 (q^2 + p^2)), e^{-i theta} = sqrt(2) (q - ip) / s and
+    j >= 0, W is (Cahill & Glauber 1969)
 
         W_{n,n+j} = (-1)^n / pi * e^{-ij theta} R_n^(j)(s),
         R_n^(j)(s) = s^j sqrt(n!/(n+j)!) L_n^{(j)}(s^2) e^{-s^2/2},
 
-    and W_{n+j,n} is its conjugate.  R is real, |R| <= 1, and is the
-    2-D oscillator radial function of energy 2n + j + 1 <= 2 n_top + 1:
-    inside its turning radius it oscillates with wavenumber at most
-    sqrt(4 n_top + 2) in s, and past it it decays like e^{-s^2/2}.  Both
-    are interpolated to rounding from L Chebyshev points sigma_l on
-    [0, s_max],
+    and W_{n+j,n} is its conjugate.  The phase leaves the mean alone, so
+
+        Phi_{n,n+j} = (-1)^n / pi * e^{-ij theta} A_n^(j)(s),
+        A_n^(j)(s) = int_0^1 R_n^(j)(u s) u du.
+
+    R is real, |R| <= 1, and is the 2-D oscillator radial function of
+    energy 2n + j + 1 <= 2 n_top + 1: inside its turning radius it
+    oscillates with wavenumber at most sqrt(4 n_top + 2) in s, and past
+    it it decays like e^{-s^2/2}.  Both are interpolated to rounding from
+    L Chebyshev points sigma_l on [0, s_max],
 
         L = ceil(max(sqrt(4 n_top + 2), s_max / 4) s_max) + 24.
 
@@ -68,11 +78,17 @@ def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
     past the turning radius: at n_top = 0 with nodes out to radius 12 the
     first term alone leaves 2e-12.  On the Fock route the basis always
     reaches past the nodes, s_max < sqrt(4 n_top + 2), and L is 53-97 on
-    the benchmark regions.  With ell_l the barycentric
-    Lagrange basis of those points (a node on a point takes that
-    point's unit row),
+    the benchmark regions.  A is interpolated on the same L points, and
+    its values there come from R's through a table that depends on L
+    alone,
 
-        M_{n,n+j} = (-1)^n / pi * sum_l R_n^(j)(sigma_l) G_{l,j},
+        A(sigma_l) = sum_m C_L[l, m] R(sigma_m),
+        C_L[l, m] = int_0^1 ell_m(tau_l u) u du,  tau = sigma / s_max,
+
+    with ell_l the barycentric Lagrange basis of those points (a node on
+    a point takes that point's unit row).  So
+
+        B_{n,n+j} = (-1)^n / pi * sum_l R_n^(j)(sigma_l) (C_L^T G)_{l,j},
         G_{l,j} = sum_k ell_l(s_k) w_k e^{-ij theta_k},
 
     G is one real matrix product per block of _POINT_BLOCK nodes, and
@@ -85,52 +101,17 @@ def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
     runs on the L radii alone.  It steps one column s = n + j at a time,
     advancing every offset j together: with n = s - j the n (n + j) of
     its coefficients is n s, and u_n^(j) needs only the same offset j in
-    columns s - 1 and s - 2.  The n_top + 1 columns of the upper
-    triangle are mirrored once into the lower.  Beside the output and the
-    recurrence's (n_top + 1)^2 factor tables, no working array exceeds
-    max(L, n_top + 1) x _POINT_BLOCK entries.
+    columns s - 1 and s - 2.
+
+    The input is checked and C_L^T G is formed at the call; each step
+    runs the recurrence one column further, so the leading N x N block
+    is known once N columns are drawn, and no later column is computed
+    until it is asked for.  Beside the recurrence's (n_top + 1)^2 factor
+    tables, no working array exceeds max(L, n_top + 1) x _POINT_BLOCK
+    entries.
     """
-    return _hermitian(_chebyshev_columns(n_top, q, p, w, lambda g: g))
-
-
-def boundary_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
-    """B_mn = sum_k w_k Phi_mn(q_k, p_k), Phi_mn(x) = int_0^1 W_mn(u x) u du.
-
-    Phi is the radial mean that turns an area integral into a boundary
-    one: 2 Phi + r d(Phi)/dr = W_mn, so by Green's theorem
-
-        int_S W_mn dq dp = oint_{boundary of S} Phi_mn (q dp - p dq),
-
-    and with the nodes of regions.boundary_rule and w_k = q_k dp_k -
-    p_k dq_k, B is the region's matrix M of cross_wigner_matrix from a
-    few hundred boundary nodes instead of a few thousand area nodes.
-    The phase of W leaves the mean alone, so
-
-        Phi_{n,n+j} = (-1)^n / pi * e^{-ij theta} A_n^(j)(s),
-        A_n^(j)(s) = int_0^1 R_n^(j)(u s) u du,
-
-    and A is interpolated on the same L Chebyshev radii as R.  Its
-    values there come from R's through a table that depends on L alone,
-
-        A(sigma_l) = sum_m C_L[l, m] R(sigma_m),
-        C_L[l, m] = int_0^1 ell_m(tau_l u) u du,  tau = sigma / s_max,
-
-    so the build is cross_wigner_matrix's with G replaced by C_L^T G.
-    """
-    return _hermitian(boundary_wigner_columns(n_top, q, p, w))
-
-
-def boundary_wigner_columns(n_top: int, q, p, w) -> Iterator[np.ndarray]:
-    """B_{0..s, s} for s = 0..n_top, the upper-triangle columns of
-    boundary_wigner_matrix, one complex array of s + 1 entries per step.
-
-    The input is checked and the node sums G are formed at the call; each
-    step runs the Laguerre recurrence one column further, so the leading
-    N x N block is known once N columns are drawn, and no later column is
-    computed until it is asked for.  The columns are the ones
-    boundary_wigner_matrix mirrors, bit for bit.
-    """
-    return _chebyshev_columns(n_top, q, p, w, lambda g: _radial_mean(len(g)).T @ g)
+    sign, sigma, g = _node_sums(n_top, q, p, w)
+    return _laguerre_columns(sign, sigma, _radial_mean(sigma.size).T @ g)
 
 
 def _chebyshev_points(size: int, top: float) -> np.ndarray:
@@ -161,7 +142,7 @@ def _radial_mean(size: int) -> np.ndarray:
     # tau of [0, 1]; the integrand has degree size in u, which a Gauss
     # rule of size // 2 + 1 nodes integrates exactly.  Rows l are built in
     # blocks of at most _POINT_BLOCK points tau_l u_i, so the barycentric
-    # rows stay within size x _POINT_BLOCK entries, as in _chebyshev_columns
+    # rows stay within size x _POINT_BLOCK entries, as in _node_sums
     # (size // 2 + 1 < _POINT_BLOCK for every size the Fock route reaches).
     # Read-only, since every caller shares the cached table.
     from numpy.polynomial.legendre import leggauss
@@ -180,21 +161,9 @@ def _radial_mean(size: int) -> np.ndarray:
     return table
 
 
-def _hermitian(columns) -> np.ndarray:
-    # the whole matrix from its upper-triangle columns, mirrored once
-    cols = list(columns)
-    out = np.zeros((len(cols), len(cols)), dtype=complex)
-    for s, col in enumerate(cols):
-        out[: s + 1, s] = col
-    out += np.triu(out, 1).conj().T
-    return out
-
-
-def _chebyshev_columns(n_top: int, q, p, w, radial) -> Iterator[np.ndarray]:
-    # the build of cross_wigner_matrix; radial(G) gives the sums that
-    # pair with R at the Chebyshev radii: G itself for point values,
-    # C_L^T G for the radial mean.  Checks the input and forms G at the
-    # call; the Laguerre steps run as the columns are drawn.
+def _node_sums(n_top: int, q, p, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the signs (-1)^n / pi, the L Chebyshev radii sigma and the node sums
+    # G of boundary_wigner_columns, after checking its input
     if n_top < 0:
         raise ValueError("degree must be nonnegative")
     q, p, w = (np.ravel(np.asarray(v, dtype=float)) for v in (q, p, w))
@@ -223,8 +192,7 @@ def _chebyshev_columns(n_top: int, q, p, w, radial) -> Iterator[np.ndarray]:
         phase[:, 1:] = turn[block, None]
         np.cumprod(phase, axis=1, out=phase)
         g += (ell.T @ phase.view(float)).view(complex)
-    g = radial(g)
-    return _laguerre_columns(sign, sigma, g)
+    return sign, sigma, g
 
 
 def _laguerre_columns(sign, sigma, g) -> Iterator[np.ndarray]:

@@ -24,8 +24,14 @@ error O(h)) and nystrom_extremes diagonalizes it: an oracle for the
 closed forms and the number-basis route that shares no code with them.
 
 cross_wigner_direct is the number-basis matrix of cross-Wigner functions
-from one Laguerre recurrence per quadrature node, the oracle for
-specfun.cross_wigner_matrix, which interpolates them in the radius.
+from one Laguerre recurrence per quadrature node.  cross_wigner_matrix
+is the same matrix from specfun's Chebyshev build, which interpolates
+them in the radius, with its node sums used as point values rather than
+as radial means; cross_wigner_direct pins it.  It is in turn the area
+reference of boundary_wigner_matrix, the route's columns
+(specfun.boundary_wigner_columns) mirrored into the whole matrix: with
+one recurrence on a few dozen radii instead of one per node, it checks
+the boundary build on area rules of thousands of nodes in seconds.
 
 quadrature is an area rule for every bounded region, exact in its
 geometry: the reference against which the package's boundary rules
@@ -72,6 +78,7 @@ from wigner_bounds.regions import (
     _graph_knots,
     bounding_box,
 )
+from wigner_bounds.specfun import _laguerre_columns, _node_sums, boundary_wigner_columns
 from wigner_bounds.states import WavefunctionGrid
 from wigner_bounds.wigner import WignerGrid
 
@@ -86,8 +93,10 @@ __all__ = [
     "apply_canonical",
     "apply_kernel",
     "assemble",
+    "boundary_wigner_matrix",
     "coherent_state",
     "cross_wigner_direct",
+    "cross_wigner_matrix",
     "integral_identities",
     "kernel_eval",
     "nystrom_extremes",
@@ -282,6 +291,34 @@ def cross_wigner_direct(n_top: int, q, p, w) -> np.ndarray:
     out *= ((-1.0) ** np.arange(count) / np.pi)[:, None]
     upper = np.triu(out, 1)
     return np.triu(out) + upper.conj().T
+
+
+def cross_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
+    """M_mn = sum_k w_k W_mn(q_k, p_k) for m, n = 0..n_top, Hermitian,
+    on the Chebyshev radii of specfun.boundary_wigner_columns.
+
+    The build is the boundary build's with its node sums G paired with R
+    at the radii as they are, M_{n,n+j} = (-1)^n / pi * sum_l
+    R_n^(j)(sigma_l) G_{l,j}, in place of the radial mean's C_L^T G.
+    """
+    return _hermitian(_laguerre_columns(*_node_sums(n_top, q, p, w)))
+
+
+def boundary_wigner_matrix(n_top: int, q, p, w) -> np.ndarray:
+    """B_mn = sum_k w_k Phi_mn(q_k, p_k), Phi_mn(x) = int_0^1 W_mn(u x) u du:
+    the columns of specfun.boundary_wigner_columns mirrored into the
+    whole Hermitian matrix."""
+    return _hermitian(boundary_wigner_columns(n_top, q, p, w))
+
+
+def _hermitian(columns) -> np.ndarray:
+    # the whole matrix from its upper-triangle columns, mirrored once
+    cols = list(columns)
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    for s, col in enumerate(cols):
+        out[: s + 1, s] = col
+    out += np.triu(out, 1).conj().T
+    return out
 
 
 # --- area rules ---------------------------------------------------------

@@ -123,6 +123,25 @@ def test_bounds_rejects_non_finite_region(tmp_path, capsys, text, message):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "region",
+    [
+        {"type": "disk", "center": [0.5, 0, 7], "radius": 1},
+        {"type": "annulus", "center": [0, 0, "x"], "r_inner": 0.5, "r_outer": 1},
+        {"type": "ellipse", "center": [0.5], "semi_major": 2, "semi_minor": 1},
+    ],
+    ids=["three-entries", "trailing-string", "one-entry"],
+)
+def test_bounds_rejects_a_center_that_is_not_two_numbers(tmp_path, capsys, region):
+    """A centre of the wrong length exits 2 with one error line, instead
+    of dropping entries or failing on an index."""
+    assert main(["bounds", write_region(tmp_path, "bad.json", region)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: center must be two numbers [q, p], not [")
+    assert captured.err.count("\n") == 1
+
+
 def test_union_with_ellipse_part(tmp_path, capsys):
     """An ellipse inside a union leaves it without a closed form; the
     Fock route takes it, for bounds and check alike, inside the area

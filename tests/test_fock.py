@@ -21,8 +21,8 @@ from wigner_bounds import (
 from wigner_bounds.cli import main
 from wigner_bounds.regions import boundary_rule
 from wigner_bounds.spectra import FOCK_DENSITY, FOCK_STEP
-from wigner_bounds.specfun import boundary_wigner_columns, boundary_wigner_matrix, cross_wigner_matrix
-from oracle import assemble, quadrature
+from wigner_bounds.specfun import boundary_wigner_columns
+from oracle import assemble, boundary_wigner_matrix, cross_wigner_matrix, quadrature
 from test_acceptance import random_regions
 
 
@@ -243,7 +243,7 @@ def test_column_reads_match_the_full_builds(n_top):
     qa, pa, wa = quadrature(QUADRILATERAL, 8.0)
     cases = [
         (boundary_wigner_columns(n_top, q, p, q * dp - p * dq), boundary_wigner_matrix(n_top, q, p, q * dp - p * dq)),
-        (specfun._chebyshev_columns(n_top, qa - q0, pa - p0, wa, lambda g: g), cross_wigner_matrix(n_top, qa - q0, pa - p0, wa)),
+        (specfun._laguerre_columns(*specfun._node_sums(n_top, qa - q0, pa - p0, wa)), cross_wigner_matrix(n_top, qa - q0, pa - p0, wa)),
     ]
     for columns, full in cases:
         assert np.array_equal(full - full.conj().T, np.zeros_like(full))

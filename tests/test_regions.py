@@ -288,6 +288,21 @@ def test_region_json_infinite_interval():
     assert d["b"] == "-inf"
 
 
+@pytest.mark.parametrize(
+    "center",
+    [[0.5, 0.0, 7.0], [0.0, 0.0, "x"], [1.0], [], "12", 5.0, None, [[0.0, 0.0]], [0.0, [1.0, 2.0]], [0.0, "x"]],
+)
+def test_center_must_be_two_numbers(center):
+    for make in (lambda c: Disk(c, 1.0), lambda c: Ellipse(c, 2.0, 1.0), lambda c: Annulus(c, 0.5, 1.0)):
+        with pytest.raises(ValueError, match=r"center must be two numbers \[q, p\]"):
+            make(center)
+    for kind in ("disk", "ellipse", "annulus"):
+        obj = {"type": kind, "center": center, "radius": 1.0, "semi_major": 2.0, "semi_minor": 1.0,
+               "r_inner": 0.5, "r_outer": 1.0}
+        with pytest.raises(ValueError, match="center must be two numbers"):
+            region_from_dict(obj)
+
+
 def test_region_json_malformed():
     for obj in (
         [],

@@ -4,8 +4,8 @@ import pytest
 from scipy import special
 
 from wigner_bounds import number_state_wigner
-from wigner_bounds.specfun import _POINT_BLOCK, cross_wigner_matrix
-from oracle import cross_wigner_direct, oscillator_basis, oscillator_fn
+from wigner_bounds.specfun import _POINT_BLOCK, boundary_wigner_columns
+from oracle import boundary_wigner_matrix, cross_wigner_direct, cross_wigner_matrix, oscillator_basis, oscillator_fn
 
 # oscillator_fn(4, 1.3) from a 50-digit evaluation of the normalized
 # recurrence h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}
@@ -88,8 +88,6 @@ def test_cross_wigner_matrix_against_definition():
     diag = sum(wt * np.array([number_state_wigner(n, q, p) for n in range(13)])
                for (q, p), wt in zip(pts, weights))
     assert np.max(np.abs(np.diag(got) - diag)) < 1e-14
-    with pytest.raises(ValueError):
-        cross_wigner_matrix(3, [0.0, 1.0], [0.0], [1.0])
 
 
 @pytest.mark.parametrize("n_top", [0, 1, 12, 60, 150, 250])
@@ -125,3 +123,35 @@ def test_cross_wigner_matrix_matches_direct_recurrence(n_top):
     centre = cross_wigner_matrix(n_top, [0.0, 0.0], [0.0, -0.0], [0.5, -2.0])
     assert np.count_nonzero(centre - np.diag(np.diag(centre))) == 0
     assert not np.any(cross_wigner_matrix(n_top, [], [], []))
+
+
+@pytest.mark.parametrize("n_top", [0, 1, 12, 60, 150, 250])
+def test_boundary_columns_on_edge_inputs(n_top):
+    """The route's own build on the edge inputs, no nodes, nodes only at
+    the centre, a single node and a node a subnormal distance from the
+    centre, against the radial mean Phi_mn(x) = int_0^1 W_mn(u x) u du
+    by a Gauss rule in u on the oracle's recurrence at every node."""
+    t, wt = np.polynomial.legendre.leggauss(n_top + 40)
+    u = 0.5 * (t + 1.0)
+    wu = 0.5 * wt * u
+    cases = [
+        ([], [], []),
+        ([0.0, 0.0], [0.0, -0.0], [0.5, -2.0]),
+        ([0.3], [-0.7], [1.0]),
+        ([1e-310, 1.0], [0.0, 0.5], [1.0, -1.0]),
+    ]
+    for qs, ps, ws in cases:
+        with np.errstate(divide="raise", invalid="raise"):
+            got = boundary_wigner_matrix(n_top, qs, ps, ws)
+        want = cross_wigner_direct(n_top, np.outer(u, qs), np.outer(u, ps), np.outer(wu, ws))
+        assert got.shape == (n_top + 1, n_top + 1)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(got, got.conj().T)
+    # at the centre only Phi_nn(0, 0) = (-1)^n / (2 pi) survives, times the sum of weights
+    centre = boundary_wigner_matrix(n_top, [0.0, 0.0], [0.0, -0.0], [0.5, -2.0])
+    assert np.count_nonzero(centre - np.diag(np.diag(centre))) == 0
+    diag = (-1.0) ** np.arange(n_top + 1) / (2.0 * np.pi) * (0.5 - 2.0)
+    assert np.max(np.abs(np.diag(centre) - diag)) < 1e-13
+    assert not np.any(boundary_wigner_matrix(n_top, [], [], []))
+    with pytest.raises(ValueError, match="matching"):
+        boundary_wigner_columns(n_top, [0.0, 1.0], [0.0], [1.0])
