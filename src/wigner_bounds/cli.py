@@ -167,21 +167,37 @@ def _phase_axis(lo: float, hi: float, step: float, label: str) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
+# cmd_wigner fills its grid in blocks of rows of about this many cells
+_FILL_CELLS = 1 << 15
+
+
 def cmd_wigner(args) -> int:
     qs = _phase_axis(args.q_min, args.q_max, args.dq, "q")
     ps = _phase_axis(args.p_min, args.p_max, args.dp, "p")
     terms = _parse_state(args.state)
-    # every CSV is read, and refused if malformed, before any grid work
+    # every CSV is read, and refused if malformed, and the one grid is
+    # allocated, before any grid work
     samples = [read_state_csv(params) if kind == "csv" else None for _, kind, params in terms]
-    acc = None
-    for (weight, kind, params), psi in zip(terms, samples):
-        if kind == "oscillator":
-            w = number_state_wigner(params, qs[:, None], ps[None, :])
-        elif kind == "coherent":
-            w = coherent_wigner(*params, qs[:, None], ps[None, :])
-        else:
-            w = wigner_transform(normalize(psi), qs, ps).w
-        acc = weight * w if acc is None else acc + weight * w
+    acc = np.empty((qs.size, ps.size))
+    # per block, a csv: member would rebuild its cos/sin tables and move
+    # last bits, so it is transformed once; the closed forms and the sum,
+    # in term order, go block by block, cell for cell as on the whole grid
+    grids = [None if psi is None else wigner_transform(normalize(psi), qs, ps).w for psi in samples]
+    step = max(1, _FILL_CELLS // ps.size)
+    for start in range(0, qs.size, step):
+        rows = slice(start, start + step)
+        for i, ((weight, kind, params), w) in enumerate(zip(terms, grids)):
+            if kind == "oscillator":
+                w = number_state_wigner(params, qs[rows, None], ps[None, :])
+            elif kind == "coherent":
+                w = coherent_wigner(*params, qs[rows, None], ps[None, :])
+            else:
+                w = w[rows]
+            if i == 0:
+                np.multiply(weight, w, out=acc[rows])
+            else:
+                acc[rows] += weight * w
+    # opened only now: a failure above leaves no partial file
     write_wigner_csv(WignerGrid(qs, ps, acc), args.out)
     return 0
 

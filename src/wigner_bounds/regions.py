@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,16 +63,21 @@ def _require_finite(what: str, *values) -> None:
         raise ValueError("%s must be finite" % what)
 
 
+def _number(value, what: str, rule: str = "a number") -> float:
+    # a number, not a string or a boolean, which float() would also take
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be %s, not %r" % (what, rule, value))
+    return float(value)
+
+
 def _center(center) -> tuple[float, float]:
     # exactly two numbers (q, p); each shape checks that they are finite
     # along with its other parameters
     try:
-        pair = np.asarray(center, dtype=float)
-    except (TypeError, ValueError):
-        pair = None
-    if pair is None or pair.shape != (2,):
-        raise ValueError("center must be two numbers [q, p], not %r" % (center,))
-    return float(pair[0]), float(pair[1])
+        q, p = (_number(x, "center") for x in center)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("center must be two numbers [q, p], not %r" % (center,)) from None
+    return q, p
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,13 +451,10 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
 # --- JSON serialization -------------------------------------------------
 
 def _knots_from_json(rows) -> PiecewiseLinear:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("malformed region: knots must be [[q, value], ...]") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2 for r in rows)):
         raise ValueError("malformed region: knots must be [[q, value], ...]")
-    return PiecewiseLinear(arr[:, 0].copy(), arr[:, 1].copy())
+    rule = "[[q, value], ...] of numbers"
+    return PiecewiseLinear(*([_number(r[i], "knots", rule) for r in rows] for i in (0, 1)))
 
 
 def region_from_dict(obj) -> Region:
@@ -460,29 +463,29 @@ def region_from_dict(obj) -> Region:
     kind = obj["type"]
     try:
         if kind == "disk":
-            return Disk(center=obj.get("center", (0.0, 0.0)), radius=float(obj["radius"]))
+            return Disk(center=obj.get("center", (0.0, 0.0)), radius=_number(obj["radius"], "radius"))
         if kind == "ellipse":
             return Ellipse(
                 center=obj.get("center", (0.0, 0.0)),
-                semi_major=float(obj["semi_major"]),
-                semi_minor=float(obj["semi_minor"]),
-                angle=float(obj.get("angle", 0.0)),
+                semi_major=_number(obj["semi_major"], "semi_major"),
+                semi_minor=_number(obj["semi_minor"], "semi_minor"),
+                angle=_number(obj.get("angle", 0.0), "angle"),
             )
         if kind == "annulus":
             return Annulus(
                 center=obj.get("center", (0.0, 0.0)),
-                r_inner=float(obj["r_inner"]),
-                r_outer=float(obj["r_outer"]),
+                r_inner=_number(obj["r_inner"], "r_inner"),
+                r_outer=_number(obj["r_outer"], "r_outer"),
             )
         if kind == "graph":
             b = obj["b"]
             c = obj["c"]
-            b = float("-inf") if b == "-inf" else float(b)
-            c = float("inf") if c in ("+inf", "inf") else float(c)
+            b = float("-inf") if b == "-inf" else _number(b, "b", 'a number or "-inf"')
+            c = float("inf") if c in ("+inf", "inf") else _number(c, "c", 'a number, "inf" or "+inf"')
             return Graph(b=b, c=c, f1=_knots_from_json(obj["f1"]), f2=_knots_from_json(obj["f2"]))
         if kind == "union":
             return RegionUnion(tuple(region_from_dict(part) for part in obj["parts"]))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError("malformed region: %s" % exc) from exc
     raise ValueError("malformed region: unknown type %r" % (kind,))
 

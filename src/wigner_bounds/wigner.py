@@ -235,16 +235,17 @@ def read_wigner_csv(path) -> WignerGrid:
     of k lines and every row's p texts are byte for byte the first row's,
     as write_wigner_csv and np.savetxt write them.  Such a file is
     tokenized in blocks of _BLOCK_ROWS lines, q and p kept as text and w
-    parsed, and checked in whole rows, so the working memory stays one
-    block beyond the grid.  Then only the nq + k distinct coordinate
-    texts go through the same float parser.  Every other file is read
-    again from the start by the full parse, which parses every cell and
-    decides the grid or the error: comment lines, a blank line that
-    starts a block, coordinates spelled differently in different rows
-    ("-4" and "-4.0"), a coordinate of _TEXT_WIDTH or more characters,
-    NUL or non-Latin-1 characters, non-finite cells, rows longer than a
-    block, a ragged or irregular grid, and any parse or layout error on
-    the way.
+    parsed, and checked in whole rows.  Each block's w cells go straight
+    into one array, sized from the file's line count, so the working
+    memory stays one block beyond the grid.  Then only the nq + k
+    distinct coordinate texts go through the same float parser.  Every
+    other file is read again from the start by the full parse, which
+    parses every cell and decides the grid or the error: comment lines,
+    blank lines, lines ended by a lone carriage return, coordinates
+    spelled differently in different rows ("-4" and "-4.0"), a
+    coordinate of _TEXT_WIDTH or more characters, NUL or non-Latin-1
+    characters, non-finite cells, rows longer than a block, a ragged or
+    irregular grid, and any parse or layout error on the way.
     Text-equal coordinates pass the full parse's 1e-9 row-major check
     exactly, so both reads give the same grid bit for bit.
     """
@@ -260,15 +261,21 @@ def read_wigner_csv(path) -> WignerGrid:
 def _read_regular(path) -> WignerGrid | None:
     """The grid of a text-regular file, or None to read it in full."""
     with open(path, "rb") as raw:
-        # bytes fields drop trailing NULs, which the full parse refuses
-        if any(b"\0" in chunk for chunk in iter(lambda: raw.read(1 << 16), b"")):
-            return None
+        # bytes fields drop trailing NULs, which the full parse refuses;
+        # the line count sizes w, a last line without "\n" included
+        lines, last = 0, b"\n"
+        for chunk in iter(lambda: raw.read(1 << 16), b""):
+            if b"\0" in chunk:
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
     with open(path, "r", encoding="utf-8") as fh:
         if [c.strip() for c in fh.readline().split(",")] != ["q", "p", "w"]:
             return None
-        k = None
+        w = np.empty(lines - (last == b"\n"))
+        filled, k = 0, None
         carry = np.empty(0, _CELLS)
-        qtexts, wrows = [], []
+        qtexts = []
         while first := fh.readline():
             # loadtxt warns on a block with no data, which a blank line
             # could start; it skips blank lines inside a block, as the full
@@ -287,21 +294,25 @@ def _read_regular(path) -> WignerGrid | None:
             rows, carry = cells[:whole].reshape(-1, k), cells[whole:]
             if np.any(rows["q"] != rows["q"][:, :1]) or np.any(rows["p"] != ptexts):
                 return None
+            # more cells than "\n": a lone "\r" ended a line
+            if filled + whole > w.size:
+                return None
+            w[filled : filled + whole] = cells["w"][:whole]
+            filled += whole
             qtexts.append(rows["q"][:, 0].copy())
-            wrows.append(rows["w"].copy())
-    if k is None or carry.size:
+    # fewer cells than lines: loadtxt skipped blank lines
+    if k is None or carry.size or filled != w.size:
         return None
     texts = np.concatenate(qtexts + [ptexts])
     widths = np.char.str_len(texts)
     if widths.min() == 0 or widths.max() >= _TEXT_WIDTH:
         return None
     coords = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1)
-    w = np.concatenate(wrows)
     if not (np.isfinite(coords).all() and np.isfinite(w).all()):
         return None
     # WignerGrid refuses axes that are not uniformly increasing, so the
     # row length k is the full read's too
-    return WignerGrid(coords[:-k], coords[-k:], w)
+    return WignerGrid(coords[:-k], coords[-k:], w.reshape(-1, k))
 
 
 def _read_full(path) -> WignerGrid:

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,16 @@ from scipy.special import eval_laguerre
 
 import wigner_bounds
 from wigner_bounds import (
+    WignerGrid,
     coherent_wigner,
     disk_spectrum,
+    normalize,
+    number_state_wigner,
     read_state_csv,
     read_wigner_csv,
     rings_envelope,
     wigner_transform,
+    write_wigner_csv,
 )
 from wigner_bounds import cli
 from wigner_bounds.cli import build_parser, main
@@ -140,6 +145,25 @@ def test_bounds_rejects_a_center_that_is_not_two_numbers(tmp_path, capsys, regio
     assert captured.out == ""
     assert captured.err.startswith("error: center must be two numbers [q, p], not [")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        {"type": "disk", "center": ["0.5", 1], "radius": "1"},
+        {"type": "disk", "center": [0, 0], "radius": True},
+        {"type": "graph", "b": "-1", "c": 1, "f1": [[-1, 0], [1, 0]], "f2": [[-1, 1], [1, 1]]},
+    ],
+    ids=["quoted-center-and-radius", "boolean-radius", "quoted-graph-end"],
+)
+def test_bounds_refuses_numbers_that_are_not_json_numbers(tmp_path, capsys, region):
+    """A quoted number or a boolean where a number belongs is a mistake
+    upstream: one error line and exit 2, not bounds of a guessed region."""
+    assert main(["bounds", write_region(tmp_path, "bad.json", region)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "must be" in captured.err
 
 
 def test_union_with_ellipse_part(tmp_path, capsys):
@@ -781,6 +805,97 @@ def test_wigner_high_number_state(tmp_path):
     grid = read_wigner_csv(out)
     assert grid.w.shape == (161, 5)
     assert np.all(np.isfinite(grid.w)) and np.max(np.abs(grid.w)) <= 1 / math.pi
+
+
+def whole_grid_csv(path, spec, qs, ps):
+    """write_wigner_csv of every member evaluated on the whole grid at
+    once and summed in term order, as wigner did before it filled its
+    grid in blocks of rows."""
+    acc = None
+    for weight, kind, params in cli._parse_state(spec):
+        if kind == "oscillator":
+            w = number_state_wigner(params, qs[:, None], ps[None, :])
+        elif kind == "coherent":
+            w = coherent_wigner(*params, qs[:, None], ps[None, :])
+        else:
+            w = wigner_transform(normalize(read_state_csv(params)), qs, ps).w
+        acc = weight * w if acc is None else acc + weight * w
+    write_wigner_csv(WignerGrid(qs, ps, acc), path)
+
+
+# (q-min, q-max, dq, fill cells); the p axis is [-4, 4] at 0.05, 161 cells
+FILL_LAYOUTS = {
+    # 81 rows in one block of 203
+    "one-block": (-2.0, 2.0, 0.05, None),
+    # 401 rows in blocks of 203: the last block is short
+    "short-last-block": (-4.0, 4.0, 0.02, None),
+    # a p axis wider than the block: one row per block
+    "one-row-blocks": (-1.0, 1.0, 0.05, 100),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FILL_LAYOUTS))
+@pytest.mark.parametrize("spec", ["oscillator:3", "coherent:0.7,-0.4", MIX, "csv-mix"])
+def test_wigner_fills_its_grid_in_blocks_bit_for_bit(tmp_path, monkeypatch, layout, spec):
+    """The CSV that wigner writes block by block is byte for byte the one
+    the whole-grid evaluation writes, at every block edge."""
+    q_min, q_max, dq, cells = FILL_LAYOUTS[layout]
+    if cells is not None:
+        monkeypatch.setattr(cli, "_FILL_CELLS", cells)
+    if spec == "csv-mix":
+        spec = "mix:0.25 csv:%s + 0.75 oscillator:3" % write_gaussian_state(tmp_path / "g.csv")
+    out, want = tmp_path / "w.csv", tmp_path / "want.csv"
+    argv = ["wigner", spec, "--q-min", repr(q_min), "--q-max", repr(q_max), "--dq", repr(dq), "--out", str(out)]
+    assert main(argv) == 0
+    qs = cli._phase_axis(q_min, q_max, dq, "q")
+    ps = cli._phase_axis(-4.0, 4.0, 0.05, "p")
+    whole_grid_csv(want, spec, qs, ps)
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("existing", [None, b"q,p,w\nan earlier grid\n"], ids=["no-file", "old-file"])
+def test_wigner_failure_while_filling_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys, existing):
+    """A member that fails on the second block of rows exits 2 with one
+    error line; the file is opened only once the grid is complete, so no
+    file appears and an existing one keeps its bytes."""
+    calls = []
+
+    def failing(n, q, p):
+        calls.append(q.shape)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 254 KiB for an array")
+        return number_state_wigner(n, q, p)
+
+    monkeypatch.setattr(cli, "number_state_wigner", failing)
+    out = tmp_path / "w.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main(["wigner", "oscillator:1", "--dq", "0.01", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: Unable to allocate 254 KiB for an array\n")
+    assert len(calls) == 2
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+def test_wigner_holds_one_grid(tmp_path):
+    """On a 641 x 641 grid wigner peaks at no more than 1.6 times the
+    grid's bytes.  Evaluating each member on the whole grid held its
+    Laguerre or exponential temporaries and weight * w beside the sum:
+    4.0 times."""
+    out = str(tmp_path / "w.csv")
+    argv = ["wigner", MIX, "--dq", "0.0125", "--dp", "0.0125", "--out", out]
+    assert main(argv) == 0  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 641 * 641 * 8, peak / (641 * 641 * 8)
 
 
 def test_wigner_refuses_negative_number_state(tmp_path, capsys):

@@ -303,6 +303,47 @@ def test_center_must_be_two_numbers(center):
             region_from_dict(obj)
 
 
+GRAPH_KNOTS = {"f1": [[-1, 0], [1, 0]], "f2": [[-1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"type": "disk", "center": ["0.5", 1], "radius": 1}, "center"),
+        ({"type": "disk", "center": [True, 0], "radius": 1}, "center"),
+        ({"type": "disk", "center": [0, 0], "radius": "1"}, "radius"),
+        ({"type": "disk", "radius": True}, "radius"),
+        ({"type": "ellipse", "semi_major": "2", "semi_minor": 1}, "semi_major"),
+        ({"type": "ellipse", "semi_major": 2, "semi_minor": 1, "angle": False}, "angle"),
+        ({"type": "annulus", "r_inner": 0.5, "r_outer": "1"}, "r_outer"),
+        ({"type": "graph", "b": "-1", "c": 1, **GRAPH_KNOTS}, "b"),
+        ({"type": "graph", "b": -1, "c": "1", **GRAPH_KNOTS}, "c"),
+        ({"type": "graph", "b": -1, "c": "-inf", **GRAPH_KNOTS}, "c"),
+        ({"type": "graph", "b": -1, "c": 1, "f1": [["-1", 0], [1, 0]], "f2": GRAPH_KNOTS["f2"]}, "knots"),
+        ({"type": "graph", "b": -1, "c": 1, "f1": GRAPH_KNOTS["f1"], "f2": [[-1, 1], [1, True]]}, "knots"),
+    ],
+)
+def test_region_json_takes_only_json_numbers(obj, field):
+    """float() would take "1" and true; a region file holds numbers."""
+    with pytest.raises(ValueError, match="^%s must be" % field):
+        region_from_dict(obj)
+
+
+def test_region_json_numbers_and_graph_ends():
+    """Integers, floats and the graph ends' "-inf", "inf" and "+inf" read
+    as before; a radius past the float range is refused in one line."""
+    assert region_from_dict({"type": "disk", "center": [1, -0.5], "radius": 2}) == Disk((1.0, -0.5), 2.0)
+    for c in ("inf", "+inf"):
+        s = region_from_dict({"type": "graph", "b": "-inf", "c": c, **GRAPH_KNOTS})
+        assert (s.b, s.c) == (-math.inf, math.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        region_from_dict({"type": "disk", "radius": 1e400})
+    with pytest.raises(ValueError, match="malformed region: int too large"):
+        region_from_dict({"type": "disk", "radius": 10**400})
+    with pytest.raises(ValueError, match="center must be two numbers"):
+        region_from_dict({"type": "disk", "center": [10**400, 0], "radius": 1})
+
+
 def test_region_json_malformed():
     for obj in (
         [],

@@ -1,5 +1,6 @@
 """Wigner transform, integral identities, quasiprobability, grid CSV."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -308,19 +309,43 @@ def savetxt_grid(path, axis, fn):
 
 
 def test_csv_regular_grids_skip_the_full_parse(tmp_path, full_reads):
-    """Grids written by write_wigner_csv and by np.savetxt are text-regular:
-    they never reach the full parse, and read back as it would read them."""
+    """Grids written by write_wigner_csv and by np.savetxt are text-regular,
+    with or without the last line's newline: they never reach the full
+    parse, and read back as it would read them."""
     written = tmp_path / "written.csv"
     qs, ps = small_axes(0.05, 2.0), small_axes(0.1, 3.0)
     w = WignerGrid(qs, ps, number_state_wigner(1, qs[:, None], ps[None, :]))
     write_wigner_csv(w, written)
     saved = tmp_path / "saved.csv"
     savetxt_grid(saved, -3.0 + 0.05 * np.arange(121), lambda q, p: coherent_wigner(0.3, -0.1, q, p))
-    for path in (written, saved):
+    unended = tmp_path / "unended.csv"
+    unended.write_bytes(written.read_bytes().rstrip(b"\n"))
+    for path in (written, saved, unended):
         got = grid_or_error(read_wigner_csv, path)
         assert not full_reads
         assert_same_read(got, grid_or_error(full_read, path))
     assert_same_read(grid_or_error(read_wigner_csv, written), (w.qs, w.ps, w.w))
+
+
+def test_csv_regular_read_holds_one_grid(tmp_path, full_reads):
+    """The regular read copies each block's w cells into one array sized
+    from the file's line count: on a 641 x 641 grid it peaks at no more
+    than 1.7 times the grid's bytes, where keeping every block's cells
+    and joining them took 2.18 times."""
+    qs = small_axes(0.0125)
+    path = tmp_path / "w.csv"
+    write_wigner_csv(WignerGrid(qs, qs, number_state_wigner(1, qs[:, None], qs[None, :])), path)
+    read_wigner_csv(path)  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grid = read_wigner_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grid.w.shape == (641, 641) and full_reads == []
+    assert peak <= 1.7 * grid.w.nbytes, peak / grid.w.nbytes
 
 
 @pytest.mark.parametrize("block", [5, 8, 10, 24, 1000])
@@ -391,6 +416,9 @@ CSV_EDITS = {
     "non-ascii-q": (lambda lines: [line.replace("-1,", "−1,", 1) if line.startswith("-1,") else line for line in lines], "error"),
     "nul-q": (lambda lines: [line.replace("-2,", "-2\0,", 1) if line.startswith("-2,") else line for line in lines], "error"),
     "crlf": (lambda lines: [line.replace("\n", "\r\n") for line in lines], "grid"),
+    "no-final-newline": (lambda lines: lines[:-1] + [lines[-1].rstrip("\n")], "grid"),
+    # lines the text reader splits but the regular read's "\n" count misses
+    "cr": (lambda lines: [line.replace("\n", "\r") for line in lines], "grid"),
     "four-columns": (_edit_line(20, "\n", ",0\n"), "error"),
     "one-q-row": (lambda lines: lines[:4], "error"),
     "header-only": (lambda lines: [], "error"),
