@@ -164,6 +164,8 @@ def _phase_axis(lo: float, hi: float, step: float, label: str) -> np.ndarray:
     if not (0 < step < math.inf and lo < hi and math.isfinite((hi - lo) / step)):
         raise ValueError("%s grid needs min < max and a positive step" % label)
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if n < 2:
+        raise ValueError("%s grid needs at least two points: a step no larger than max - min" % label)
     return lo + step * np.arange(n)
 
 

@@ -298,36 +298,35 @@ def indicator(s: Region, q, p):
 
 
 def area(s: Region) -> float:
-    """Region area; exact for conics, trapezoid-exact for graphs, +inf if unbounded."""
+    """Region area by Green's theorem, sum (q dp - p dq) / 2 over boundary_rule(s, 0),
+    exact on every edge and circle but for the rounding of its nodes; taken
+    about the box centre, so that far from the origin the terms do not
+    cancel.  +inf if unbounded."""
+    qmin, qmax, pmin, pmax = bounding_box(s)
+    if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
+        return math.inf
+    q, p, dq, dp = boundary_rule(s, 0.0)
+    q0, p0 = 0.5 * (qmin + qmax), 0.5 * (pmin + pmax)
+    return float(np.sum((q - q0) * dp - (p - p0) * dq)) / 2.0
+
+
+def _conic(s) -> tuple[float, float, float, float]:
+    # semi-axes a, b along angle and angle + pi / 2, and the radius of a hole:
+    # a disk is an ellipse with equal axes, an annulus that disk with a hole
     if isinstance(s, Disk):
-        return math.pi * s.radius**2
-    if isinstance(s, Ellipse):
-        return math.pi * s.semi_major * s.semi_minor
+        return s.radius, s.radius, 0.0, 0.0
     if isinstance(s, Annulus):
-        return math.pi * (s.r_outer**2 - s.r_inner**2)
-    if isinstance(s, Graph):
-        if not (math.isfinite(s.b) and math.isfinite(s.c)):
-            return math.inf
-        qs = _graph_knots(s)
-        gap = s.f2.evaluate(qs) - s.f1.evaluate(qs)
-        return float(np.sum((gap[1:] + gap[:-1]) * np.diff(qs)) / 2.0)
-    if isinstance(s, RegionUnion):
-        return sum(area(part) for part in s.parts)
-    raise TypeError("not a region: %r" % (s,))
+        return s.r_outer, s.r_outer, 0.0, s.r_inner
+    return s.semi_major, s.semi_minor, s.angle, 0.0
 
 
 def bounding_box(s: Region) -> tuple[float, float, float, float]:
     """(qmin, qmax, pmin, pmax) enclosing s; infinite for unbounded graphs."""
-    if isinstance(s, Disk):
-        cq, cp = s.center
-        return cq - s.radius, cq + s.radius, cp - s.radius, cp + s.radius
-    if isinstance(s, Annulus):
-        cq, cp = s.center
-        return cq - s.r_outer, cq + s.r_outer, cp - s.r_outer, cp + s.r_outer
-    if isinstance(s, Ellipse):
-        ca, sa = math.cos(s.angle), math.sin(s.angle)
-        hq = math.hypot(s.semi_major * ca, s.semi_minor * sa)
-        hp = math.hypot(s.semi_major * sa, s.semi_minor * ca)
+    if isinstance(s, (Disk, Ellipse, Annulus)):
+        a, b, angle, _ = _conic(s)
+        ca, sa = math.cos(angle), math.sin(angle)
+        hq = math.hypot(a * ca, b * sa)
+        hp = math.hypot(a * sa, b * ca)
         cq, cp = s.center
         return cq - hq, cq + hq, cp - hp, cp + hp
     if isinstance(s, Graph):
@@ -426,14 +425,11 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
     running clockwise; a union concatenates its parts' rules.
     Unbounded regions raise.
     """
-    if isinstance(s, Disk):
-        parts = [_ellipse_loop(s.center, s.radius, s.radius, 0.0, density)]
-    elif isinstance(s, Ellipse):
-        parts = [_ellipse_loop(s.center, s.semi_major, s.semi_minor, s.angle, density)]
-    elif isinstance(s, Annulus):
-        parts = [_ellipse_loop(s.center, s.r_outer, s.r_outer, 0.0, density)]
-        if s.r_inner > 0:
-            q, p, dq, dp = _ellipse_loop(s.center, s.r_inner, s.r_inner, 0.0, density)
+    if isinstance(s, (Disk, Ellipse, Annulus)):
+        a, b, angle, hole = _conic(s)
+        parts = [_ellipse_loop(s.center, a, b, angle, density)]
+        if hole > 0:
+            q, p, dq, dp = _ellipse_loop(s.center, hole, hole, 0.0, density)
             parts.append((q, p, -dq, -dp))
     elif isinstance(s, Graph):
         if not (math.isfinite(s.b) and math.isfinite(s.c)):
@@ -457,26 +453,24 @@ def _knots_from_json(rows) -> PiecewiseLinear:
     return PiecewiseLinear(*([_number(r[i], "knots", rule) for r in rows] for i in (0, 1)))
 
 
+# each conic's JSON type, class and number fields after its centre, in the
+# order of both the class's fields and the JSON object's keys
+_CONICS = {
+    "disk": (Disk, ("radius",)),
+    "ellipse": (Ellipse, ("semi_major", "semi_minor", "angle")),
+    "annulus": (Annulus, ("r_inner", "r_outer")),
+}
+
+
 def region_from_dict(obj) -> Region:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("malformed region: expected an object with a 'type' key")
     kind = obj["type"]
     try:
-        if kind == "disk":
-            return Disk(center=obj.get("center", (0.0, 0.0)), radius=_number(obj["radius"], "radius"))
-        if kind == "ellipse":
-            return Ellipse(
-                center=obj.get("center", (0.0, 0.0)),
-                semi_major=_number(obj["semi_major"], "semi_major"),
-                semi_minor=_number(obj["semi_minor"], "semi_minor"),
-                angle=_number(obj.get("angle", 0.0), "angle"),
-            )
-        if kind == "annulus":
-            return Annulus(
-                center=obj.get("center", (0.0, 0.0)),
-                r_inner=_number(obj["r_inner"], "r_inner"),
-                r_outer=_number(obj["r_outer"], "r_outer"),
-            )
+        if isinstance(kind, str) and kind in _CONICS:  # a list type is no dict key
+            cls, names = _CONICS[kind]
+            given = {"center": (0.0, 0.0), "angle": 0.0, **obj}  # both may be left out
+            return cls(given["center"], *(_number(given[name], name) for name in names))
         if kind == "graph":
             b = obj["b"]
             c = obj["c"]
@@ -491,23 +485,9 @@ def region_from_dict(obj) -> Region:
 
 
 def region_to_dict(s: Region) -> dict:
-    if isinstance(s, Disk):
-        return {"type": "disk", "center": list(s.center), "radius": s.radius}
-    if isinstance(s, Ellipse):
-        return {
-            "type": "ellipse",
-            "center": list(s.center),
-            "semi_major": s.semi_major,
-            "semi_minor": s.semi_minor,
-            "angle": s.angle,
-        }
-    if isinstance(s, Annulus):
-        return {
-            "type": "annulus",
-            "center": list(s.center),
-            "r_inner": s.r_inner,
-            "r_outer": s.r_outer,
-        }
+    for kind, (cls, names) in _CONICS.items():
+        if isinstance(s, cls):
+            return {"type": kind, "center": list(s.center), **{name: getattr(s, name) for name in names}}
     if isinstance(s, Graph):
         return {
             "type": "graph",

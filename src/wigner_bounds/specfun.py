@@ -232,19 +232,19 @@ def _laguerre_columns(sign, sigma, g) -> Iterator[np.ndarray]:
         yield col
 
 
-def _laguerre_terms(x) -> Iterator[tuple]:
-    # (l_k, c_k), k = 0, 1, ..., with e^{-x/2} L_k(x) = l_k e^{-c_k} in [-1, 1]
-    # at x >= 0, by (k+1) l_{k+1} = (2k+1-x) l_k - k l_{k-1}, l_0 = e^{-x/2}.
-    # c_k is None while every e^{-x/2} >= e^{-_NORMAL_EXP}, a normal float.
-    # Past it l_0 carries e^c, c = x/2 - _NORMAL_EXP, shed by exp(-_SHED) ~
-    # 1e-200 (1e-200 itself errs by 2.2e-14) where a term passes 1e200; x <
-    # 2e98 keeps steps under 1e299.  Steps work in place, holding x and three
-    # terms; the array of l_k is overwritten while l_{k+2} is made.
+def _laguerre_terms(x) -> Iterator[np.ndarray]:
+    # e^{-x/2} L_k(x) in [-1, 1] at x >= 0, k = 0, 1, ..., as l_k e^{-c_k} with
+    # (k+1) l_{k+1} = (2k+1-x) l_k - k l_{k-1}, l_0 = e^{-x/2}.  c_k = 0 while
+    # every e^{-x/2} >= e^{-_NORMAL_EXP}, a normal float; past it l_0 carries
+    # e^c, c = x/2 - _NORMAL_EXP, shed by exp(-_SHED) ~ 1e-200 (1e-200 itself
+    # errs by 2.2e-14) where a term passes 1e200, and each term is yielded as
+    # a new array.  x < 2e98 keeps steps under 1e299.  Steps work in place,
+    # holding x and three terms; l_k's array is overwritten making l_{k+2}.
     far = bool(np.any(x > 2.0 * _NORMAL_EXP))
     carry = np.maximum(0.5 * x - _NORMAL_EXP, 0.0) if far else None
     lc = np.exp(carry - 0.5 * x) if far else np.exp(-0.5 * x)
     lm = np.zeros_like(lc)
-    yield lc, carry
+    yield lc * np.exp(-carry) if far else lc
     for k in itertools.count():
         new = (2 * k + 1) - x
         new *= lc
@@ -256,4 +256,4 @@ def _laguerre_terms(x) -> Iterator[tuple]:
             shed = np.abs(lc) > 1e200
             lc, lm = (np.where(shed, np.exp(-_SHED) * t, t) for t in (lc, lm))
             carry = carry - _SHED * shed
-        yield lc, carry
+        yield lc * np.exp(-carry) if far else lc

@@ -131,8 +131,7 @@ def disk_spectrum(a, n_top: int) -> np.ndarray:
     _cutoff(np.max(a, initial=0.0))  # the cap check
     out = np.empty(a.shape + (n_top + 1,))
     lam, prev = 1.0, 0.0
-    for n, (term, carry) in zip(range(n_top + 1), _laguerre_terms(2.0 * a * a)):
-        term = term if carry is None else term * np.exp(-carry)
+    for n, term in zip(range(n_top + 1), _laguerre_terms(2.0 * a * a)):
         lam = lam + (term - prev if n % 2 else prev - term)
         out[..., n] = lam
         prev = term

@@ -132,10 +132,8 @@ def number_state_wigner(n: int, q, p):
     q, p = (np.clip(np.asarray(v, dtype=float), -1e49, 1e49) for v in (q, p))
     x = q * q + p * p
     x *= 2.0  # in place: the sweep then holds x and its three terms alone
-    term, carry = next(itertools.islice(_laguerre_terms(x), n, None))
+    term = next(itertools.islice(_laguerre_terms(x), n, None))
     term *= (-1) ** n / np.pi
-    if carry is not None:
-        term *= np.exp(-carry)
     return term if term.ndim else float(term)
 
 

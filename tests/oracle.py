@@ -36,7 +36,9 @@ the boundary build on area rules of thousands of nodes in seconds.
 quadrature is an area rule for every bounded region, exact in its
 geometry: the reference against which the package's boundary rules
 (regions.boundary_rule, and the builds and grid masses on it) are
-checked through Green's theorem.
+checked through Green's theorem.  closed_form_area is the area of each
+shape from its closed form, the reference for regions.area and for the
+areas that boundary_rule encloses.
 
 The fixtures the tests build their inputs with live here too, because
 no route of the package needs them:
@@ -322,6 +324,26 @@ def _hermitian(columns) -> np.ndarray:
 
 
 # --- area rules ---------------------------------------------------------
+
+def closed_form_area(s: Region) -> float:
+    """Area from each shape's closed form: pi r^2, pi a b, pi (r_out^2 -
+    r_in^2), the trapezoid rule over a graph's knots (exact for its
+    piecewise-linear boundaries), +inf for an unbounded graph, and a
+    union's parts summed.  regions.area sums around boundary_rule instead."""
+    if isinstance(s, Disk):
+        return math.pi * s.radius**2
+    if isinstance(s, Ellipse):
+        return math.pi * s.semi_major * s.semi_minor
+    if isinstance(s, Annulus):
+        return math.pi * (s.r_outer**2 - s.r_inner**2)
+    if isinstance(s, Graph):
+        if not (math.isfinite(s.b) and math.isfinite(s.c)):
+            return math.inf
+        qs = _graph_knots(s)
+        gap = s.f2.evaluate(qs) - s.f1.evaluate(qs)
+        return float(np.sum((gap[1:] + gap[:-1]) * np.diff(qs)) / 2.0)
+    return sum(closed_form_area(part) for part in s.parts)
+
 
 def _conic_rule(s, density: float):
     # polar rule on the unit-scaled shape, mapped through the axes

@@ -636,6 +636,20 @@ def test_wigner_rejects_non_finite_axes(tmp_path, capsys, flag, axis):
     assert captured.err == "error: %s grid needs min < max and a positive step\n" % axis
 
 
+@pytest.mark.parametrize(
+    "flags, axis",
+    [(["--q-min", "0", "--q-max", "0.05", "--dq", "0.1"], "q"), (["--p-min", "1", "--p-max", "1.5", "--dp", "2"], "p")],
+)
+def test_wigner_refuses_a_one_point_axis(tmp_path, capsys, flags, axis):
+    """A step past max - min leaves one point on the axis; the refusal
+    names the grid, not a field of the grid type."""
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "oscillator:1", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: %s grid needs at least two points: a step no larger than max - min\n" % axis
+
+
 def write_gaussian_state(path, bad_row=None):
     xs = -8.0 + 0.01 * np.arange(1601)
     vals = np.pi**-0.25 * np.exp(-0.5 * xs**2)

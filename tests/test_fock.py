@@ -22,7 +22,7 @@ from wigner_bounds.cli import main
 from wigner_bounds.regions import boundary_rule
 from wigner_bounds.spectra import FOCK_DENSITY, FOCK_STEP
 from wigner_bounds.specfun import boundary_wigner_columns
-from oracle import assemble, boundary_wigner_matrix, cross_wigner_matrix, quadrature
+from oracle import assemble, boundary_wigner_matrix, closed_form_area, cross_wigner_matrix, quadrature
 from test_acceptance import random_regions
 
 
@@ -378,7 +378,7 @@ def test_boundary_rule_splits_long_edges_into_panels(monkeypatch):
     regions._legendre_rule.cache_clear()
     q, p, dq, dp = boundary_rule(QUADRILATERAL, 320.0)
     assert counts and max(counts) <= 12 + 128
-    assert abs(np.sum(q * dp - p * dq) - 2.0 * area(QUADRILATERAL)) < 1e-13
+    assert abs(np.sum(q * dp - p * dq) - 2.0 * closed_form_area(QUADRILATERAL)) < 1e-13
     qa, _, wa = quadrature(QUADRILATERAL, 5.0)
     assert abs(np.sum(q * q * dp) - np.sum(2.0 * qa * wa)) < 1e-13
 
@@ -425,11 +425,14 @@ def test_boundary_build_matches_area_build(region, centre):
 
 @pytest.mark.parametrize("region", [region for region, _ in GREEN_CASES], ids=GREEN_IDS)
 def test_boundary_rule_encloses_the_area(region):
-    """sum (q dp - p dq) is twice the area: the rule runs around the
-    region once, with the region on its left."""
+    """sum (q dp - p dq) is twice the closed-form area: the rule runs
+    around the region once, with the region on its left.  area, which
+    sums the same form about the box centre at density 0, agrees."""
+    exact = closed_form_area(region)
     for density in (0.5, 7.0):
         q, p, dq, dp = boundary_rule(region, density)
-        assert abs(np.sum(q * dp - p * dq) - 2.0 * area(region)) < 1e-14
+        assert abs(np.sum(q * dp - p * dq) - 2.0 * exact) < 1e-14
+    assert abs(area(region) - exact) < 1e-14
 
 
 def test_boundary_rule_refuses_unbounded_graphs():

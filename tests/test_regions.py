@@ -1,6 +1,7 @@
 """Phase-plane regions: membership, geometry, canonical maps, JSON."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ def test_area():
     assert abs(area(tent_graph()) - 2.0) < 1e-12
     two = RegionUnion((Disk((-3.0, 0.0), 1.0), Disk((3.0, 0.0), 1.0)))
     assert abs(area(two) - 2 * math.pi) < 1e-12
+    # summed about the box centre, a region away from the origin does not
+    # cancel (about the origin this one errs by 3.8e-14)
+    assert abs(area(Ellipse((50.0, 7.0), 0.2, 0.05, 0.4)) / (math.pi * 0.01) - 1.0) < 1e-14
 
 
 def test_unbounded_graph_area_is_infinite():
@@ -277,6 +281,44 @@ def test_region_json_round_trip():
         back = region_from_dict(json.loads(json.dumps(region_to_dict(s))))
         assert type(back) is type(s)
         assert abs(area(back) - area(s)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "region, want",
+    [
+        (Disk((0.5, -1.0), 1.5), {"type": "disk", "center": [0.5, -1.0], "radius": 1.5}),
+        (Annulus((1.0, 0.0), 0.5, 1.0), {"type": "annulus", "center": [1.0, 0.0], "r_inner": 0.5, "r_outer": 1.0}),
+        (
+            Ellipse((0.0, 2.0), 2.0, 0.5, 0.3),
+            {"type": "ellipse", "center": [0.0, 2.0], "semi_major": 2.0, "semi_minor": 0.5, "angle": 0.3},
+        ),
+        (
+            Ellipse((0.0, 2.0), 2.0, 0.5),
+            {"type": "ellipse", "center": [0.0, 2.0], "semi_major": 2.0, "semi_minor": 0.5, "angle": 0.0},
+        ),
+    ],
+    ids=["disk", "annulus", "ellipse", "ellipse-default-angle"],
+)
+def test_region_to_dict_of_each_conic(region, want):
+    """The exact dict, keys in order, and its round trip through JSON."""
+    got = region_to_dict(region)
+    assert got == want and list(got) == list(want)
+    assert region_from_dict(json.loads(json.dumps(got))) == region
+
+
+def test_region_json_conic_defaults():
+    """The centre, and an ellipse's angle, may be left out."""
+    assert region_from_dict({"type": "disk", "radius": 2}) == Disk((0.0, 0.0), 2.0)
+    assert region_from_dict({"type": "annulus", "r_inner": 0, "r_outer": 1}) == Annulus((0.0, 0.0), 0.0, 1.0)
+    ellipse = region_from_dict({"type": "ellipse", "center": [1, 2], "semi_major": 2, "semi_minor": 1})
+    assert ellipse == Ellipse((1.0, 2.0), 2.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", [[1], {"disk": 1}, "polygon", "Disk", None, 1])
+def test_region_json_unknown_type(kind):
+    """A type that is not a key of any shape, hashable or not, is named."""
+    with pytest.raises(ValueError, match=r"^malformed region: unknown type %s$" % re.escape(repr(kind))):
+        region_from_dict({"type": kind, "radius": 1.0})
 
 
 def test_region_json_infinite_interval():
