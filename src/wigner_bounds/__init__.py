@@ -37,7 +37,6 @@ from .spectra import (
 from .states import WavefunctionGrid, normalize, read_state_csv
 from .wigner import (
     WignerGrid,
-    coherent_wigner,
     number_state_wigner,
     quasiprobability,
     read_wigner_csv,
@@ -61,7 +60,6 @@ __all__ = [
     "area",
     "bounding_box",
     "bounds",
-    "coherent_wigner",
     "crossing_radius",
     "disk_curves",
     "disk_spectrum",

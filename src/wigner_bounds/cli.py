@@ -13,8 +13,8 @@ Four subcommands:
 Each subcommand parses its flags, calls the library and prints; route
 choice for bounds and check lives in spectra.bounds.  wigner writes
 oscillator:n and coherent:q0,p0 states, and mix: terms of them, from
-their closed forms on the requested grid; wigner_transform serves only
-csv: members, each on its own sampled grid.
+the closed form of a displaced number state (a coherent state is the
+displaced vacuum); wigner_transform serves only csv: members.
 
 main(argv) may be called any number of times in one process, as
 perfbench/run.py and the tests do.  It builds its argument parser on
@@ -41,7 +41,6 @@ from .spectra import bounds, disk_curves
 from .states import normalize, read_state_csv
 from .wigner import (
     WignerGrid,
-    coherent_wigner,
     number_state_wigner,
     quasiprobability,
     read_wigner_csv,
@@ -109,7 +108,7 @@ def _split_state(spec: str) -> tuple[str, object]:
             raise ValueError("bad state spec: oscillator:n needs an integer") from None
         if n < 0:
             raise ValueError("bad state spec: oscillator:n needs n >= 0")
-        return kind, n
+        return "number", (n, 0.0, 0.0)
     if kind == "coherent":
         try:
             q0, p0 = map(float, rest.split(","))
@@ -117,7 +116,7 @@ def _split_state(spec: str) -> tuple[str, object]:
                 raise ValueError
         except ValueError:
             raise ValueError("bad state spec: coherent:q0,p0 needs two finite numbers") from None
-        return kind, (q0, p0)
+        return "number", (0, q0, p0)
     if kind == "csv":
         if not rest:
             raise ValueError("bad state spec: csv: needs a path")
@@ -129,7 +128,7 @@ def _split_state(spec: str) -> tuple[str, object]:
 
 
 def _parse_state(spec: str) -> list[tuple[float, str, object]]:
-    """(weight, kind, params) for each member of a state spec.
+    """(weight, "number", (n, q0, p0)) or (weight, "csv", path) for each member of a state spec.
 
     mix syntax is 'mix:W SPEC + W SPEC + ...', e.g.
     'mix:0.5 oscillator:0 + 0.5 oscillator:1'; the weights must be
@@ -189,10 +188,10 @@ def cmd_wigner(args) -> int:
     for start in range(0, qs.size, step):
         rows = slice(start, start + step)
         for i, ((weight, kind, params), w) in enumerate(zip(terms, grids)):
-            if kind == "oscillator":
-                w = number_state_wigner(params, qs[rows, None], ps[None, :])
-            elif kind == "coherent":
-                w = coherent_wigner(*params, qs[rows, None], ps[None, :])
+            if kind == "number":
+                n, q0, p0 = params
+                with np.errstate(over="ignore"):  # an offset past the float range is inf: W_n is 0
+                    w = number_state_wigner(n, qs[rows, None] - q0, ps[None, :] - p0)
             else:
                 w = w[rows]
             if i == 0:

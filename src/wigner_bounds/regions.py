@@ -199,13 +199,9 @@ class Graph:
 
 def _rings_disjoint(s, t) -> bool:
     # disks are rings with no hole; touching counts as disjoint
-    (in_s, out_s), (in_t, out_t) = _ring_radii(s), _ring_radii(t)
+    (out_s, _, _, in_s), (out_t, _, _, in_t) = _conic(s), _conic(t)
     d = math.hypot(s.center[0] - t.center[0], s.center[1] - t.center[1])
     return d >= out_s + out_t or d + out_s <= in_t or d + out_t <= in_s
-
-
-def _ring_radii(s) -> tuple[float, float]:
-    return (0.0, s.radius) if isinstance(s, Disk) else (s.r_inner, s.r_outer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,15 +295,14 @@ def indicator(s: Region, q, p):
 
 def area(s: Region) -> float:
     """Region area by Green's theorem, sum (q dp - p dq) / 2 over boundary_rule(s, 0),
-    exact on every edge and circle but for the rounding of its nodes; taken
-    about the box centre, so that far from the origin the terms do not
-    cancel.  +inf if unbounded."""
+    exact on every edge and circle but for the rounding of its nodes; the
+    nodes are taken about the box centre, so that far from the origin
+    they keep their digits.  +inf if unbounded."""
     qmin, qmax, pmin, pmax = bounding_box(s)
     if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
         return math.inf
-    q, p, dq, dp = boundary_rule(s, 0.0)
-    q0, p0 = 0.5 * (qmin + qmax), 0.5 * (pmin + pmax)
-    return float(np.sum((q - q0) * dp - (p - p0) * dq)) / 2.0
+    q, p, dq, dp = _boundary_rule(s, 0.0, (0.5 * (qmin + qmax), 0.5 * (pmin + pmax)))
+    return float(np.sum(q * dp - p * dq)) / 2.0
 
 
 def _conic(s) -> tuple[float, float, float, float]:
@@ -370,10 +365,10 @@ def _gauss(lo: float, hi: float, length: float, density: float):
     return (starts + half * (t + 1.0)).ravel(), np.tile(half * w, panels)
 
 
-def _polyline(f: PiecewiseLinear, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    # the vertices of f over [b, c]: its knots inside, evaluated ends
+def _polyline(f: PiecewiseLinear, b: float, c: float, origin) -> tuple[np.ndarray, np.ndarray]:
+    # the vertices of f over [b, c], its knots inside and evaluated ends, less origin
     qs = np.concatenate([[b], f.qs[(f.qs > b) & (f.qs < c)], [c]])
-    return qs, f.evaluate(qs)
+    return qs - origin[0], f.evaluate(qs) - origin[1]
 
 
 def _loop_rule(q, p, density: float):
@@ -425,20 +420,26 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
     running clockwise; a union concatenates its parts' rules.
     Unbounded regions raise.
     """
+    return _boundary_rule(s, density, (0.0, 0.0))
+
+
+def _boundary_rule(s: Region, density: float, origin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # boundary_rule about origin, from centres and vertices less origin
     if isinstance(s, (Disk, Ellipse, Annulus)):
         a, b, angle, hole = _conic(s)
-        parts = [_ellipse_loop(s.center, a, b, angle, density)]
+        center = (s.center[0] - origin[0], s.center[1] - origin[1])
+        parts = [_ellipse_loop(center, a, b, angle, density)]
         if hole > 0:
-            q, p, dq, dp = _ellipse_loop(s.center, hole, hole, 0.0, density)
+            q, p, dq, dp = _ellipse_loop(center, hole, hole, 0.0, density)
             parts.append((q, p, -dq, -dp))
     elif isinstance(s, Graph):
         if not (math.isfinite(s.b) and math.isfinite(s.c)):
             raise ValueError("boundary rule needs a bounded region")
-        q1, p1 = _polyline(s.f1, s.b, s.c)
-        q2, p2 = _polyline(s.f2, s.b, s.c)
+        q1, p1 = _polyline(s.f1, s.b, s.c, origin)
+        q2, p2 = _polyline(s.f2, s.b, s.c, origin)
         parts = _loop_rule(np.concatenate([q1, q2[::-1]]), np.concatenate([p1, p2[::-1]]), density)
     elif isinstance(s, RegionUnion):
-        parts = [boundary_rule(part, density) for part in s.parts]
+        parts = [_boundary_rule(part, density, origin) for part in s.parts]
     else:
         raise TypeError("not a region: %r" % (s,))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))

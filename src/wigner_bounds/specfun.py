@@ -106,9 +106,8 @@ def boundary_wigner_columns(n_top: int, q, p, w) -> Iterator[np.ndarray]:
     The input is checked and C_L^T G is formed at the call; each step
     runs the recurrence one column further, so the leading N x N block
     is known once N columns are drawn, and no later column is computed
-    until it is asked for.  Beside the recurrence's (n_top + 1)^2 factor
-    tables, no working array exceeds max(L, n_top + 1) x _POINT_BLOCK
-    entries.
+    until it is asked for.  No working array exceeds
+    max(L, n_top + 1) x _POINT_BLOCK entries.
     """
     sign, sigma, g = _node_sums(n_top, q, p, w)
     return _laguerre_columns(sign, sigma, _radial_mean(sigma.size).T @ g)
@@ -200,29 +199,26 @@ def _laguerre_columns(sign, sigma, g) -> Iterator[np.ndarray]:
     # order of j: u_n^(j) comes from u_{n-1}^(j) and u_{n-2}^(j), the
     # same offset j in columns s - 1 and s - 2, and n (n + j) = n s.
     # Three buffers of rows take turns as columns s - 2, s - 1 and s.
+    # Step s forms its own factors sigma / sqrt(s), 2n - 1, sqrt(n s) and
+    # sqrt((n - 1)(s - 1) / (n s)) at n = s - j for j < s.
     size, count = g.shape
     x = sigma * sigma
     rows = np.arange(count, dtype=float)
+    odd = 2.0 * rows - 1.0
     shift = rows[:, None] - x
-    # the recurrence's factors at column s (row) and offset j < s (column),
-    # n = s - j; the unused entries j >= s are clipped to n = 1, s = 1
-    col_s = rows[:, None]
-    n = np.maximum(col_s - rows, 1.0)
-    odd = 2.0 * n - 1.0
-    root = np.sqrt(n * col_s)
-    back = np.sqrt((n - 1.0) * np.maximum(col_s - 1.0, 0.0) / (n * np.maximum(col_s, 1.0)))
-    grow = sigma / np.sqrt(np.maximum(col_s, 1.0))
     g_re, g_im = np.ascontiguousarray(g.real.T), np.ascontiguousarray(g.imag.T)
     prev, cur, new = np.zeros((3, count, size))
     a = np.empty((count, size))
     cur[0] = np.exp(-0.5 * x)
     for s in range(count):
         if s:
-            np.multiply(cur[s - 1], grow[s], out=new[s])
-            np.add(shift[:s], odd[s, :s, None], out=a[:s])
-            a[:s] /= root[s, :s, None]
+            ns = rows[s:0:-1] * s  # n runs s, s - 1, ..., 1: the rows backwards
+            np.multiply(cur[s - 1], sigma / math.sqrt(s), out=new[s])
+            np.add(shift[:s], odd[s:0:-1, None], out=a[:s])
+            a[:s] /= np.sqrt(ns)[:, None]
             np.multiply(a[:s], cur[:s], out=new[:s])
-            np.multiply(back[s, : s - 1, None], prev[: s - 1], out=a[: s - 1])
+            back = np.sqrt(rows[s - 1 : 0 : -1] * (s - 1) / ns[:-1])
+            np.multiply(back[:, None], prev[: s - 1], out=a[: s - 1])
             new[: s - 1] -= a[: s - 1]
             prev, cur, new = cur, new, prev
         col = np.empty(s + 1, dtype=complex)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _ring_radii, boundary_rule, bounding_box
+from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _boundary_rule, _conic, bounding_box
 from .specfun import _laguerre_terms, boundary_wigner_columns
 
 __all__ = [
@@ -272,8 +272,7 @@ def fock_extremes(s: Region) -> SpectrumResult:
     states = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * math.ceil(FOCK_GROWTH * top)))
     while True:
         density = FOCK_DENSITY * math.sqrt(2.0 * states + 1.0)
-        q, p, dq, dp = boundary_rule(s, density)
-        q, p = q - center[0], p - center[1]
+        q, p, dq, dp = _boundary_rule(s, density, center)
         columns = boundary_wigner_columns(states - 1, q, p, q * dp - p * dq)
         m = np.zeros((states, states), dtype=complex)
         prev = _leading_block(m, columns, 0, size)
@@ -334,12 +333,11 @@ def _rings(s: Region) -> list[tuple[float, float]] | None:
     times the largest radius of each other; None for any other region.
     RegionUnion has already checked that the rings are disjoint.
     """
-    if isinstance(s, Ellipse):
-        return [(0.0, math.sqrt(s.semi_major * s.semi_minor))]
     parts = s.parts if isinstance(s, RegionUnion) else (s,)
-    if not all(isinstance(t, (Disk, Annulus)) for t in parts):
+    if not (isinstance(s, Ellipse) or all(isinstance(t, (Disk, Annulus)) for t in parts)):
         return None
-    rings = [_ring_radii(t) for t in parts]
+    # sqrt(r r) is r exactly short of overflow and underflow: disks and annuli keep their radii
+    rings = [(hole, math.sqrt(a * b)) for a, b, _, hole in map(_conic, parts)]
     tol = 1e-12 * max(r_out for _, r_out in rings)
     concentric = all(math.dist(t.center, u.center) <= tol for t, u in itertools.combinations(parts, 2))
     return rings if concentric else None

@@ -16,9 +16,9 @@ sum is taken over x >= 0 alone:
 two real matrix products against cos and sin tables, real by
 construction.
 
-Number and coherent states skip the transform: number_state_wigner and
-coherent_wigner evaluate their closed forms at any (q, p), exact to
-rounding where the transform's interpolation errs off the sample grid.
+Number states skip the transform: number_state_wigner evaluates their
+closed form at any (q, p), exact to rounding where the transform interpolates.
+At (q - q0, p - p0), n = 0 is the coherent state, the displaced vacuum.
 Also here: the region functional Q_S of a grid (the integral of its
 bilinear interpolant, taken around the region's boundary by Green's
 theorem, as the Fock route takes its matrix).  The integral identities
@@ -38,7 +38,6 @@ from .states import WavefunctionGrid, _read_csv, _uniform_step
 
 __all__ = [
     "WignerGrid",
-    "coherent_wigner",
     "number_state_wigner",
     "quasiprobability",
     "read_wigner_csv",
@@ -135,17 +134,6 @@ def number_state_wigner(n: int, q, p):
     term = next(itertools.islice(_laguerre_terms(x), n, None))
     term *= (-1) ** n / np.pi
     return term if term.ndim else float(term)
-
-
-def coherent_wigner(q0: float, p0: float, q, p):
-    """Closed form exp(-(q-q0)^2 - (p-p0)^2) / pi of the coherent state at (q0, p0)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    # an offset whose square overflows to inf is one where W is 0, which
-    # exp(-inf) gives exactly
-    with np.errstate(over="ignore"):
-        out = np.exp(-((q - q0) ** 2) - (p - p0) ** 2) / np.pi
-    return out if out.ndim else float(out)
 
 
 def quasiprobability(w: WignerGrid, s: Region) -> float:

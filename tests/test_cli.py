@@ -16,7 +16,6 @@ from scipy.special import eval_laguerre
 import wigner_bounds
 from wigner_bounds import (
     WignerGrid,
-    coherent_wigner,
     disk_spectrum,
     normalize,
     number_state_wigner,
@@ -567,20 +566,27 @@ def test_wigner_mix_and_coherent_specs(tmp_path):
     assert abs(grid2.ps[j] + 0.5) <= grid2.dp
 
 
-def test_wigner_far_coherent_state_is_zero_without_warnings(tmp_path, capsys):
+def test_wigner_far_coherent_state_is_zero_without_warnings(tmp_path):
     """A coherent state 1e200 from the grid used to leak an overflow
-    RuntimeWarning from squaring that distance; its grid is exactly 0,
-    and so is coherent_wigner wherever the square overflows."""
+    RuntimeWarning from squaring that distance; its grid is exactly 0.
+    So is the grid of one whose offset q - q0 itself overflows to inf,
+    which the displaced vacuum must take without a warning either.  Run
+    as a command, since a warning reaches the user's stderr there and
+    pytest's warning capture in process."""
+    src = str(Path(wigner_bounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = tmp_path / "c.csv"
-    argv = ["wigner", "coherent:1e200,0", "--q-min", "-1", "--q-max", "1", "--p-min", "-1", "--p-max", "1",
-            "--dq", "0.5", "--dp", "0.5", "--out", str(out)]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-    grid = read_wigner_csv(str(out))
-    assert grid.w.shape == (5, 5) and np.all(grid.w == 0.0)
-    assert coherent_wigner(-1.7e308, 1e300, 1.7e308, -1e300) == 0.0
-    far = coherent_wigner(0.0, 1e160, np.array([0.0, 1e160]), np.array([1e160, 1e160]))
-    assert np.array_equal(far, [1.0 / math.pi, 0.0])
+    cases = [
+        (["coherent:1e200,0", "--q-min", "-1", "--q-max", "1", "--dq", "0.5"], 5),
+        (["coherent:-1.7e308,0", "--q-min", "1e308", "--q-max", "1.7e308", "--dq", "1e307"], 8),
+    ]
+    for args, rows in cases:
+        argv = ["wigner", *args, "--p-min", "-1", "--p-max", "1", "--dp", "0.5", "--out", str(out)]
+        ret = subprocess.run([sys.executable, "-m", "wigner_bounds", *argv], capture_output=True, text=True, env=env)
+        assert ret.returncode == 0 and ret.stderr == "", ret.stderr
+        grid = read_wigner_csv(str(out))
+        assert grid.w.shape == (rows, 5) and np.all(grid.w == 0.0)
 
 
 def test_wigner_csv_state_round_trip(tmp_path):
@@ -827,10 +833,9 @@ def whole_grid_csv(path, spec, qs, ps):
     grid in blocks of rows."""
     acc = None
     for weight, kind, params in cli._parse_state(spec):
-        if kind == "oscillator":
-            w = number_state_wigner(params, qs[:, None], ps[None, :])
-        elif kind == "coherent":
-            w = coherent_wigner(*params, qs[:, None], ps[None, :])
+        if kind == "number":
+            n, q0, p0 = params
+            w = number_state_wigner(n, qs[:, None] - q0, ps[None, :] - p0)
         else:
             w = wigner_transform(normalize(read_state_csv(params)), qs, ps).w
         acc = weight * w if acc is None else acc + weight * w

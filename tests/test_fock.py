@@ -77,6 +77,24 @@ def test_fock_readme_diamond():
     assert res.basis_size < 60 and res.error_estimate < 1e-10
 
 
+def diamond(q0, p0, half):
+    """|q - q0| + |p - p0| < half, as a graph."""
+    qs = (q0 - half, q0, q0 + half)
+    return Graph(qs[0], qs[2], polyline(*zip(qs, (p0, p0 - half, p0))), polyline(*zip(qs, (p0, p0 + half, p0))))
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_fock_far_diamond_matches_the_centred_one(offset):
+    """The route takes its nodes about the box centre, from the vertices
+    less it: a translate by whole numbers has the same nodes and so the
+    same extremes.  Rounded at absolute coordinates, they moved by 1.0e-9
+    at (1e8, -1e8), past FOCK_TOL, and by 5.0e-12 at (1e6, -1e6)."""
+    want = fock_extremes(diamond(0.0, 0.0, 3.0))
+    got = fock_extremes(diamond(offset, -offset, 3.0))
+    assert abs(got.lambda_min - want.lambda_min) < 1e-12
+    assert abs(got.lambda_max - want.lambda_max) < 1e-12
+
+
 def mirror(region, centre, axis):
     """region reflected through q = q0 (axis 0) or p = p0 (axis 1)."""
     q0, p0 = centre

@@ -110,16 +110,17 @@ def test_cli_samples_no_analytic_state():
     """wigner writes number and coherent states from their closed forms,
     so cli imports neither position-grid state builder; sampled states
     reach it only as csv: members.  No package module exports the
-    builders, a mixture path beside cmd_wigner's (Ensemble,
+    builders, a coherent closed form beside the displaced vacuum
+    (coherent_wigner), a mixture path beside cmd_wigner's (Ensemble,
     mixed_wigner), a Laguerre polynomial beside number_state_wigner's
     recurrence (laguerre_poly), or the grid checks only tests call,
     which tests/oracle.py holds."""
     tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds.cli")))
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "number_state_wigner" in names and "coherent_wigner" in names
+    assert "number_state_wigner" in names
     assert not names & {"oscillator_state", "coherent_state"}
-    gone = {"oscillator_state", "coherent_state", "Ensemble", "mixed_wigner", "laguerre_poly",
-            "integral_identities", "pointwise_bound_report", "Identities", "BoundReport"}
+    gone = {"oscillator_state", "coherent_state", "coherent_wigner", "Ensemble", "mixed_wigner",
+            "laguerre_poly", "integral_identities", "pointwise_bound_report", "Identities", "BoundReport"}
     for module in [wigner_bounds] + [importlib.import_module("wigner_bounds." + m) for m in MODULES]:
         exported = set(module.__all__)
         assert not exported & gone, "%s exports %s" % (module.__name__, sorted(exported & gone))

@@ -78,6 +78,24 @@ def test_area():
     assert abs(area(Ellipse((50.0, 7.0), 0.2, 0.05, 0.4)) / (math.pi * 0.01) - 1.0) < 1e-14
 
 
+def test_area_far_from_the_origin_keeps_its_digits():
+    """area takes its nodes about the box centre, from the centre or the
+    vertices less it, never at absolute coordinates: rounded at 1e8, the
+    nodes of a disk of radius 1e-3 at (1e8, -1e8) put its area 1.3e-6
+    low.  Integer translates keep the diamond's vertices exact."""
+    for c in (0.0, 1e4, 1e6, 1e8):
+        cases = [
+            (Disk((c, -c), 1e-3), math.pi * 1e-6),
+            (Ellipse((c, -c), 2e-3, 5e-4, 0.3), math.pi * 1e-6),
+            (Annulus((c, -c), 1e-3, 2e-3), 3 * math.pi * 1e-6),
+        ]
+        for s, want in cases:
+            assert abs(area(s) / want - 1.0) < 1e-14, (s, area(s) / want - 1.0)
+        diamond = Graph(c - 3.0, c + 3.0, PiecewiseLinear([c - 3.0, c, c + 3.0], [-c, -c - 3.0, -c]),
+                        PiecewiseLinear([c - 3.0, c, c + 3.0], [-c, -c + 3.0, -c]))
+        assert area(diamond) == 18.0
+
+
 def test_unbounded_graph_area_is_infinite():
     f1 = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([-1.0, -1.0]))
     f2 = PiecewiseLinear(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))

@@ -11,7 +11,6 @@ from wigner_bounds import (
     RegionUnion,
     WavefunctionGrid,
     WignerGrid,
-    coherent_wigner,
     number_state_wigner,
     quasiprobability,
     read_wigner_csv,
@@ -65,9 +64,17 @@ def test_transform_coherent_state():
 
 
 def test_coherent_wigner_closed_form():
-    assert coherent_wigner(1.5, -0.7, 1.5, -0.7) == pytest.approx(1 / math.pi, abs=1e-16)
-    assert isinstance(coherent_wigner(0.0, 0.0, 0.3, 0.4), float)
-    got = coherent_wigner(2.0, 0.0, small_axes(0.1, 4.0)[:, None], small_axes(0.1, 4.0)[None, :])
+    """A coherent state is the vacuum displaced to (q0, p0): the number
+    state's closed form at (q - q0, p - p0) is exp(-(q-q0)^2 - (p-p0)^2) / pi
+    to 1 ulp, and the transform of the sampled coherent state to 1e-9."""
+    qs, ps = small_axes(0.1, 4.0)[:, None], small_axes(0.1, 4.0)[None, :]
+    for q0, p0 in [(2.0, 0.0), (1.5, -0.7), (-0.3, 2.9)]:
+        got = number_state_wigner(0, qs - q0, ps - p0)
+        want = np.exp(-((qs - q0) ** 2) - (ps - p0) ** 2) / math.pi
+        assert np.all(np.abs(got - want) <= np.spacing(want)), (q0, p0)
+    assert number_state_wigner(0, 1.5 - 1.5, -0.7 + 0.7) == pytest.approx(1 / math.pi, abs=1e-16)
+    assert isinstance(number_state_wigner(0, 0.3, 0.4), float)
+    got = number_state_wigner(0, qs - 2.0, ps)
     psi = coherent_state(2.0, 0.0, -10.0, 0.005, 4001)
     w = wigner_transform(psi, small_axes(0.1, 4.0), small_axes(0.1, 4.0))
     assert got.shape == w.w.shape and np.max(np.abs(got - w.w)) < 1e-9
@@ -317,7 +324,7 @@ def test_csv_regular_grids_skip_the_full_parse(tmp_path, full_reads):
     w = WignerGrid(qs, ps, number_state_wigner(1, qs[:, None], ps[None, :]))
     write_wigner_csv(w, written)
     saved = tmp_path / "saved.csv"
-    savetxt_grid(saved, -3.0 + 0.05 * np.arange(121), lambda q, p: coherent_wigner(0.3, -0.1, q, p))
+    savetxt_grid(saved, -3.0 + 0.05 * np.arange(121), lambda q, p: number_state_wigner(0, q - 0.3, p + 0.1))
     unended = tmp_path / "unended.csv"
     unended.write_bytes(written.read_bytes().rstrip(b"\n"))
     for path in (written, saved, unended):
