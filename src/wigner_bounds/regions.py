@@ -211,7 +211,8 @@ class RegionUnion:
     Pairs of disks and annuli are decided exactly from their centre
     distance; any other pair is checked by Monte Carlo sampling in the
     intersection of the two parts' sample boxes, and skipped where
-    those boxes do not meet.
+    those boxes do not meet.  The seeded generator is made only when a
+    pair is sampled.
     """
 
     parts: tuple
@@ -221,7 +222,7 @@ class RegionUnion:
         if not parts:
             raise ValueError("union needs at least one part")
         object.__setattr__(self, "parts", parts)
-        rng = np.random.default_rng(181093)
+        rng = None
         for s, t in itertools.combinations(parts, 2):
             if isinstance(s, (Disk, Annulus)) and isinstance(t, (Disk, Annulus)):
                 overlap = not _rings_disjoint(s, t)
@@ -230,6 +231,7 @@ class RegionUnion:
                 q0, q1, p0, p1 = max(q0, r0), min(q1, r1), max(p0, u0), min(p1, u1)
                 if not (q0 < q1 and p0 < p1):
                     continue
+                rng = rng or np.random.default_rng(181093)
                 qs = rng.uniform(q0, q1, _UNION_SAMPLES)
                 ps = rng.uniform(p0, p1, _UNION_SAMPLES)
                 overlap = np.any((indicator(s, qs, ps) > 0) & (indicator(t, qs, ps) > 0))
@@ -243,11 +245,12 @@ Region = Union[Disk, Ellipse, Annulus, Graph, RegionUnion]
 def _graph_knots(s: Graph) -> np.ndarray:
     # every knot of both boundaries where both are defined: from
     # max(b, first knots) to min(c, last knots), ends included, so all
-    # of [b, c] for a bounded graph; fewer than two when they share no q
+    # of [b, c] for a bounded graph; fewer than two when they share no q.
+    # Sorted and deduplicated without np.unique, which in numpy 2 imports numpy.ma
     lo = max(s.b, s.f1.qmin, s.f2.qmin)
     hi = min(s.c, s.f1.qmax, s.f2.qmax)
-    qs = np.unique(np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]]))
-    return qs[(qs >= lo) & (qs <= hi)]
+    qs = np.sort(np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]]))
+    return qs[np.append(True, qs[1:] != qs[:-1]) & (qs >= lo) & (qs <= hi)]
 
 
 def _sample_box(s: Region) -> tuple[float, float, float, float]:

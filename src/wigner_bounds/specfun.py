@@ -134,16 +134,16 @@ def _lagrange_rows(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 # 16 tables: a Fock pass over the benchmark's regions needs at most 8
 # distinct L, and the largest tables (L about 1400 at 400 states) hold
-# 16 MB each
+# 16 MB each, so a full cache can hold about 250 MB
 @functools.lru_cache(maxsize=16)
 def _radial_mean(size: int) -> np.ndarray:
     # C_L[l, m] = int_0^1 ell_m(tau_l u) u du on the size Chebyshev points
     # tau of [0, 1]; the integrand has degree size in u, which a Gauss
     # rule of size // 2 + 1 nodes integrates exactly.  Rows l are built in
-    # blocks of at most _POINT_BLOCK points tau_l u_i, so the barycentric
-    # rows stay within size x _POINT_BLOCK entries, as in _node_sums
-    # (size // 2 + 1 < _POINT_BLOCK for every size the Fock route reaches).
-    # Read-only, since every caller shares the cached table.
+    # blocks of max(256, size // 2 + 1) points tau_l u_i, which keeps the
+    # barycentric rows small and, rows being independent, every bit of
+    # the table as one block would give.  Read-only, since every caller
+    # shares the cached table.
     from numpy.polynomial.legendre import leggauss
 
     tau = _chebyshev_points(size, 1.0)
@@ -151,11 +151,12 @@ def _radial_mean(size: int) -> np.ndarray:
     u = 0.5 * (t + 1.0)
     wu = 0.5 * wt * u
     table = np.empty((size, size))
-    rows = max(1, _POINT_BLOCK // u.size)
+    rows = max(1, 256 // u.size)
     for start in range(0, size, rows):
         block = tau[start : start + rows]
         ell = _lagrange_rows(np.outer(block, u).ravel(), tau)
         table[start : start + block.size] = wu @ ell.reshape(block.size, u.size, size)
+        del ell  # before the next block's rows are made
     table.setflags(write=False)
     return table
 

@@ -270,22 +270,27 @@ def _read_regular(path) -> WignerGrid | None:
                 return None
             lines = itertools.chain([first], itertools.islice(fh, _BLOCK_ROWS - 1))
             cells = np.loadtxt(lines, dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
-            cells = np.concatenate([carry, cells])
             if k is None:
                 k = int(np.argmax(cells["q"] != cells["q"][0]))
                 if k < 2:
                     return None
                 ptexts = cells["p"][:k].copy()
-            whole = cells.size - cells.size % k
-            rows, carry = cells[:whole].reshape(-1, k), cells[whole:]
-            if np.any(rows["q"] != rows["q"][:, :1]) or np.any(rows["p"] != ptexts):
-                return None
-            # more cells than "\n": a lone "\r" ended a line
-            if filled + whole > w.size:
-                return None
-            w[filled : filled + whole] = cells["w"][:whole]
-            filled += whole
-            qtexts.append(rows["q"][:, 0].copy())
+            # only the row that straddles the block edge joins the carry
+            head = (k - carry.size) % k
+            carry = np.concatenate([carry, cells[:head]])
+            if 0 < carry.size < k:
+                continue
+            for part in (carry, cells[head:]):
+                whole = part.size - part.size % k
+                rows, carry = part[:whole].reshape(-1, k), part[whole:]
+                if np.any(rows["q"] != rows["q"][:, :1]) or np.any(rows["p"] != ptexts):
+                    return None
+                # more cells than "\n": a lone "\r" ended a line
+                if filled + whole > w.size:
+                    return None
+                w[filled : filled + whole] = part["w"][:whole]
+                filled += whole
+                qtexts.append(rows["q"][:, 0].copy())
     # fewer cells than lines: loadtxt skipped blank lines
     if k is None or carry.size or filled != w.size:
         return None

@@ -969,3 +969,29 @@ def test_entry_points_run(tmp_path):
     if installed is not None:
         ret = subprocess.run([installed, "--help"], capture_output=True, text=True)
         assert ret.returncode == 0, ret.stderr
+
+
+def test_bounds_on_graphs_loads_no_random_or_ma(tmp_path):
+    """A fresh `bounds` on a graph, and on a disk and a graph whose
+    sample boxes do not meet, loads neither numpy.random (the union
+    draws no samples, so it makes no generator) nor numpy.ma (which
+    np.unique imports under numpy 2)."""
+    diamond = {"type": "graph", "b": -1, "c": 1, "f1": [[-1, 0], [0, -1], [1, 0]], "f2": [[-1, 0], [0, 1], [1, 0]]}
+    union = {"type": "union", "parts": [
+        {"type": "disk", "center": [-1.4, 0.0], "radius": 0.85},
+        {"type": "graph", "b": -0.1, "c": 2.1, "f1": [[-0.1, -0.5], [2.1, -0.6]], "f2": [[-0.1, 0.5], [0.9, 0.9], [2.1, 0.4]]},
+    ]}
+    paths = [write_region(tmp_path, "diamond.json", diamond), write_region(tmp_path, "union.json", union)]
+    src = str(Path(wigner_bounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from wigner_bounds.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert main(['bounds', path]) == 0\n"
+        "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+    )
+    ret = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, env=env)
+    assert ret.returncode == 0, ret.stderr
+    assert ret.stdout.splitlines()[-1] == "[]", ret.stdout

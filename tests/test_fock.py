@@ -516,8 +516,9 @@ def test_radial_mean_tables_are_cached(monkeypatch):
 
 def test_radial_mean_table_is_built_in_blocks(monkeypatch):
     """At L = 600 the C_L table's barycentric rows stay within
-    L x _POINT_BLOCK entries, and the table maps tau^k on its Chebyshev
-    points to the radial mean int_0^1 (tau u)^k u du = tau^k / (k + 2)."""
+    L x max(256, L // 2 + 1) entries a block, and the table maps tau^k on
+    its Chebyshev points to the radial mean int_0^1 (tau u)^k u du =
+    tau^k / (k + 2)."""
     import wigner_bounds.specfun as specfun
 
     entries = []
@@ -531,7 +532,42 @@ def test_radial_mean_table_is_built_in_blocks(monkeypatch):
     size = 600
     table = specfun._radial_mean.__wrapped__(size)
     assert len(entries) > 1
-    assert max(entries) <= size * specfun._POINT_BLOCK
+    assert max(entries) <= size * max(256, size // 2 + 1)
     tau = specfun._chebyshev_points(size, 1.0)
     for k in (0, 1, 7, 40, 300, size - 1):
         assert np.max(np.abs(table @ tau**k - tau**k / (k + 2))) < 1e-13
+
+
+@pytest.mark.parametrize("size", [40, 53, 97, 108, 129])
+def test_radial_mean_blocks_match_one_block(size):
+    """C_L built in row blocks is C_L built in one block, bit for bit:
+    its rows are independent, so the block size moves no rounding."""
+    import wigner_bounds.specfun as specfun
+
+    tau = specfun._chebyshev_points(size, 1.0)
+    t, wt = np.polynomial.legendre.leggauss(size // 2 + 1)
+    u = 0.5 * (t + 1.0)
+    ell = specfun._lagrange_rows(np.outer(tau, u).ravel(), tau)
+    whole = (0.5 * wt * u) @ ell.reshape(size, u.size, size)
+    assert specfun._radial_mean(size).tobytes() == whole.tobytes()
+
+
+def test_radial_mean_builds_within_half_a_megabyte():
+    """A cold C_L at L = 108 peaks within 0.5 MB of its own bytes.  Rows
+    built in blocks of 2048 points, each block's barycentric rows alive
+    while the next were made, peaked about 3.8 MB over."""
+    import tracemalloc
+
+    import wigner_bounds.specfun as specfun
+
+    specfun._radial_mean(40)  # first-call imports stay out of the trace
+    specfun._radial_mean.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = specfun._radial_mean(108)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 0.5e6, (peak - table.nbytes) / 1e6

@@ -355,6 +355,28 @@ def test_csv_regular_read_holds_one_grid(tmp_path, full_reads):
     assert peak <= 1.7 * grid.w.nbytes, peak / grid.w.nbytes
 
 
+def test_csv_regular_read_joins_one_row(tmp_path, full_reads):
+    """Only the row that straddles a block edge is joined to the carried
+    cells: on a 401 x 401 grid the read peaks at no more than 2.0 times
+    the grid's bytes, where joining the carry to each whole block took
+    2.19 times."""
+    qs = small_axes(0.02)
+    path = tmp_path / "w.csv"
+    w = number_state_wigner(1, qs[:, None], qs[None, :])
+    write_wigner_csv(WignerGrid(qs, qs, w), path)
+    read_wigner_csv(path)  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grid = read_wigner_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert full_reads == [] and np.array_equal(grid.w, w)
+    assert peak <= 2.0 * grid.w.nbytes, peak / grid.w.nbytes
+
+
 @pytest.mark.parametrize("block", [5, 8, 10, 24, 1000])
 def test_csv_regular_read_in_blocks(tmp_path, monkeypatch, full_reads, block):
     """6 rows of 4 lines: blocks that end mid-row, on a row, and on the
