@@ -5,9 +5,10 @@ A region is one of five shapes in the (q, p) plane:
 * ``Graph``: b < q < c between two piecewise-linear boundaries f1 <= f2,
   with b = -inf or c = +inf allowed;
 * ``Disk``, ``Ellipse``, ``Annulus``: the usual conic shapes;
-* ``RegionUnion``: a pairwise-disjoint union of the above, checked
-  exactly for pairs of disks and annuli and by sampling where the
-  other pairs' boxes meet.
+* ``RegionUnion``: a pairwise-disjoint union of bounded regions of the
+  above kinds, checked exactly for pairs of disks and annuli and by
+  sampling where the other pairs' boxes meet; a part with an infinite
+  box is refused.
 
 Boundary points count as outside everywhere (a measure-zero convention
 that keeps indicator complements exact).  ``boundary_rule`` gives each
@@ -70,14 +71,17 @@ def _number(value, what: str, rule: str = "a number") -> float:
     return float(value)
 
 
-def _center(center) -> tuple[float, float]:
-    # exactly two numbers (q, p); each shape checks that they are finite
-    # along with its other parameters
+def _conic_fields(s, *names) -> None:
+    # each named field a number, named in its refusal, and the centre
+    # exactly two numbers (q, p), stored as floats; each shape checks that
+    # they are finite along with its other parameters
+    for name in names:
+        _number(getattr(s, name), name)
     try:
-        q, p = (_number(x, "center") for x in center)
+        q, p = (_number(x, "center") for x in s.center)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError("center must be two numbers [q, p], not %r" % (center,)) from None
-    return q, p
+        raise ValueError("center must be two numbers [q, p], not %r" % (s.center,)) from None
+    object.__setattr__(s, "center", (q, p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +129,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _center(self.center))
+        _conic_fields(self, "radius")
         _require_finite("disk center and radius", *self.center, self.radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -139,7 +143,7 @@ class Ellipse:
     angle: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _center(self.center))
+        _conic_fields(self, "semi_major", "semi_minor", "angle")
         _require_finite(
             "ellipse center, semi-axes and angle",
             *self.center, self.semi_major, self.semi_minor, self.angle,
@@ -155,7 +159,7 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _center(self.center))
+        _conic_fields(self, "r_inner", "r_outer")
         _require_finite("annulus center and radii", *self.center, self.r_inner, self.r_outer)
         if self.r_inner < 0 or not self.r_outer > self.r_inner:
             raise ValueError("need 0 <= r_inner < r_outer")
@@ -177,7 +181,7 @@ class Graph:
     f2: PiecewiseLinear
 
     def __post_init__(self):
-        b, c = float(self.b), float(self.c)
+        b, c = _number(self.b, "b"), _number(self.c, "c")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if math.isnan(b) or math.isnan(c):
@@ -206,13 +210,15 @@ def _rings_disjoint(s, t) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class RegionUnion:
-    """Pairwise-disjoint union.
+    """Pairwise-disjoint union of bounded regions.
 
+    A part whose box is not finite is refused before any pair is
+    checked: no route gives a union with an unbounded part a bound.
     Pairs of disks and annuli are decided exactly from their centre
     distance; any other pair is checked by Monte Carlo sampling in the
-    intersection of the two parts' sample boxes, and skipped where
-    those boxes do not meet.  The seeded generator is made only when a
-    pair is sampled.
+    intersection of the two parts' boxes, and skipped where those boxes
+    do not meet.  The seeded generator is made only when a pair is
+    sampled.
     """
 
     parts: tuple
@@ -222,12 +228,14 @@ class RegionUnion:
         if not parts:
             raise ValueError("union needs at least one part")
         object.__setattr__(self, "parts", parts)
+        boxes = [bounding_box(part) for part in parts]
+        if not all(math.isfinite(v) for box in boxes for v in box):
+            raise ValueError("union parts must be bounded")
         rng = None
-        for s, t in itertools.combinations(parts, 2):
+        for (s, (q0, q1, p0, p1)), (t, (r0, r1, u0, u1)) in itertools.combinations(zip(parts, boxes), 2):
             if isinstance(s, (Disk, Annulus)) and isinstance(t, (Disk, Annulus)):
                 overlap = not _rings_disjoint(s, t)
             else:
-                (q0, q1, p0, p1), (r0, r1, u0, u1) = _sample_box(s), _sample_box(t)
                 q0, q1, p0, p1 = max(q0, r0), min(q1, r1), max(p0, u0), min(p1, u1)
                 if not (q0 < q1 and p0 < p1):
                     continue
@@ -251,18 +259,6 @@ def _graph_knots(s: Graph) -> np.ndarray:
     hi = min(s.c, s.f1.qmax, s.f2.qmax)
     qs = np.sort(np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]]))
     return qs[np.append(True, qs[1:] != qs[:-1]) & (qs >= lo) & (qs <= hi)]
-
-
-def _sample_box(s: Region) -> tuple[float, float, float, float]:
-    # bounding_box, with a graph cut to the q range of its knots, the
-    # only q where its boundaries are defined (all of [b, c] if finite)
-    if isinstance(s, RegionUnion):
-        return _hull([_sample_box(part) for part in s.parts])
-    if not isinstance(s, Graph):
-        return bounding_box(s)
-    qs = _graph_knots(s)
-    pmin, pmax = float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
-    return float(qs[0]), float(qs[-1]), pmin, pmax
 
 
 def indicator(s: Region, q, p):
@@ -289,7 +285,7 @@ def indicator(s: Region, q, p):
     elif isinstance(s, RegionUnion):
         out = np.zeros(q.shape, dtype=bool)
         for part in s.parts:
-            out |= indicator(part, q, p).astype(bool)
+            out |= indicator(part, q, p) > 0  # an int at a single point
     else:
         raise TypeError("not a region: %r" % (s,))
     out = out.astype(int)
@@ -330,19 +326,12 @@ def bounding_box(s: Region) -> tuple[float, float, float, float]:
     if isinstance(s, Graph):
         if not (math.isfinite(s.b) and math.isfinite(s.c)):
             return s.b, s.c, -math.inf, math.inf
-        return _sample_box(s)  # the knots of a bounded graph span [b, c]
+        qs = _graph_knots(s)  # all of [b, c], which the knots of a bounded graph span
+        return float(qs[0]), float(qs[-1]), float(np.min(s.f1.evaluate(qs))), float(np.max(s.f2.evaluate(qs)))
     if isinstance(s, RegionUnion):
-        return _hull([bounding_box(part) for part in s.parts])
+        qmin, qmax, pmin, pmax = zip(*map(bounding_box, s.parts))
+        return min(qmin), max(qmax), min(pmin), max(pmax)
     raise TypeError("not a region: %r" % (s,))
-
-
-def _hull(boxes) -> tuple[float, float, float, float]:
-    return (
-        min(b[0] for b in boxes),
-        max(b[1] for b in boxes),
-        min(b[2] for b in boxes),
-        max(b[3] for b in boxes),
-    )
 
 
 @functools.lru_cache(maxsize=256)

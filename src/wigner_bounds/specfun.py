@@ -192,6 +192,7 @@ def _node_sums(n_top: int, q, p, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         phase[:, 1:] = turn[block, None]
         np.cumprod(phase, axis=1, out=phase)
         g += (ell.T @ phase.view(float)).view(complex)
+        del ell, phase  # before the next block's rows are made
     return sign, sigma, g
 
 

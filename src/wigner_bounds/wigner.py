@@ -205,8 +205,9 @@ def write_wigner_csv(w: WignerGrid, path) -> None:
 
 
 # the regular read holds q and p as bytes of this width (a "%.17g" text
-# has at most 24 characters) and parses this many lines at a time, which
-# keeps its peak memory on a 641 x 641 grid below the full parse's
+# has at most 24 characters) and parses whole rows of about this many
+# lines at a time, which keeps its peak memory on a 641 x 641 grid below
+# the full parse's
 _TEXT_WIDTH = 25
 _BLOCK_ROWS = 1 << 13
 _CELLS = np.dtype([("q", "S%d" % _TEXT_WIDTH), ("p", "S%d" % _TEXT_WIDTH), ("w", float)])
@@ -219,19 +220,21 @@ def read_wigner_csv(path) -> WignerGrid:
     A text-regular file is read without parsing every coordinate cell.
     It is text-regular when each q text repeats unchanged along its row
     of k lines and every row's p texts are byte for byte the first row's,
-    as write_wigner_csv and np.savetxt write them.  Such a file is
-    tokenized in blocks of _BLOCK_ROWS lines, q and p kept as text and w
-    parsed, and checked in whole rows.  Each block's w cells go straight
-    into one array, sized from the file's line count, so the working
-    memory stays one block beyond the grid.  Then only the nq + k
-    distinct coordinate texts go through the same float parser.  Every
-    other file is read again from the start by the full parse, which
-    parses every cell and decides the grid or the error: comment lines,
-    blank lines, lines ended by a lone carriage return, coordinates
-    spelled differently in different rows ("-4" and "-4.0"), a
-    coordinate of _TEXT_WIDTH or more characters, NUL or non-Latin-1
-    characters, non-finite cells, rows longer than a block, a ragged or
-    irregular grid, and any parse or layout error on the way.
+    as write_wigner_csv and np.savetxt write them.  The first row is the
+    lines that share the first line's q text.  Such a file is tokenized
+    in blocks of whole rows, as many as fit in _BLOCK_ROWS lines and at
+    least one, q and p kept as text and w parsed, and checked row by
+    row.  Each block's w cells go straight into one array, sized from
+    the file's line count, so the working memory stays one block beyond
+    the grid.  Then only the nq + k distinct coordinate texts go through
+    the same float parser.  Every other file is read again from the
+    start by the full parse, which parses every cell and decides the
+    grid or the error: comment lines, blank lines, lines ended by a lone
+    carriage return, coordinates spelled differently in different rows
+    ("-4" and "-4.0"), a coordinate of _TEXT_WIDTH or more characters,
+    NUL or non-Latin-1 characters, non-finite cells, a block that is not
+    whole rows, a ragged or irregular grid, and any parse or layout
+    error on the way.
     Text-equal coordinates pass the full parse's 1e-9 row-major check
     exactly, so both reads give the same grid bit for bit.
     """
@@ -259,40 +262,40 @@ def _read_regular(path) -> WignerGrid | None:
         if [c.strip() for c in fh.readline().split(",")] != ["q", "p", "w"]:
             return None
         w = np.empty(lines - (last == b"\n"))
-        filled, k = 0, None
-        carry = np.empty(0, _CELLS)
-        qtexts = []
+        # the first row: the k lines that share the first line's text before
+        # its first comma, which loadtxt keeps as the "q" field
+        start = fh.tell()
+        q0 = fh.readline().partition(",")[0]
+        k = 1
+        while (line := fh.readline()) and line.partition(",")[0] == q0:
+            k += 1
+        if k < 2:
+            return None
+        fh.seek(start)
+        size = max(1, _BLOCK_ROWS // k) * k
+        filled, qtexts, ptexts = 0, [], None
         while first := fh.readline():
             # loadtxt warns on a block with no data, which a blank line
             # could start; it skips blank lines inside a block, as the full
             # parse does
             if not first.strip():
                 return None
-            lines = itertools.chain([first], itertools.islice(fh, _BLOCK_ROWS - 1))
-            cells = np.loadtxt(lines, dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
-            if k is None:
-                k = int(np.argmax(cells["q"] != cells["q"][0]))
-                if k < 2:
-                    return None
-                ptexts = cells["p"][:k].copy()
-            # only the row that straddles the block edge joins the carry
-            head = (k - carry.size) % k
-            carry = np.concatenate([carry, cells[:head]])
-            if 0 < carry.size < k:
-                continue
-            for part in (carry, cells[head:]):
-                whole = part.size - part.size % k
-                rows, carry = part[:whole].reshape(-1, k), part[whole:]
-                if np.any(rows["q"] != rows["q"][:, :1]) or np.any(rows["p"] != ptexts):
-                    return None
-                # more cells than "\n": a lone "\r" ended a line
-                if filled + whole > w.size:
-                    return None
-                w[filled : filled + whole] = part["w"][:whole]
-                filled += whole
-                qtexts.append(rows["q"][:, 0].copy())
+            block = itertools.chain([first], itertools.islice(fh, size - 1))
+            cells = np.loadtxt(block, dtype=_CELLS, delimiter=",", comments=None, ndmin=1)
+            # a block must be whole rows; more cells than "\n" means a
+            # lone "\r" ended a line
+            if cells.size % k or filled + cells.size > w.size:
+                return None
+            rows = cells.reshape(-1, k)
+            if ptexts is None:
+                ptexts = rows["p"][0].copy()
+            if np.any(rows["q"] != rows["q"][:, :1]) or np.any(rows["p"] != ptexts):
+                return None
+            w[filled : filled + cells.size] = cells["w"]
+            filled += cells.size
+            qtexts.append(rows["q"][:, 0].copy())
     # fewer cells than lines: loadtxt skipped blank lines
-    if k is None or carry.size or filled != w.size:
+    if filled != w.size:
         return None
     texts = np.concatenate(qtexts + [ptexts])
     widths = np.char.str_len(texts)

@@ -370,6 +370,57 @@ def test_repeated_main_calls_carry_no_flags_over(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["margin"] == float("%.9g" % (2 * 0.05 * 0.05))
 
 
+def _bounds(region):
+    return lambda d: ["bounds", write_region(d, "r.json", region)]
+
+
+def _graph(b, c, f1, f2):
+    return {"type": "graph", "b": b, "c": c, "f1": f1, "f2": f2}
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# each case's command line, built in a test directory, and the text its
+# one error line must contain
+REFUSALS = {
+    "radius": (_bounds({"type": "disk", "radius": 0}), "radius must be positive"),
+    "semi-axes": (_bounds({"type": "ellipse", "semi_major": 2, "semi_minor": -1}), "semi-axes must be positive"),
+    "annulus-radii": (_bounds({"type": "annulus", "r_inner": 2, "r_outer": 1}), "need 0 <= r_inner < r_outer"),
+    "nan-graph-end": (_bounds(_graph(math.nan, 1, [[-1, 0], [1, 0]], [[-1, 1], [1, 1]])),
+                      "graph ends b and c must not be NaN"),
+    "knots-short-of-c": (_bounds(_graph(-1, 2, [[-1, 0], [2, 0]], [[-1, 1], [1, 1]])),
+                         "boundary knots must span [b, c]"),
+    "empty-union": (_bounds({"type": "union", "parts": []}), "union needs at least one part"),
+    "knot-rows": (_bounds(_graph(-1, 1, [[-1, 0, 1], [1, 0, 1]], [[-1, 1], [1, 1]])),
+                  "malformed region: knots must be [[q, value], ...]"),
+    "n-max": (lambda d: ["curves", "--n-max", "-1"], "n-max must be nonnegative"),
+    "csv-without-path": (lambda d: ["wigner", "csv:", "--out", str(d / "w.csv")], "bad state spec: csv: needs a path"),
+    "mix-term": (lambda d: ["wigner", "mix:0.5", "--out", str(d / "w.csv")],
+                 "bad state spec: mix terms look like '0.5 oscillator:1'"),
+    "mix-weight": (lambda d: ["wigner", "mix:half oscillator:0", "--out", str(d / "w.csv")],
+                   "bad state spec: mix weight 'half'"),
+    "one-state-row": (lambda d: ["wigner", "csv:" + _file(d, "s.csv", "x,re,im\n0,1,0\n"), "--out", str(d / "w.csv")],
+                      "state CSV needs at least two x,re,im rows"),
+    "three-grid-rows": (lambda d: ["check", _file(d, "w.csv", "q,p,w\n0,0,0.1\n0,1,0.1\n1,0,0.1\n"), disk_json(d)],
+                        "Wigner CSV needs at least a 2x2 grid of q,p,w rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals_exit_2_with_one_line(tmp_path, capsys, name):
+    """Each refusal reaches the command line as exit 2, nothing on stdout
+    and exactly one error line that carries its message."""
+    make, message = REFUSALS[name]
+    assert main(make(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_curves_output(capsys):
     assert main(["curves", "--a-max", "1.5", "--steps", "16", "--n-max", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

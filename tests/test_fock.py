@@ -458,8 +458,9 @@ def test_boundary_rule_refuses_unbounded_graphs():
         strip = Graph(b, c, polyline((-9, 0), (9, 0)), polyline((-9, 1), (9, 1)))
         with pytest.raises(ValueError, match="bounded"):
             boundary_rule(strip, 5.0)
-        with pytest.raises(ValueError, match="bounded"):
-            boundary_rule(RegionUnion((Disk((20.0, 0.0), 1.0), strip)), 5.0)
+        # and no union holds one, so no union reaches boundary_rule unbounded
+        with pytest.raises(ValueError, match="^union parts must be bounded$"):
+            RegionUnion((Disk((20.0, 0.0), 1.0), strip))
 
 
 @pytest.mark.parametrize("region", FOCK_REGIONS)
@@ -571,3 +572,29 @@ def test_radial_mean_builds_within_half_a_megabyte():
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes + 0.5e6, (peak - table.nbytes) / 1e6
+
+
+def test_node_sums_hold_one_block():
+    """The node sums of 6244 nodes at n_top = 60 (L = 117, four blocks of
+    2048) peak within 1.2 times one block's barycentric rows and phases.
+    With each block's arrays alive while the next were made, the peak was
+    1.65 times."""
+    import tracemalloc
+
+    import wigner_bounds.specfun as specfun
+
+    rng = np.random.default_rng(5)
+    q, p = rng.uniform(-3.0, 3.0, (2, 6244))
+    w = rng.uniform(-1.0, 1.0, 6244)
+    specfun._node_sums(60, q[:10], p[:10], w[:10])  # first-call imports stay out of the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, sigma, _ = specfun._node_sums(60, q, p, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    block = specfun._POINT_BLOCK * (8 * sigma.size + 16 * 61)  # ell and phase
+    assert sigma.size == 117
+    assert peak <= 1.2 * block, peak / block

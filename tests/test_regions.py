@@ -15,11 +15,13 @@ from wigner_bounds import (
     RegionUnion,
     area,
     bounding_box,
+    bounds,
     indicator,
     load_region,
     region_from_dict,
     region_to_dict,
 )
+from wigner_bounds.cli import main
 from oracle import CanonicalMap, apply_canonical, reduce_ellipse
 
 
@@ -139,10 +141,12 @@ def test_union_of_rings_is_decided_exactly():
         RegionUnion((Disk((0.0, 0.0), 1.0), Ellipse((0.0, 0.0), 2.0, 0.5)))
 
 
-def test_union_with_unbounded_part_is_checked():
-    """A pair with an unbounded graph is sampled where its box, cut to
-    the graph's knots, meets the other part's box: a disk inside a band
-    is refused, a disk beside a sloped band whose box it meets is not."""
+def test_union_with_unbounded_part_is_checked(tmp_path, capsys):
+    """No route bounds a union with an unbounded part, so RegionUnion
+    refuses one where it is built, in either part order and before any
+    pair is checked: a disk inside a band and a disk beside it get the
+    same refusal.  bounds and check exit 2 on such a union with one
+    error line."""
     knots = np.array([-20.0, 20.0])
     strip = Graph(
         b=-math.inf,
@@ -156,14 +160,25 @@ def test_union_with_unbounded_part_is_checked():
         f1=PiecewiseLinear(knots, knots - 0.5),
         f2=PiecewiseLinear(knots, knots + 0.5),
     )
-    with pytest.raises(ValueError, match="union parts overlap"):
-        RegionUnion((strip, Disk((0.0, 0.0), 1.0)))
-    with pytest.raises(ValueError, match="union parts overlap"):
-        RegionUnion((Disk((5.0, 5.2), 0.5), band))
-    beside = Disk((0.0, 2.0), 1.0)  # 1.06 from the upper line p = q + 0.5
-    assert bounding_box(beside)[2] < 1.5  # its box meets the band's at q = 1
-    union = RegionUnion((band, beside))
-    assert area(union) == math.inf
+    half = Graph(b=-1.0, c=math.inf, f1=strip.f1, f2=strip.f2)
+    for graph in (strip, band, half):
+        with pytest.raises(ValueError, match="^union parts must be bounded$"):
+            RegionUnion((graph,))
+        for disk in (Disk((0.0, 0.0), 1.0), Disk((0.0, 5.0), 1.0)):
+            for parts in ((graph, disk), (disk, graph)):
+                with pytest.raises(ValueError, match="^union parts must be bounded$"):
+                    RegionUnion(parts)
+
+    grid = str(tmp_path / "w.csv")
+    assert main(["wigner", "oscillator:0", "--out", grid, "--dq", "0.5", "--dp", "0.5"]) == 0
+    disk = {"type": "disk", "center": [0.0, 3.0], "radius": 1.0}
+    for parts in ([region_to_dict(strip), disk], [disk, region_to_dict(strip)]):
+        union = tmp_path / "union.json"
+        union.write_text(json.dumps({"type": "union", "parts": parts}))
+        for argv in (["bounds", str(union)], ["check", grid, str(union)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: union parts must be bounded\n"
 
 
 def test_graph_validation():
@@ -387,6 +402,76 @@ def test_region_json_takes_only_json_numbers(obj, field):
     """float() would take "1" and true; a region file holds numbers."""
     with pytest.raises(ValueError, match="^%s must be" % field):
         region_from_dict(obj)
+
+
+FLAT = PiecewiseLinear([-1.0, 1.0], [0.0, 0.0])
+ROOF = PiecewiseLinear([-1.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "make, message, obj, json_message",
+    [
+        (lambda: Disk((0, 0), True), "radius must be a number, not True",
+         {"type": "disk", "radius": True}, None),
+        (lambda: Disk((0, 0), "1"), "radius must be a number, not '1'",
+         {"type": "disk", "radius": "1"}, None),
+        (lambda: Ellipse((0, 0), "2", 1), "semi_major must be a number, not '2'",
+         {"type": "ellipse", "semi_major": "2", "semi_minor": 1}, None),
+        (lambda: Ellipse((0, 0), 2, 1, None), "angle must be a number, not None",
+         {"type": "ellipse", "semi_major": 2, "semi_minor": 1, "angle": None}, None),
+        (lambda: Annulus((0, 0), 0.5, "1"), "r_outer must be a number, not '1'",
+         {"type": "annulus", "r_inner": 0.5, "r_outer": "1"}, None),
+        (lambda: Graph("-1", 1, FLAT, ROOF), "b must be a number, not '-1'",
+         {"type": "graph", "b": "-1", "c": 1, **GRAPH_KNOTS}, 'b must be a number or "-inf", not \'-1\''),
+        (lambda: Graph(-1, True, FLAT, ROOF), "c must be a number, not True",
+         {"type": "graph", "b": -1, "c": True, **GRAPH_KNOTS}, 'c must be a number, "inf" or "+inf", not True'),
+    ],
+    ids=["bool-radius", "str-radius", "str-semi-major", "none-angle", "str-r-outer", "str-b", "bool-c"],
+)
+def test_constructors_take_only_numbers(make, message, obj, json_message):
+    """Each shape refuses a field that float() would take, or that > cannot
+    compare, with a ValueError that names it; the region file's refusal
+    keeps its words, the graph ends' with their "-inf" rule."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        make()
+    with pytest.raises(ValueError, match="^%s$" % re.escape(json_message or message)):
+        region_from_dict(obj)
+
+
+def three_parts():
+    """A disk, an ellipse and a tent graph, pairwise apart."""
+    tent = Graph(2.5, 4.5, PiecewiseLinear([2.5, 3.5, 4.5], [0.0, -1.0, 0.0]),
+                 PiecewiseLinear([2.5, 3.5, 4.5], [0.0, 1.0, 0.0]))
+    return Disk((-2.0, 0.0), 1.0), Ellipse((1.0, 0.2), 0.8, 0.4, 0.3), tent
+
+
+def test_union_indicator_is_the_or_of_its_leaves():
+    """indicator of a union, flat or nested in another, is 1 exactly where
+    one of its leaves' is, so boundary points stay outside."""
+    disk, ellipse, tent = three_parts()
+    q, p = np.meshgrid(np.linspace(-3.5, 5.0, 86), np.linspace(-1.5, 1.5, 31))
+    want = indicator(disk, q, p) | indicator(ellipse, q, p) | indicator(tent, q, p)
+    assert 0 < want.sum() < want.size
+    for s in (RegionUnion((disk, ellipse, tent)), RegionUnion((disk, RegionUnion((ellipse, tent)))),
+              RegionUnion((RegionUnion((disk, ellipse)), tent))):
+        assert np.array_equal(indicator(s, q, p), want)
+        # on the disk's circle and at the tent's apex
+        assert indicator(s, -1.0, 0.0) == 0 and indicator(s, 3.5, 1.0) == 0
+
+
+def test_nested_union_matches_the_flat_union():
+    """A union that holds a union of other shapes has the flat union's
+    boundary nodes, in the same order: its box, area and bounds are bit
+    for bit the flat union's.  Its overlap check reaches the parts of
+    the inner union."""
+    disk, ellipse, tent = three_parts()
+    flat = RegionUnion((disk, ellipse, tent))
+    nested = RegionUnion((disk, RegionUnion((ellipse, tent))))
+    assert bounding_box(nested) == bounding_box(flat)
+    assert area(nested) == area(flat)
+    assert vars(bounds(nested)) == vars(bounds(flat))
+    with pytest.raises(ValueError, match="^union parts overlap$"):
+        RegionUnion((Disk((1.0, 0.2), 0.3), RegionUnion((ellipse, tent))))
 
 
 def test_region_json_numbers_and_graph_ends():

@@ -394,16 +394,17 @@ def test_bands_refuse_reversed_lines():
 
 def test_not_bands_take_no_closed_form():
     """A kink, a finite end or non-parallel lines leave an unbounded
-    region without a closed form, and so does a band part inside a
-    union; bounds() refuses each, as it does a band under "numeric",
-    rather than return a value that is not a bound."""
+    region without a closed form; bounds() refuses each, as it does a
+    band under "numeric", rather than return a value that is not a
+    bound.  A union with a band part is refused where it is built."""
     half = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5]], b=-1.0)
     converging = band([[-20.0, -0.5], [20.0, -0.5]], [[-20.0, 0.5], [20.0, 0.5 + 1e-6]])
-    with_disk = region_from_dict({"type": "union", "parts": [
-        SHAPES["strip"], {"type": "disk", "center": [0.0, 3.0], "radius": 1.0}]})
+    with pytest.raises(ValueError, match="^union parts must be bounded$"):
+        region_from_dict({"type": "union", "parts": [
+            SHAPES["strip"], {"type": "disk", "center": [0.0, 3.0], "radius": 1.0}]})
     strip = region_from_dict(SHAPES["strip"])
     for s, method in ((region_from_dict(KINKED), "auto"), (half, "auto"), (converging, "auto"),
-                      (with_disk, "auto"), (strip, "numeric")):
+                      (strip, "numeric")):
         with pytest.raises(ValueError, match="^%s$" % REFUSAL):
             bounds(s, method)
 

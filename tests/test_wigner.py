@@ -170,6 +170,13 @@ def test_wigner_grid_validation():
     assert abs(w.dp - 0.2) < 1e-15
 
 
+def test_wigner_grid_refuses_a_one_point_axis():
+    """No CSV reaches this refusal (both readers want two rows of two
+    first); a grid built directly does."""
+    with pytest.raises(ValueError, match="^qs must hold at least two points$"):
+        WignerGrid(np.array([0.0]), np.array([0.0, 0.1]), np.zeros((1, 2)))
+
+
 def test_quasiprobability_whole_state():
     w = wigner_transform(oscillator_state(0), small_axes(0.05, 6.0), small_axes(0.05, 6.0))
     assert abs(quasiprobability(w, Disk((0.0, 0.0), 5.0)) - 1.0) < 1e-6
@@ -356,10 +363,10 @@ def test_csv_regular_read_holds_one_grid(tmp_path, full_reads):
 
 
 def test_csv_regular_read_joins_one_row(tmp_path, full_reads):
-    """Only the row that straddles a block edge is joined to the carried
-    cells: on a 401 x 401 grid the read peaks at no more than 2.0 times
-    the grid's bytes, where joining the carry to each whole block took
-    2.19 times."""
+    """Each block holds whole rows, so no cells are carried over a block
+    edge or joined to the next block's: on a 401 x 401 grid the read
+    peaks at no more than 2.0 times the grid's bytes, where joining a
+    carry to each whole block took 2.19 times."""
     qs = small_axes(0.02)
     path = tmp_path / "w.csv"
     w = number_state_wigner(1, qs[:, None], qs[None, :])
@@ -377,11 +384,12 @@ def test_csv_regular_read_joins_one_row(tmp_path, full_reads):
     assert peak <= 2.0 * grid.w.nbytes, peak / grid.w.nbytes
 
 
-@pytest.mark.parametrize("block", [5, 8, 10, 24, 1000])
+@pytest.mark.parametrize("block", [3, 5, 8, 10, 24, 1000])
 def test_csv_regular_read_in_blocks(tmp_path, monkeypatch, full_reads, block):
-    """6 rows of 4 lines: blocks that end mid-row, on a row, and on the
-    last line (24 = 3 * 8) all stay on the regular path, with no warning
-    from an empty last read."""
+    """6 rows of 4 lines: blocks of the whole rows that fit in _BLOCK_ROWS
+    lines, one row where a row is longer than that (3), and a last block
+    that ends on the last line (24 = 3 * 8) all stay on the regular
+    path, with no warning from an empty last read."""
     monkeypatch.setattr(wigner, "_BLOCK_ROWS", block)
     path = tmp_path / "w.csv"
     qs, ps = small_axes(1.0, 2.5)[:6], np.array([-4.0, -3.5, -3.0, -2.5])
