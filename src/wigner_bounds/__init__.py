@@ -20,7 +20,6 @@ from .regions import (
     RegionUnion,
     area,
     bounding_box,
-    indicator,
     load_region,
     region_from_dict,
     region_to_dict,
@@ -64,7 +63,6 @@ __all__ = [
     "disk_curves",
     "disk_spectrum",
     "fock_extremes",
-    "indicator",
     "load_region",
     "normalize",
     "number_state_wigner",

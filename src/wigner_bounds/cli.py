@@ -66,8 +66,6 @@ def cmd_bounds(args) -> int:
     if args.ignored_lo_hi is not None:
         print("warning: --window is ignored: no route uses a window", file=sys.stderr)
     res = bounds(load_region(args.region), args.method)
-    for note in res.warnings:
-        print("warning: %s" % note, file=sys.stderr)
     line = "lambda_min=%s lambda_max=%s method=%s" % (
         _fmt(res.lambda_min),
         _fmt(res.lambda_max),
@@ -212,8 +210,6 @@ def cmd_check(args) -> int:
     if not math.isfinite(q_value):
         raise ValueError("grid mass over the region is not finite: the grid values overflow")
     res = bounds(s)
-    for note in res.warnings:
-        print("warning: %s" % note, file=sys.stderr)
     margin = 2.0 * w.dq * w.dp + args.margin
     if q_value < res.lambda_min - margin:
         verdict = "below_min"

@@ -1,4 +1,4 @@
-"""Phase-plane regions, their areas, indicators and boundary rules.
+"""Phase-plane regions, their areas and boundary rules.
 
 A region is one of five shapes in the (q, p) plane:
 
@@ -6,12 +6,11 @@ A region is one of five shapes in the (q, p) plane:
   with b = -inf or c = +inf allowed;
 * ``Disk``, ``Ellipse``, ``Annulus``: the usual conic shapes;
 * ``RegionUnion``: a pairwise-disjoint union of bounded regions of the
-  above kinds, checked exactly for pairs of disks and annuli and by
-  sampling where the other pairs' boxes meet; a part with an infinite
-  box is refused.
+  above kinds, each pair checked exactly; a nested union is flattened
+  and a part with an infinite box is refused.
 
 Boundary points count as outside everywhere (a measure-zero convention
-that keeps indicator complements exact).  ``boundary_rule`` gives each
+under which parts that touch are disjoint).  ``boundary_rule`` gives each
 bounded region nodes and weighted tangents around its boundary, exact
 in its geometry, for the area integrals that Green's theorem turns into
 line integrals: the number-basis matrix of the Fock route
@@ -41,13 +40,10 @@ __all__ = [
     "area",
     "bounding_box",
     "boundary_rule",
-    "indicator",
     "load_region",
     "region_from_dict",
     "region_to_dict",
 ]
-
-_UNION_SAMPLES = 100_000
 
 # fewest nodes per Gauss-Legendre panel or circle, however small
 _MIN_NODES = 12
@@ -201,95 +197,121 @@ class Graph:
             raise ValueError("upper boundary must dominate lower boundary on (b, c)")
 
 
-def _rings_disjoint(s, t) -> bool:
-    # disks are rings with no hole; touching counts as disjoint
-    (out_s, _, _, in_s), (out_t, _, _, in_t) = _conic(s), _conic(t)
-    d = math.hypot(s.center[0] - t.center[0], s.center[1] - t.center[1])
-    return d >= out_s + out_t or d + out_s <= in_t or d + out_t <= in_s
-
-
 @dataclass(frozen=True, eq=False)
 class RegionUnion:
     """Pairwise-disjoint union of bounded regions.
 
-    A part whose box is not finite is refused before any pair is
-    checked: no route gives a union with an unbounded part a bound.
-    Pairs of disks and annuli are decided exactly from their centre
-    distance; any other pair is checked by Monte Carlo sampling in the
-    intersection of the two parts' boxes, and skipped where those boxes
-    do not meet.  The seeded generator is made only when a pair is
-    sampled.
+    A part that is itself a union is replaced by its parts, so every part
+    is a disk, ellipse, annulus or graph, and region_to_dict writes a
+    nested union flat.  A part whose box is not finite is refused before
+    any pair is checked: no route gives a union with an unbounded part a
+    bound.  Pairs whose boxes meet at most along an edge are disjoint,
+    and every other pair is decided exactly by _meet.
     """
 
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(self.parts)
+        parts = tuple(leaf for part in self.parts for leaf in (part.parts if isinstance(part, RegionUnion) else (part,)))
         if not parts:
             raise ValueError("union needs at least one part")
         object.__setattr__(self, "parts", parts)
         boxes = [bounding_box(part) for part in parts]
         if not all(math.isfinite(v) for box in boxes for v in box):
             raise ValueError("union parts must be bounded")
-        rng = None
         for (s, (q0, q1, p0, p1)), (t, (r0, r1, u0, u1)) in itertools.combinations(zip(parts, boxes), 2):
-            if isinstance(s, (Disk, Annulus)) and isinstance(t, (Disk, Annulus)):
-                overlap = not _rings_disjoint(s, t)
-            else:
-                q0, q1, p0, p1 = max(q0, r0), min(q1, r1), max(p0, u0), min(p1, u1)
-                if not (q0 < q1 and p0 < p1):
-                    continue
-                rng = rng or np.random.default_rng(181093)
-                qs = rng.uniform(q0, q1, _UNION_SAMPLES)
-                ps = rng.uniform(p0, p1, _UNION_SAMPLES)
-                overlap = np.any((indicator(s, qs, ps) > 0) & (indicator(t, qs, ps) > 0))
-            if overlap:
+            if max(q0, r0) < min(q1, r1) and max(p0, u0) < min(p1, u1) and _meet(s, t, (q0, q1, p0, p1), (r0, r1, u0, u1)):
                 raise ValueError("union parts overlap")
 
 
 Region = Union[Disk, Ellipse, Annulus, Graph, RegionUnion]
 
 
-def _graph_knots(s: Graph) -> np.ndarray:
-    # every knot of both boundaries where both are defined: from
-    # max(b, first knots) to min(c, last knots), ends included, so all
-    # of [b, c] for a bounded graph; fewer than two when they share no q.
-    # Sorted and deduplicated without np.unique, which in numpy 2 imports numpy.ma
-    lo = max(s.b, s.f1.qmin, s.f2.qmin)
-    hi = min(s.c, s.f1.qmax, s.f2.qmax)
-    qs = np.sort(np.concatenate([s.f1.qs, s.f2.qs, [lo, hi]]))
+def _graph_knots(*graphs: Graph) -> np.ndarray:
+    # every knot of the graphs' boundaries where all are defined: from the
+    # largest b and first knot to the smallest c and last knot, ends
+    # included, so all of [b, c] for one bounded graph; fewer than two
+    # when they share no q.  Sorted and deduplicated without np.unique,
+    # which in numpy 2 imports numpy.ma
+    fs = [f for s in graphs for f in (s.f1, s.f2)]
+    lo = max([s.b for s in graphs] + [f.qmin for f in fs])
+    hi = min([s.c for s in graphs] + [f.qmax for f in fs])
+    qs = np.sort(np.concatenate([f.qs for f in fs] + [[lo, hi]]))
     return qs[np.append(True, qs[1:] != qs[:-1]) & (qs >= lo) & (qs <= hi)]
 
 
-def indicator(s: Region, q, p):
-    """1 strictly inside s, else 0; vectorizes over q, p."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q, p = np.broadcast_arrays(q, p)
-    if isinstance(s, Disk):
-        out = (q - s.center[0]) ** 2 + (p - s.center[1]) ** 2 < s.radius**2
-    elif isinstance(s, Annulus):
-        d2 = (q - s.center[0]) ** 2 + (p - s.center[1]) ** 2
-        out = (d2 > s.r_inner**2) & (d2 < s.r_outer**2)
-    elif isinstance(s, Ellipse):
-        ca, sa = math.cos(s.angle), math.sin(s.angle)
-        u = ca * (q - s.center[0]) + sa * (p - s.center[1])
-        v = -sa * (q - s.center[0]) + ca * (p - s.center[1])
-        out = (u / s.semi_major) ** 2 + (v / s.semi_minor) ** 2 < 1.0
-    elif isinstance(s, Graph):
-        out = np.zeros(q.shape, dtype=bool)
-        strip = (q > s.b) & (q < s.c)
-        if np.any(strip):
-            qq, pp = q[strip], p[strip]
-            out[strip] = (pp > s.f1.evaluate(qq)) & (pp < s.f2.evaluate(qq))
-    elif isinstance(s, RegionUnion):
-        out = np.zeros(q.shape, dtype=bool)
-        for part in s.parts:
-            out |= indicator(part, q, p) > 0  # an int at a single point
+def _frame(s):
+    # the affine map z -> m @ (z - centre) that sends the conic s's outer
+    # ellipse to the unit circle, and the radius of s's hole in that frame
+    a, b, angle, hole = _conic(s)
+    ca, sa = math.cos(angle), math.sin(angle)
+    return np.array(s.center), np.array([[ca / a, sa / a], [-sa / b, ca / b]]), hole / a
+
+
+def _meet(s, t, sbox, tbox) -> bool:
+    """Whether the bounded leaves s and t, with bounding boxes sbox and
+    tbox, share a point; touching within 1e-12 of their size counts as
+    apart.
+
+    Two graphs meet iff min(f2, g2) - max(f1, g1), linear between the
+    merged knots and the crossings of f1 with g1 and of f2 with g2, is
+    positive at one of those points.  Otherwise s is made the conic, a
+    connected set, which t meets iff a boundary piece of t enters s or a
+    point of s lies in t.  In s's frame s is the ring hole < |x| < 1,
+    which a connected piece enters iff its least |x| is below 1 and its
+    greatest above the hole: closed forms on a segment; on an ellipse
+    c + u cos th + v sin th, |x| at th = 0 and at the angles of the roots
+    of a quartic in e^{i th}, among which is every critical th.  Graph
+    edges along a stretch where f1 = f2 bound no area and are left out.
+    """
+    if isinstance(s, Graph) and isinstance(t, Graph):
+        qs = _graph_knots(s, t)
+        if len(qs) < 2:
+            return False
+        d = np.array([s.f1.evaluate(qs) - t.f1.evaluate(qs), s.f2.evaluate(qs) - t.f2.evaluate(qs)])
+        i, k = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)  # where f1 crosses g1 or f2 crosses g2
+        qs = np.append(qs, qs[k] + (qs[k + 1] - qs[k]) * d[i, k] / (d[i, k] - d[i, k + 1]))
+        h = np.minimum(s.f2.evaluate(qs), t.f2.evaluate(qs)) - np.maximum(s.f1.evaluate(qs), t.f1.evaluate(qs))
+        return bool(np.max(h) > 1e-12 * max(map(abs, sbox + tbox)))
+    if isinstance(s, Graph):
+        s, t, tbox = t, s, sbox
+    centre, m, hole = _frame(s)
+    least, most = [], []
+    if isinstance(t, Graph):
+        # the polygon along f1, up the side at c, back along f2 and down
+        # the side at b, less each edge with no width at either end
+        qs = _graph_knots(t)
+        lo, hi = t.f1.evaluate(qs), t.f2.evaluate(qs)
+        wide = hi - lo > 1e-12 * max(map(abs, tbox))
+        wide = np.concatenate([wide, wide[::-1]])
+        keep = wide | np.roll(wide, -1)
+        x0 = m @ (np.array([np.concatenate([qs, qs[::-1]]), np.concatenate([lo, hi[::-1]])]) - centre[:, None])
+        x0, dx = x0[:, keep], (np.roll(x0, -1, axis=1) - x0)[:, keep]
+        near = np.clip(-np.sum(x0 * dx, axis=0) / np.sum(dx * dx, axis=0), 0.0, 1.0)
+        least = np.hypot(*(x0 + near * dx)).tolist()
+        most = np.maximum(np.hypot(*x0), np.hypot(*(x0 + dx))).tolist()
     else:
-        raise TypeError("not a region: %r" % (s,))
-    out = out.astype(int)
-    return out if out.ndim else int(out)
+        a, b, angle, t_hole = _conic(t)
+        ca, sa = math.cos(angle), math.sin(angle)
+        c = m @ (np.array(t.center) - centre)
+        for ra, rb in [(a, b), (t_hole, t_hole)] if t_hole > 0 else [(a, b)]:
+            u, v = m @ (ra * ca, ra * sa), m @ (-rb * sa, rb * ca)
+            # d|x|^2/dth / 2 = A cos th + B sin th + C sin 2th + D cos 2th, times 2 z^2 for z = e^{i th}
+            A, B, C, D = c @ v, -(c @ u), 0.5 * (v @ v - u @ u), u @ v
+            th = np.append(np.angle(np.roots([D - 1j * C, A - 1j * B, 0.0, A + 1j * B, D + 1j * C])), 0.0)
+            r = np.hypot(*(c[:, None] + np.outer(u, np.cos(th)) + np.outer(v, np.sin(th))))
+            least.append(r.min())
+            most.append(r.max())
+    tol = 1e-12 * max([1.0] + most)
+    if any(lo < 1.0 - tol and hi > hole + tol for lo, hi in zip(least, most)):
+        return True
+    a, _, angle, s_hole = _conic(s)
+    z = centre + 0.5 * (a + s_hole) * np.array([math.cos(angle), math.sin(angle)])
+    if isinstance(t, Graph):
+        return bool(t.b < z[0] < t.c and t.f1.evaluate(z[0]) < z[1] < t.f2.evaluate(z[0]))
+    centre, m, hole = _frame(t)
+    r = math.hypot(*(m @ (z - centre)))
+    return r < 1.0 and (r > hole or hole == 0.0)  # a conic with no hole holds its centre
 
 
 def area(s: Region) -> float:

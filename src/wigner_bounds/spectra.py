@@ -98,14 +98,12 @@ class SpectrumResult:
     n_max: int | None = None
     basis_size: int | None = None
     error_estimate: float | None = None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.method not in ("exact", "fock"):
             raise ValueError("method must be 'exact' or 'fock'")
         if not self.lambda_min <= self.lambda_max:
             raise ValueError("lambda_min exceeds lambda_max")
-        object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
 def disk_spectrum(a, n_top: int) -> np.ndarray:
@@ -148,7 +146,9 @@ def _cutoff(radius) -> int:
 
 def _envelope(table: np.ndarray, tops) -> list[SpectrumResult]:
     """Sharp bounds of each row of a 2-D eigenvalue table, row i scanned
-    over n = 0..tops[i]; the rule behind every exact envelope."""
+    over n = 0..tops[i]; the rule behind every exact envelope.  An
+    extreme on its row's cutoff raises RuntimeError, since the scan may
+    have stopped short of it."""
     scanned = np.arange(table.shape[1]) <= np.asarray(tops)[:, None]
     lo = np.min(table, axis=1, keepdims=True, where=scanned, initial=np.inf)
     hi = np.max(table, axis=1, keepdims=True, where=scanned, initial=-np.inf)
@@ -159,17 +159,12 @@ def _envelope(table: np.ndarray, tops) -> list[SpectrumResult]:
     n_min = np.argmax(table <= lo + 1e-12, axis=1)
     n_max = np.argmax(table >= hi - 1e-12, axis=1)
     rows = np.arange(len(table))
+    for top, i, j in zip(tops, n_min.tolist(), n_max.tolist()):
+        if top in (i, j):
+            raise RuntimeError("eigenvalue scan hit its cutoff at n = %d" % top)
     return [
-        SpectrumResult(
-            lambda_min=v_min,
-            lambda_max=v_max,
-            method="exact",
-            n_min=i,
-            n_max=j,
-            warnings=["eigenvalue scan hit its cutoff at n = %d" % top] if top in (i, j) else [],
-        )
-        for top, i, j, v_min, v_max in zip(
-            tops,
+        SpectrumResult(lambda_min=v_min, lambda_max=v_max, method="exact", n_min=i, n_max=j)
+        for i, j, v_min, v_max in zip(
             n_min.tolist(),
             n_max.tolist(),
             table[rows, n_min].tolist(),
@@ -184,7 +179,7 @@ def rings_envelope(rings) -> SpectrumResult:
     Eigenvalue n is the sum of lambda_n(r_outer) - lambda_n(r_inner) over
     the rings.  Both extremes come from one scan over n up to
     max(50, ceil(10 r^2)) for the largest radius r (the largest need not
-    be n = 0), with a warning if the scan ends on that cutoff.  A scan
+    be n = 0); an extreme on that cutoff raises RuntimeError.  A scan
     past DISK_MAX_TERMS (radius 40) is refused, as by disk_spectrum.
     """
     if len(rings) == 0 or not all(0 <= r_in <= r_out for r_in, r_out in rings):

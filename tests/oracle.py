@@ -33,6 +33,8 @@ reference of boundary_wigner_matrix, the route's columns
 one recurrence on a few dozen radii instead of one per node, it checks
 the boundary build on area rules of thousands of nodes in seconds.
 
+indicator is 1 strictly inside a region and 0 elsewhere, its boundary
+included: the point test that the union tests sample overlaps with.
 quadrature is an area rule for every bounded region, exact in its
 geometry: the reference against which the package's boundary rules
 (regions.boundary_rule, and the builds and grid masses on it) are
@@ -99,6 +101,7 @@ __all__ = [
     "coherent_state",
     "cross_wigner_direct",
     "cross_wigner_matrix",
+    "indicator",
     "integral_identities",
     "kernel_eval",
     "nystrom_extremes",
@@ -324,6 +327,37 @@ def _hermitian(columns) -> np.ndarray:
 
 
 # --- area rules ---------------------------------------------------------
+
+def indicator(s: Region, q, p):
+    """1 strictly inside s, else 0; vectorizes over q, p."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q, p = np.broadcast_arrays(q, p)
+    if isinstance(s, Disk):
+        out = (q - s.center[0]) ** 2 + (p - s.center[1]) ** 2 < s.radius**2
+    elif isinstance(s, Annulus):
+        d2 = (q - s.center[0]) ** 2 + (p - s.center[1]) ** 2
+        out = (d2 > s.r_inner**2) & (d2 < s.r_outer**2)
+    elif isinstance(s, Ellipse):
+        ca, sa = math.cos(s.angle), math.sin(s.angle)
+        u = ca * (q - s.center[0]) + sa * (p - s.center[1])
+        v = -sa * (q - s.center[0]) + ca * (p - s.center[1])
+        out = (u / s.semi_major) ** 2 + (v / s.semi_minor) ** 2 < 1.0
+    elif isinstance(s, Graph):
+        out = np.zeros(q.shape, dtype=bool)
+        strip = (q > s.b) & (q < s.c)
+        if np.any(strip):
+            qq, pp = q[strip], p[strip]
+            out[strip] = (pp > s.f1.evaluate(qq)) & (pp < s.f2.evaluate(qq))
+    elif isinstance(s, RegionUnion):
+        out = np.zeros(q.shape, dtype=bool)
+        for part in s.parts:
+            out |= indicator(part, q, p) > 0  # an int at a single point
+    else:
+        raise TypeError("not a region: %r" % (s,))
+    out = out.astype(int)
+    return out if out.ndim else int(out)
+
 
 def closed_form_area(s: Region) -> float:
     """Area from each shape's closed form: pi r^2, pi a b, pi (r_out^2 -

@@ -1023,16 +1023,30 @@ def test_entry_points_run(tmp_path):
 
 
 def test_bounds_on_graphs_loads_no_random_or_ma(tmp_path):
-    """A fresh `bounds` on a graph, and on a disk and a graph whose
-    sample boxes do not meet, loads neither numpy.random (the union
-    draws no samples, so it makes no generator) nor numpy.ma (which
-    np.unique imports under numpy 2)."""
+    """A fresh `bounds` on a graph, on a disk and a graph whose boxes do
+    not meet, and on disjoint pairs whose boxes do meet (disk and graph,
+    ellipse and graph, two graphs, ellipse and annulus), loads neither
+    numpy.random (the overlap check draws no samples) nor numpy.ma
+    (which np.unique imports under numpy 2)."""
     diamond = {"type": "graph", "b": -1, "c": 1, "f1": [[-1, 0], [0, -1], [1, 0]], "f2": [[-1, 0], [0, 1], [1, 0]]}
-    union = {"type": "union", "parts": [
+    apart = [
         {"type": "disk", "center": [-1.4, 0.0], "radius": 0.85},
         {"type": "graph", "b": -0.1, "c": 2.1, "f1": [[-0.1, -0.5], [2.1, -0.6]], "f2": [[-0.1, 0.5], [0.9, 0.9], [2.1, 0.4]]},
-    ]}
-    paths = [write_region(tmp_path, "diamond.json", diamond), write_region(tmp_path, "union.json", union)]
+    ]
+    corner = {"type": "graph", "b": 0.8, "c": 2, "f1": [[0.8, 0.8], [2, 0.8]], "f2": [[0.8, 0.8], [2, 2]]}
+    shelf = {"type": "graph", "b": 0.9, "c": 2, "f1": [[0.9, 0.45], [2, 0.45]], "f2": [[0.9, 1.5], [2, 1.5]]}
+    below = {"type": "graph", "b": 0, "c": 1, "f1": [[0, 0], [1, 0]], "f2": [[0, 0], [1, 1]]}
+    above = {"type": "graph", "b": 0, "c": 1, "f1": [[0, 0.2], [1, 1.2]], "f2": [[0, 1], [1, 1.2]]}
+    meeting_boxes = [
+        [{"type": "disk", "center": [0, 0], "radius": 1}, corner],
+        [{"type": "ellipse", "center": [0, 0], "semi_major": 1.2, "semi_minor": 0.5}, shelf],
+        [below, above],
+        [{"type": "annulus", "center": [0, 0], "r_inner": 1, "r_outer": 2},
+         {"type": "ellipse", "center": [0, 0], "semi_major": 0.9, "semi_minor": 0.3, "angle": 0.4}],
+    ]
+    paths = [write_region(tmp_path, "diamond.json", diamond)]
+    for i, parts in enumerate([apart, *meeting_boxes]):
+        paths.append(write_region(tmp_path, "union%d.json" % i, {"type": "union", "parts": parts}))
     src = str(Path(wigner_bounds.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
