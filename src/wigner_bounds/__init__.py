@@ -33,11 +33,13 @@ from .spectra import (
     fock_extremes,
     rings_envelope,
 )
-from .states import WavefunctionGrid, normalize, read_state_csv
 from .wigner import (
+    WavefunctionGrid,
     WignerGrid,
+    normalize,
     number_state_wigner,
     quasiprobability,
+    read_state_csv,
     read_wigner_csv,
     wigner_transform,
     write_wigner_csv,

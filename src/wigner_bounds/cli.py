@@ -38,11 +38,12 @@ import numpy as np
 
 from .regions import area, load_region
 from .spectra import bounds, disk_curves
-from .states import normalize, read_state_csv
 from .wigner import (
     WignerGrid,
+    normalize,
     number_state_wigner,
     quasiprobability,
+    read_state_csv,
     read_wigner_csv,
     wigner_transform,
     write_wigner_csv,

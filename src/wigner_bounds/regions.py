@@ -19,7 +19,6 @@ line integrals: the number-basis matrix of the Fock route
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -28,6 +27,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .specfun import _legendre_rule
 
 __all__ = [
     "Annulus",
@@ -266,8 +267,6 @@ def _meet(s, t, sbox, tbox) -> bool:
     """
     if isinstance(s, Graph) and isinstance(t, Graph):
         qs = _graph_knots(s, t)
-        if len(qs) < 2:
-            return False
         d = np.array([s.f1.evaluate(qs) - t.f1.evaluate(qs), s.f2.evaluate(qs) - t.f2.evaluate(qs)])
         i, k = np.nonzero(d[:, :-1] * d[:, 1:] < 0.0)  # where f1 crosses g1 or f2 crosses g2
         qs = np.append(qs, qs[k] + (qs[k + 1] - qs[k]) * d[i, k] / (d[i, k] - d[i, k + 1]))
@@ -322,7 +321,7 @@ def area(s: Region) -> float:
     qmin, qmax, pmin, pmax = bounding_box(s)
     if not all(math.isfinite(v) for v in (qmin, qmax, pmin, pmax)):
         return math.inf
-    q, p, dq, dp = _boundary_rule(s, 0.0, (0.5 * (qmin + qmax), 0.5 * (pmin + pmax)))
+    q, p, dq, dp = boundary_rule(s, 0.0, (0.5 * (qmin + qmax), 0.5 * (pmin + pmax)))
     return float(np.sum(q * dp - p * dq)) / 2.0
 
 
@@ -354,17 +353,6 @@ def bounding_box(s: Region) -> tuple[float, float, float, float]:
         qmin, qmax, pmin, pmax = zip(*map(bounding_box, s.parts))
         return min(qmin), max(qmax), min(pmin), max(pmax)
     raise TypeError("not a region: %r" % (s,))
-
-
-@functools.lru_cache(maxsize=256)
-def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    # read-only, since every caller shares the cached arrays
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(count)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
 
 
 def _gauss(lo: float, hi: float, length: float, density: float):
@@ -415,7 +403,7 @@ def _ellipse_loop(center, a: float, b: float, angle: float, density: float):
     )
 
 
-def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def boundary_rule(s: Region, density: float, origin=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nodes q, p and weighted tangents dq, dp on the boundary of s, with s on the left.
 
     sum (f dp - g dq) over the nodes ~ the line integral of f dp - g dq
@@ -424,6 +412,9 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
     become sums over these nodes: of a radial mean of the integrand
     (specfun.boundary_wigner_columns), or of its antiderivative along q
     (wigner.quasiprobability).
+    The nodes are given less origin, from centres and vertices less it,
+    so a far region keeps its digits about a near origin: area and the
+    Fock route take the box centre, quasiprobability (0, 0).
     Each polygon edge of a graph (f1 left to right, the side at c, f2
     right to left, the side at b) gets 12 + density * length
     Gauss-Legendre nodes, exact for integrands polynomial along it; an
@@ -434,11 +425,6 @@ def boundary_rule(s: Region, density: float) -> tuple[np.ndarray, np.ndarray, np
     running clockwise; a union concatenates its parts' rules.
     Unbounded regions raise.
     """
-    return _boundary_rule(s, density, (0.0, 0.0))
-
-
-def _boundary_rule(s: Region, density: float, origin) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # boundary_rule about origin, from centres and vertices less origin
     if isinstance(s, (Disk, Ellipse, Annulus)):
         a, b, angle, hole = _conic(s)
         center = (s.center[0] - origin[0], s.center[1] - origin[1])
@@ -453,7 +439,7 @@ def _boundary_rule(s: Region, density: float, origin) -> tuple[np.ndarray, np.nd
         q2, p2 = _polyline(s.f2, s.b, s.c, origin)
         parts = _loop_rule(np.concatenate([q1, q2[::-1]]), np.concatenate([p1, p2[::-1]]), density)
     elif isinstance(s, RegionUnion):
-        parts = [_boundary_rule(part, density, origin) for part in s.parts]
+        parts = [boundary_rule(part, density, origin) for part in s.parts]
     else:
         raise TypeError("not a region: %r" % (s,))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))

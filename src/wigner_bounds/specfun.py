@@ -132,6 +132,19 @@ def _lagrange_rows(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return ell
 
 
+@functools.lru_cache(maxsize=256)
+def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre nodes and weights on [-1, 1], the one source of them
+    # for the boundary panels and the radial means; read-only, since
+    # every caller shares the cached arrays
+    from numpy.polynomial.legendre import leggauss
+
+    t, w = leggauss(count)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 # 16 tables: a Fock pass over the benchmark's regions needs at most 8
 # distinct L, and the largest tables (L about 1400 at 400 states) hold
 # 16 MB each, so a full cache can hold about 250 MB
@@ -144,10 +157,8 @@ def _radial_mean(size: int) -> np.ndarray:
     # barycentric rows small and, rows being independent, every bit of
     # the table as one block would give.  Read-only, since every caller
     # shares the cached table.
-    from numpy.polynomial.legendre import leggauss
-
     tau = _chebyshev_points(size, 1.0)
-    t, wt = leggauss(size // 2 + 1)
+    t, wt = _legendre_rule(size // 2 + 1)
     u = 0.5 * (t + 1.0)
     wu = 0.5 * wt * u
     table = np.empty((size, size))

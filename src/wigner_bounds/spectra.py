@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _boundary_rule, _conic, bounding_box
+from .regions import Annulus, Disk, Ellipse, Graph, Region, RegionUnion, _conic, boundary_rule, bounding_box
 from .specfun import _laguerre_terms, boundary_wigner_columns
 
 __all__ = [
@@ -267,7 +267,7 @@ def fock_extremes(s: Region) -> SpectrumResult:
     states = min(FOCK_MAX_BASIS, math.ceil(FOCK_GROWTH * math.ceil(FOCK_GROWTH * top)))
     while True:
         density = FOCK_DENSITY * math.sqrt(2.0 * states + 1.0)
-        q, p, dq, dp = _boundary_rule(s, density, center)
+        q, p, dq, dp = boundary_rule(s, density, center)
         columns = boundary_wigner_columns(states - 1, q, p, q * dp - p * dq)
         m = np.zeros((states, states), dtype=complex)
         prev = _leading_block(m, columns, 0, size)

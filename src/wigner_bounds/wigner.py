@@ -1,4 +1,10 @@
-"""Wigner functions on phase-plane grids.
+"""Sampled states and Wigner functions, and their CSV files.
+
+WavefunctionGrid holds a wavefunction on a uniform position grid (CSV
+rows x,re,im, read by read_state_csv), WignerGrid a Wigner function on
+a uniform (q, p) grid (rows q,p,w).  Both formats share one header
+check, one step check and one full parse, to which the grid read passes
+every file that is not text-regular.
 
 The transform of a sampled wavefunction,
 
@@ -34,12 +40,14 @@ import numpy as np
 
 from .regions import Region, boundary_rule, bounding_box
 from .specfun import _laguerre_terms
-from .states import WavefunctionGrid, _read_csv, _uniform_step
 
 __all__ = [
+    "WavefunctionGrid",
     "WignerGrid",
+    "normalize",
     "number_state_wigner",
     "quasiprobability",
+    "read_state_csv",
     "read_wigner_csv",
     "wigner_transform",
     "write_wigner_csv",
@@ -50,6 +58,58 @@ __all__ = [
 # density to the -2 (the ground state's mass on a disk of radius 5 at
 # dq = dp = 0.05 erred by 5.1e-6 at 4, 1.2e-6 at 8 and 2.0e-7 at 16)
 _NODES_PER_STEP = 16.0
+
+
+@dataclass(frozen=True, eq=False)
+class WavefunctionGrid:
+    """Complex samples psi(x0 + k dx), k = 0..len-1."""
+
+    x0: float
+    dx: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=complex)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("values must be a non-empty 1-d array")
+        if not self.dx > 0:
+            raise ValueError("dx must be positive")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "dx", float(self.dx))
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.x0 + self.dx * np.arange(self.values.size)
+
+    @property
+    def xmax(self) -> float:
+        return self.x0 + self.dx * (self.values.size - 1)
+
+    def norm(self) -> float:
+        """Riemann-sum L2 norm, sqrt(sum |psi|^2 dx)."""
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx))
+
+
+def normalize(psi: WavefunctionGrid) -> WavefunctionGrid:
+    """Rescale to unit Riemann-sum norm."""
+    nrm = psi.norm()
+    if nrm == 0.0:
+        raise ValueError("degenerate state: zero norm on this grid")
+    return WavefunctionGrid(psi.x0, psi.dx, psi.values / nrm)
+
+
+def _uniform_step(xs: np.ndarray, label: str) -> float:
+    if xs.ndim != 1 or xs.size < 2:
+        raise ValueError("%s must hold at least two points" % label)
+    step = (xs[-1] - xs[0]) / (xs.size - 1)
+    if step <= 0 or np.max(np.abs(np.diff(xs) - step)) > 1e-9 * step:
+        raise ValueError("%s must be uniformly increasing" % label)
+    return float(step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +264,50 @@ def write_wigner_csv(w: WignerGrid, path) -> None:
             fh.write(("%.17g" % q).join(parts) % tuple(row.tolist()))
 
 
+def _has_header(fh, columns: str) -> bool:
+    # whether fh's next line is the header columns, e.g. "x,re,im", spaced or not
+    return [c.strip() for c in fh.readline().split(",")] == columns.split(",")
+
+
+def _read_csv(path, kind: str, columns: str) -> np.ndarray:
+    """The data rows of a numeric CSV whose header is columns, e.g. "x,re,im".
+
+    Every cell must be finite; kind ("state", "Wigner") names the file
+    in the messages.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        if not _has_header(fh, columns):
+            raise ValueError("%s CSV must start with header %s" % (kind, columns))
+        # find the first data row (loadtxt skips blank and # lines, and
+        # only warns when none is left), then parse from there
+        start = fh.tell()
+        if not any(line.split("#")[0].strip() for line in iter(fh.readline, "")):
+            raise ValueError("%s CSV has a header but no data rows" % kind)
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            "%s CSV data row %d is not finite: %s"
+            % (kind, k + 1, ",".join(repr(float(v)) for v in data[k]))
+        )
+    return data
+
+
+def read_state_csv(path) -> WavefunctionGrid:
+    """Read a wavefunction from CSV with header x,re,im.
+
+    Every cell must be finite, and the x column uniformly increasing to
+    within 1e-9 relative to its mean step.
+    """
+    data = _read_csv(path, "state", "x,re,im")
+    if data.shape[0] < 2 or data.shape[1] != 3:
+        raise ValueError("state CSV needs at least two x,re,im rows")
+    dx = _uniform_step(data[:, 0], "state CSV x column")
+    return WavefunctionGrid(data[0, 0], dx, data[:, 1] + 1j * data[:, 2])
+
+
 # the regular read holds q and p as bytes of this width (a "%.17g" text
 # has at most 24 characters) and parses whole rows of about this many
 # lines at a time, which keeps its peak memory on a 641 x 641 grid below
@@ -259,7 +363,7 @@ def _read_regular(path) -> WignerGrid | None:
             lines += chunk.count(b"\n")
             last = chunk[-1:]
     with open(path, "r", encoding="utf-8") as fh:
-        if [c.strip() for c in fh.readline().split(",")] != ["q", "p", "w"]:
+        if not _has_header(fh, "q,p,w"):
             return None
         w = np.empty(lines - (last == b"\n"))
         # the first row: the k lines that share the first line's text before

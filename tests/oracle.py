@@ -69,6 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from wigner_bounds import WavefunctionGrid, WignerGrid
 from wigner_bounds.regions import (
     Annulus,
     Disk,
@@ -83,8 +84,6 @@ from wigner_bounds.regions import (
     bounding_box,
 )
 from wigner_bounds.specfun import _laguerre_columns, _node_sums, boundary_wigner_columns
-from wigner_bounds.states import WavefunctionGrid
-from wigner_bounds.wigner import WignerGrid
 
 __all__ = [
     "BoundReport",

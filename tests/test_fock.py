@@ -14,6 +14,7 @@ from wigner_bounds import (
     RegionUnion,
     area,
     bounding_box,
+    bounds,
     fock_extremes,
     region_from_dict,
     rings_envelope,
@@ -22,7 +23,15 @@ from wigner_bounds.cli import main
 from wigner_bounds.regions import boundary_rule
 from wigner_bounds.spectra import FOCK_DENSITY, FOCK_STEP
 from wigner_bounds.specfun import boundary_wigner_columns
-from oracle import assemble, boundary_wigner_matrix, closed_form_area, cross_wigner_matrix, quadrature
+from oracle import (
+    CanonicalMap,
+    apply_canonical,
+    assemble,
+    boundary_wigner_matrix,
+    closed_form_area,
+    cross_wigner_matrix,
+    quadrature,
+)
 from test_acceptance import random_regions
 
 
@@ -93,6 +102,26 @@ def test_fock_far_diamond_matches_the_centred_one(offset):
     got = fock_extremes(diamond(offset, -offset, 3.0))
     assert abs(got.lambda_min - want.lambda_min) < 1e-12
     assert abs(got.lambda_max - want.lambda_max) < 1e-12
+
+
+def test_fock_bound_above_one():
+    """The diamond |q| + |p| < 3 holds a state with more than all of its
+    Wigner mass inside: nothing clips lambda_max at 1."""
+    res = bounds(diamond(0.0, 0.0, 3.0))
+    assert res.method == "fock"
+    assert abs(res.lambda_max - 1.0026395700) < 1e-9
+    assert abs(res.lambda_min - -0.1868897906) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_fock_shear_invariance(sigma):
+    """The shear p -> p + sigma q is a canonical map, so the sheared
+    diamond keeps the diamond's extremes, though its box, and so its
+    basis, differs."""
+    image = apply_canonical(DIAMOND, CanonicalMap(alpha=1.0, beta=0.0, gamma=0.0, mu=1.0, nu=sigma, rho=0.0))
+    want, got = fock_extremes(DIAMOND), fock_extremes(image)
+    assert abs(got.lambda_min - want.lambda_min) < 1e-10
+    assert abs(got.lambda_max - want.lambda_max) < 1e-10
 
 
 def mirror(region, centre, axis):
@@ -476,9 +505,10 @@ def test_fock_extremes_hold_at_twice_the_density(region, monkeypatch):
 
 
 def test_radial_mean_tables_are_cached(monkeypatch):
-    """Each C_L table of the boundary build is made once per L (one
-    leggauss call each), is read-only, and is the same bit for bit as a
-    fresh table."""
+    """Each C_L table of the boundary build is made once per L, with one
+    leggauss call per Gauss rule of L // 2 + 1 nodes (L = 2m and 2m + 1
+    share a rule), is read-only, and is the same bit for bit as a fresh
+    table."""
     import numpy.polynomial.legendre as legendre
     import wigner_bounds.specfun as specfun
 
@@ -502,11 +532,13 @@ def test_radial_mean_tables_are_cached(monkeypatch):
     monkeypatch.setattr(legendre, "leggauss", counting)
     monkeypatch.setattr(specfun, "_radial_mean", recording)
     cached.cache_clear()
+    specfun._legendre_rule.cache_clear()
     first = [boundary_wigner_matrix(*build) for build in builds]
     assert len(sizes) == len(builds) > len(set(sizes))
-    assert len(counts) == len(set(sizes))
+    rules = {size // 2 + 1 for size in sizes}
+    assert sorted(counts) == sorted(rules)
     again = [boundary_wigner_matrix(*build) for build in builds]
-    assert len(counts) == len(set(sizes))
+    assert sorted(counts) == sorted(rules)
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
     for size in set(sizes):

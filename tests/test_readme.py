@@ -14,7 +14,11 @@ from wigner_bounds.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the rows of the README module map, lowest layer first
-MODULES = ["specfun", "states", "regions", "wigner", "spectra", "cli"]
+MODULES = ["specfun", "regions", "wigner", "spectra", "cli"]
+# the private names one module may import from another: the conic's axes,
+# the Laguerre sweep and the Gauss-Legendre rule, each shared by layers
+# that must compute them alike
+SHARED_PRIVATE = {"_conic", "_laguerre_terms", "_legendre_rule"}
 
 
 def section(title: str) -> str:
@@ -81,18 +85,19 @@ def test_package_exports_match_module_exports():
 def test_modules_import_only_lower_layers():
     """Each module imports only modules above it in the README module
     map; spectra, which computes eigenvalues and builds no
-    wavefunction, only regions and specfun; and states, which builds
-    no state from a formula, none."""
-    imports = {}
+    wavefunction, only regions and specfun.  Of another module's
+    private names it imports only SHARED_PRIVATE, so each file format
+    and each rule has one home."""
+    imports, private = {}, {}
     for module in MODULES:
         tree = ast.parse(inspect.getsource(importlib.import_module("wigner_bounds." + module)))
-        imports[module] = {
-            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
-        }
+        nodes = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+        imports[module] = {node.module for node in nodes}
+        private[module] = {alias.name for node in nodes for alias in node.names if alias.name.startswith("_")}
     for k, module in enumerate(MODULES):
         assert imports[module] <= set(MODULES[:k]), "%s imports %s" % (module, sorted(imports[module]))
+        assert private[module] <= SHARED_PRIVATE, "%s imports %s" % (module, sorted(private[module] - SHARED_PRIVATE))
     assert imports["spectra"] == {"regions", "specfun"}
-    assert imports["states"] == set()
 
 
 def test_module_map_names_exist():

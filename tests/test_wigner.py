@@ -384,6 +384,29 @@ def test_csv_regular_read_joins_one_row(tmp_path, full_reads):
     assert peak <= 2.0 * grid.w.nbytes, peak / grid.w.nbytes
 
 
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines + ["\n"],
+    lambda lines: lines + ["\n", "\n"],
+    lambda lines: lines[:-1] + ["\n"] + lines[-1:],
+], ids=["one-blank-tail", "two-blank-tail", "blank-before-last"])
+def test_csv_blank_lines_in_a_block_fall_back_to_the_full_parse(tmp_path, full_reads, edit):
+    """loadtxt skips a blank line inside a block, so the regular read
+    fills fewer cells than the file has lines and hands the file to the
+    full parse, which reads the written grid, with no warning."""
+    qs, ps = small_axes(0.5, 2.0), small_axes(0.25, 1.0)
+    w = WignerGrid(qs, ps, number_state_wigner(1, qs[:, None], ps[None, :]))
+    write_wigner_csv(w, tmp_path / "base.csv")
+    lines = (tmp_path / "base.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "blank.csv"
+    path.write_text("".join(lines[:1] + edit(lines[1:])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert wigner._read_regular(path) is None
+        got = grid_or_error(read_wigner_csv, path)
+    assert caught == [] and full_reads == [path]
+    assert_same_read(got, (w.qs, w.ps, w.w))
+
+
 @pytest.mark.parametrize("block", [3, 5, 8, 10, 24, 1000])
 def test_csv_regular_read_in_blocks(tmp_path, monkeypatch, full_reads, block):
     """6 rows of 4 lines: blocks of the whole rows that fit in _BLOCK_ROWS
